@@ -26,7 +26,7 @@ from .errors import (
 )
 from .graph import (
     Distribution,
-    parse_graph,
+    load_graph,
     stationary_distribution,
     transition_matrix,
 )
@@ -58,6 +58,18 @@ def _fmt(x) -> str:
     return format(float(x) + 0.0, ".17g")
 
 
+def _float_row(row, sep: str) -> str:
+    """A flat float row in one '%' formatting, negative zero normalized as in _fmt."""
+    values = (np.asarray(row, dtype=float) + 0.0).tolist()
+    return sep.join(["%.17g"] * len(values)) % tuple(values)
+
+
+def _is_float_row(obj) -> bool:
+    if isinstance(obj, np.ndarray):
+        return obj.ndim == 1 and obj.dtype.kind == "f"
+    return all(type(v) is float for v in obj)
+
+
 def _scalar(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -84,6 +96,8 @@ def render_json(obj, indent: int = 0) -> str:
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
+        if _is_float_row(obj):
+            return "[" + _float_row(obj, ", ") + "]"
         seq = list(obj)
         if not seq:
             return "[]"
@@ -98,8 +112,7 @@ def render_csv(rows) -> str:
     """Plain numeric grid with a header row of vertex indices."""
     rows = np.asarray(rows, dtype=float)
     lines = [",".join(str(j) for j in range(rows.shape[1]))]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += [_float_row(row, ",") for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -107,12 +120,7 @@ def _emit_matrix(args, n, target, rows, residuals, out) -> None:
     if args.format == "csv":
         out.write(render_csv(rows))
         return
-    payload = {
-        "n": int(n),
-        "target": [float(t) for t in target],
-        "rows": [list(map(float, row)) for row in np.asarray(rows)],
-        "residuals": residuals,
-    }
+    payload = {"n": int(n), "target": target, "rows": rows, "residuals": residuals}
     out.write(render_json(payload) + "\n")
 
 
@@ -173,20 +181,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_input(args) -> str:
-    if args.input == "-":
-        return sys.stdin.read()
-    with open(args.input, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _load(args):
-    fmt = args.input_format
-    if fmt is None:
-        fmt = "json" if str(args.input).lower().endswith(".json") else "edgelist"
-    return parse_graph(_read_input(args), fmt)
-
-
 def _target_distribution(label: str, pi: Distribution) -> Distribution:
     if label == "pi":
         return pi
@@ -206,7 +200,7 @@ def _target_distribution(label: str, pi: Distribution) -> Distribution:
 
 
 def _cmd_hitting(args, out) -> int:
-    sol = analyze(_load(args), args.lazy)
+    sol = analyze(load_graph(args.input, args.input_format), args.lazy)
     t_hit, residual = hit_time(sol.hitting, sol.stationary)
     _emit_matrix(
         args,
@@ -220,7 +214,7 @@ def _cmd_hitting(args, out) -> int:
 
 
 def _cmd_green(args, out) -> int:
-    sol = analyze(_load(args), args.lazy)
+    sol = analyze(load_graph(args.input, args.input_format), args.lazy)
     tau = _target_distribution(args.target, sol.stationary)
     G = greens_general(sol.hitting, sol.stationary, tau)
     constraint, row_sum = verify_green_constraints(G, sol.transition)
@@ -241,7 +235,7 @@ def _cmd_green(args, out) -> int:
 
 
 def _cmd_exitfreq(args, out) -> int:
-    sol = analyze(_load(args), args.lazy)
+    sol = analyze(load_graph(args.input, args.input_format), args.lazy)
     tau = _target_distribution(args.target, sol.stationary)
     X = exit_frequency_matrix(sol.hitting, sol.stationary, tau)
     n = sol.graph.n
@@ -269,7 +263,7 @@ def _cmd_exitfreq(args, out) -> int:
 
 
 def _cmd_mixing(args, out) -> int:
-    sol = analyze(_load(args), args.lazy)
+    sol = analyze(load_graph(args.input, args.input_format), args.lazy)
     rep = mixing_report(sol.hitting, sol.greens, sol.stationary, undirected=sol.graph.undirected)
     payload = {
         "n": sol.graph.n,
@@ -286,7 +280,7 @@ def _cmd_mixing(args, out) -> int:
 
 
 def _cmd_spectral(args, out) -> int:
-    g = _load(args)
+    g = load_graph(args.input, args.input_format)
     sol = analyze(g, args.lazy)
     rep = mixing_report(sol.hitting, sol.greens, sol.stationary, undirected=g.undirected)
     dec = decompose(g)
@@ -317,7 +311,7 @@ def _cmd_spectral(args, out) -> int:
 
 
 def _cmd_dual(args, out) -> int:
-    sol = analyze(_load(args), args.lazy)
+    sol = analyze(load_graph(args.input, args.input_format), args.lazy)
     rep = duality_checks(sol.transition, sol.stationary)
     payload = {
         "n": sol.graph.n,
@@ -326,9 +320,9 @@ def _cmd_dual(args, out) -> int:
         "reverse_forget": rep.reverse_forget.probs,
         "offsets": rep.offsets,
         "core": rep.core.probs,
-        "reverse_rows": [list(map(float, row)) for row in rep.reverse.probs],
-        "reverse_hitting_rows": [list(map(float, row)) for row in rep.reverse_hitting.values],
-        "core_exit_rows": [list(map(float, row)) for row in rep.core_exit.values],
+        "reverse_rows": rep.reverse.probs,
+        "reverse_hitting_rows": rep.reverse_hitting.values,
+        "core_exit_rows": rep.core_exit.values,
         "residuals": rep.residuals,
     }
     out.write(render_json(payload) + "\n")
@@ -374,7 +368,7 @@ def _cmd_family(args, out) -> int:
     else:  # tree
         if args.input is None:
             raise ValidationError("family 'tree' needs --input")
-        report = families.tree_oracle(_load(args))
+        report = families.tree_oracle(load_graph(args.input, args.input_format))
 
     if args.measure is not None:
         key = _MEASURE_ALIASES.get(args.measure.replace("_", "").lower(), args.measure)
@@ -393,15 +387,15 @@ def _cmd_family(args, out) -> int:
             k: v for k, v in report.details.items() if k != "solver_residuals"
         },
         "solver_residuals": report.details.get("solver_residuals", {}),
-        "hitting_rows": None if report.hitting is None else [list(map(float, r)) for r in report.hitting],
-        "greens_rows": None if report.greens is None else [list(map(float, r)) for r in report.greens],
+        "hitting_rows": report.hitting,
+        "greens_rows": report.greens,
     }
     out.write(render_json(payload) + "\n")
     return 0
 
 
 def _cmd_simulate(args, out) -> int:
-    g = _load(args)
+    g = load_graph(args.input, args.input_format)
     P = transition_matrix(g, args.lazy)
     pi = stationary_distribution(P)
     H = hitting_times(P, pi)
@@ -502,7 +496,7 @@ def _verify_checks(g, beta, tol):
 
 
 def _cmd_verify(args, out) -> int:
-    g = _load(args)
+    g = load_graph(args.input, args.input_format)
     checks = _verify_checks(g, args.lazy, args.tol)
     if args.green is not None:
         with open(args.green, "r", encoding="utf-8") as fh:

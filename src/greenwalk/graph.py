@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,7 +42,7 @@ class WeightedDigraph:
             i, j, w = int(arc[0]), int(arc[1]), float(arc[2])
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValidationError(f"arc ({i}, {j}) out of range for n={self.n}")
-            if not np.isfinite(w):
+            if not math.isfinite(w):
                 raise ValidationError(f"arc ({i}, {j}) has non-finite weight")
             if w < 0:
                 raise ValidationError(f"arc ({i}, {j}) has negative weight {w}")
@@ -50,11 +52,19 @@ class WeightedDigraph:
         object.__setattr__(self, "arcs", tuple(cleaned))
 
     @cached_property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sources, targets and weights of the arcs, in arc order."""
+        table = np.array(self.arcs, dtype=float).reshape(len(self.arcs), 3)
+        return table[:, 0].astype(np.intp), table[:, 1].astype(np.intp), table[:, 2]
+
+    @cached_property
     def degrees(self) -> np.ndarray:
         """Out-degrees deg(k), the total weight leaving each vertex."""
+        src, _, w = self._columns
         deg = np.zeros(self.n)
-        for i, _, w in self.arcs:
-            deg[i] += w
+        # unbuffered and in arc order, so parallel arcs add up exactly as a loop would;
+        # a pairwise weights.sum(axis=1) would round differently
+        np.add.at(deg, src, w)
         deg.setflags(write=False)
         return deg
 
@@ -66,9 +76,9 @@ class WeightedDigraph:
     @cached_property
     def weights(self) -> np.ndarray:
         # dense n x n matrix, materialized lazily so large arc lists stay cheap
+        src, dst, w = self._columns
         W = np.zeros((self.n, self.n))
-        for i, j, w in self.arcs:
-            W[i, j] += w
+        np.add.at(W, (src, dst), w)
         W.setflags(write=False)
         return W
 
@@ -180,7 +190,7 @@ def _parse_edge_list(text: str) -> WeightedDigraph:
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
+        if line[0] == "#":
             if line[1:].strip().lower() == "undirected":
                 undirected = True
             continue
@@ -194,7 +204,7 @@ def _parse_edge_list(text: str) -> WeightedDigraph:
             raise ParseError(f"line {lineno}: non-numeric entry in {raw!r}") from None
         if i < 0 or j < 0:
             raise ParseError(f"line {lineno}: vertex index out of range")
-        if not np.isfinite(w):
+        if not math.isfinite(w):
             raise ParseError(f"line {lineno}: non-finite weight")
         if w < 0:
             raise ParseError(f"line {lineno}: negative weight {w:g}")
@@ -237,9 +247,16 @@ def _parse_json(text: str) -> WeightedDigraph:
 
 
 def load_graph(path: str, fmt: str | None = None) -> WeightedDigraph:
-    """Read a graph file; format inferred from a .json suffix unless given."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Read a graph file, or standard input for ``-``.
+
+    The format is JSON for a ``.json`` suffix and an edge list otherwise,
+    unless ``fmt`` names it.
+    """
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
     if fmt is None:
         fmt = "json" if str(path).lower().endswith(".json") else "edgelist"
     return parse_graph(text, fmt)
@@ -260,10 +277,10 @@ def transition_matrix(g: WeightedDigraph, beta: float = 0.0) -> TransitionMatrix
 
 
 def _arc_support(g: WeightedDigraph) -> sparse.csr_matrix:
-    rows = [a[0] for a in g.arcs if a[2] > 0]
-    cols = [a[1] for a in g.arcs if a[2] > 0]
-    data = np.ones(len(rows))
-    return sparse.coo_matrix((data, (rows, cols)), shape=(g.n, g.n)).tocsr()
+    src, dst, w = g._columns
+    positive = w > 0
+    data = np.ones(int(positive.sum()))
+    return sparse.coo_matrix((data, (src[positive], dst[positive])), shape=(g.n, g.n)).tocsr()
 
 
 def strongly_connected(g: WeightedDigraph) -> bool:

@@ -46,14 +46,12 @@ class _TrialStreams:
         return self._gen
 
 
-def _substream(seed: int, trial: int) -> np.random.Generator:
-    key = np.array([seed & _MASK64, trial & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _cumulative_rows(P: TransitionMatrix) -> list[list[float]]:
     cum = np.cumsum(P.probs, axis=1)
-    cum[:, -1] = 1.0
+    # from each row's last arc on the entries are exactly 1: a running sum that
+    # rounds short of 1 would otherwise let bisect_right step past the last arc
+    last_arc = P.n - 1 - np.argmax(P.probs[:, ::-1] > 0, axis=1)
+    cum[np.arange(P.n) >= last_arc[:, None]] = 1.0
     return [row.tolist() for row in cum]
 
 
@@ -87,11 +85,14 @@ def _stats(counts: np.ndarray, seed: int) -> SimStats:
 def simulate_walk(
     P: TransitionMatrix, start: int, stop: int, seed: int, max_steps: int = STEP_CAP
 ) -> int:
-    """Steps taken by one seeded walk from ``start`` until it first sits at ``stop``."""
+    """Steps taken by one seeded walk from ``start`` until it first sits at ``stop``.
+
+    The walk is trial 0 of ``empirical_hitting`` with the same seed.
+    """
     n = P.n
     if not (0 <= start < n and 0 <= stop < n):
         raise ValidationError("start and stop must be vertices")
-    return _walk(_cumulative_rows(P), start, stop, _substream(seed, 0), max_steps)
+    return _walk(_cumulative_rows(P), start, stop, _TrialStreams(seed).trial(0), max_steps)
 
 
 def empirical_hitting(

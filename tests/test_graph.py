@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from greenwalk.graph import (
     Distribution,
     TransitionMatrix,
     WeightedDigraph,
+    load_graph,
     parse_graph,
     stationary_distribution,
     strongly_connected,
@@ -57,6 +60,56 @@ class TestParsing:
     def test_json_garbage(self):
         with pytest.raises(ParseError):
             parse_graph("{not json", fmt="json")
+
+
+class TestLoadGraph:
+    JSON = '{"n": 2, "arcs": [[0, 1, 2.0], [1, 0]]}'
+
+    def test_json_suffix_inferred(self, tmp_path):
+        path = tmp_path / "g.JSON"
+        path.write_text(self.JSON)
+        g = load_graph(str(path))
+        assert g.n == 2 and g.weights[0, 1] == 2.0
+
+    def test_other_suffix_is_edge_list(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text(self.JSON)
+        with pytest.raises(ParseError, match="line 1"):
+            load_graph(str(path))
+
+    def test_format_overrides_suffix(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text(self.JSON)
+        assert load_graph(str(path), "json").n == 2
+
+    def test_stdin(self, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("# undirected\n0 1 0.5\n"))
+        g = load_graph("-")
+        assert g.undirected and g.weights[1, 0] == 0.5
+
+    def test_stdin_json(self, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(self.JSON))
+        assert load_graph("-", "json").weights[1, 0] == 1.0
+
+
+class TestAccumulation:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        arcs=st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 4), st.floats(0.0, 1e6, allow_subnormal=True)),
+            min_size=1,
+            max_size=40,
+        ),
+        undirected=st.booleans(),
+    )
+    def test_parallel_arcs_add_in_arc_order(self, arcs, undirected):
+        # reference: the per-arc loop, whose rounding the arrays must match bit for bit
+        g = WeightedDigraph(5, tuple(arcs), undirected=undirected)
+        W, deg = np.zeros((5, 5)), np.zeros(5)
+        for i, j, w in g.arcs:
+            W[i, j] += w
+            deg[i] += w
+        assert np.array_equal(g.weights, W) and np.array_equal(g.degrees, deg)
 
 
 class TestTransitionMatrix:

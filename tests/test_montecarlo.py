@@ -1,11 +1,14 @@
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
 from greenwalk import families
 from greenwalk.errors import RunawayError, ValidationError
+from greenwalk.generators import random_strongly_connected_digraph
 from greenwalk.graph import WeightedDigraph, stationary_distribution, transition_matrix
 from greenwalk.hitting import hit_time, hitting_times
-from greenwalk.montecarlo import empirical_hitting, empirical_random_target, simulate_walk
+from greenwalk.montecarlo import _cumulative_rows, empirical_hitting, empirical_random_target, simulate_walk
 
 
 def directed_triangle_chain():
@@ -39,6 +42,18 @@ class TestSimulateWalk:
             simulate_walk(P, 0, 9, seed=0)
 
 
+class TestCumulativeRows:
+    def test_top_uniforms_step_along_arcs(self):
+        top = float(np.nextafter(1.0, 0.0))  # the largest uniform a generator returns
+        for seed in range(50):
+            P = transition_matrix(random_strongly_connected_digraph(60, seed, extra=0.25))
+            running = np.cumsum(P.probs, axis=1)
+            for v, row in enumerate(_cumulative_rows(P)):
+                last_arc = int(np.flatnonzero(P.probs[v])[-1])
+                for u in (top, min(top, float(running[v, last_arc]))):
+                    assert P.probs[v, bisect_right(row, u)] > 0, (seed, v, u)
+
+
 class TestEmpiricalHitting:
     def test_determinism(self):
         P = transition_matrix(families.cycle_graph(5))
@@ -47,10 +62,12 @@ class TestEmpiricalHitting:
         assert a == b
 
     def test_single_trial_matches_simulate(self):
-        P = transition_matrix(families.cycle_graph(5))
-        one = empirical_hitting(P, 0, 2, trials=1, seed=9)
-        assert one.mean == simulate_walk(P, 0, 2, seed=9)
-        assert one.stderr == 0.0
+        # simulate_walk is trial 0 of empirical_hitting's per-trial streams
+        P = transition_matrix(random_strongly_connected_digraph(12, 4))
+        for seed in range(20):
+            one = empirical_hitting(P, 0, 7, trials=1, seed=seed)
+            assert one.mean == simulate_walk(P, 0, 7, seed=seed)
+            assert one.stderr == 0.0
 
     def test_stderr_definition(self):
         P = transition_matrix(families.cycle_graph(5))
