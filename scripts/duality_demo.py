@@ -9,13 +9,10 @@ Usage: python3 scripts/duality_demo.py [--count N] [--size N] [--seed S]
 
 import argparse
 
-import numpy as np
-
 from greenwalk.duality import duality_checks
 from greenwalk.generators import random_strongly_connected_digraph
-from greenwalk.graph import stationary_distribution, transition_matrix
 from greenwalk.greens import access_times
-from greenwalk.hitting import hitting_times
+from greenwalk.pipeline import analyze
 
 
 def main() -> None:
@@ -31,12 +28,10 @@ def main() -> None:
     for k in range(args.count):
         seed = args.seed + k
         g = random_strongly_connected_digraph(args.size, seed=seed)
-        P = transition_matrix(g)
-        pi = stationary_distribution(P)
-        rep = duality_checks(P, pi)
-        mix = access_times(hitting_times(P, pi), pi)
-        t_reset = float(pi.probs @ mix)
-        t_forget_rev = float(access_times(rep.reverse_hitting, rep.reverse_forget).max())
+        sol = analyze(g)
+        rep = duality_checks(sol)
+        t_reset = sol.mixing.t_reset
+        t_forget_rev = float(access_times(sol.reverse.hitting, rep.reverse_forget).max())
         print(
             f"{seed:>6}{t_reset:>12.6f}{rep.t_forget:>12.6f}{t_forget_rev:>15.6f}"
             f"{max(rep.residuals.values()):>18.3e}"

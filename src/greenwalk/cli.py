@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import families
+from . import families, graph
 from .duality import duality_checks
 from .errors import (
     GreenWalkError,
@@ -24,29 +24,21 @@ from .errors import (
     RunawayError,
     ValidationError,
 )
-from .graph import (
-    Distribution,
-    load_graph,
-    stationary_distribution,
-    transition_matrix,
-)
+from .graph import Distribution, load_graph, read_text
 from .greens import (
+    CONSTRAINT_TOL,
+    HALTING_TOL,
+    ROW_SUM_TOL,
     GreensMatrix,
     exit_frequency_matrix,
     greens_general,
-    greens_function,
     hitting_from_greens,
-    mixing_report,
     verify_green_constraints,
 )
-from .hitting import check_cycle_identities, hit_time, hitting_times, time_scale
+from .hitting import check_cycle_identities, hit_time, time_scale
 from .montecarlo import empirical_hitting, empirical_random_target
 from .pipeline import analyze
 from .spectral import decompose, spectral_greens, spectral_hitting, spectral_mixing
-
-MATRIX_TOL = 1e-9   # scaled by n
-ROW_SUM_TOL = 1e-10
-HALTING_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +156,7 @@ def _build_parser() -> _Parser:
     with_io("dual", help="reverse-chain duality report")
 
     fam = with_io("family", needs_input=False, help="closed-form family oracle")
-    fam.add_argument("name", choices=["complete", "bipartite", "star", "path", "cycle", "hypercube", "toric", "tree"])
+    fam.add_argument("name", choices=[*_FAMILIES, "toric", "tree"])
     fam.add_argument("params", nargs="*", type=int, help="family parameters")
     fam.add_argument("--input", default=None, help="tree input file (family 'tree' only)")
     fam.add_argument("--input-format", choices=["edgelist", "json"], default=None)
@@ -226,7 +218,7 @@ def _cmd_green(args, out) -> int:
         {"constraint": constraint, "row_sum": row_sum},
         out,
     )
-    if constraint > MATRIX_TOL * sol.graph.n or row_sum > ROW_SUM_TOL:
+    if constraint > CONSTRAINT_TOL * sol.graph.n or row_sum > ROW_SUM_TOL:
         raise IntegrityError(
             f"Green constraints violated: constraint {constraint:.3e}, row sum {row_sum:.3e}",
             residual=max(constraint, row_sum),
@@ -239,12 +231,7 @@ def _cmd_exitfreq(args, out) -> int:
     tau = _target_distribution(args.target, sol.stationary)
     X = exit_frequency_matrix(sol.hitting, sol.stationary, tau)
     n = sol.graph.n
-    conservation = float(
-        np.abs(
-            X.values @ (np.eye(n) - sol.transition.probs)
-            - (np.eye(n) - np.outer(np.ones(n), tau.probs))
-        ).max()
-    )
+    conservation, _ = verify_green_constraints(X, sol.transition)
     _emit_matrix(
         args,
         n,
@@ -257,14 +244,14 @@ def _cmd_exitfreq(args, out) -> int:
         },
         out,
     )
-    if conservation > MATRIX_TOL * n:
+    if conservation > CONSTRAINT_TOL * n:
         raise IntegrityError(f"conservation residual {conservation:.3e}", residual=conservation)
     return 0
 
 
 def _cmd_mixing(args, out) -> int:
     sol = analyze(load_graph(args.input, args.input_format), args.lazy)
-    rep = mixing_report(sol.hitting, sol.greens, sol.stationary, undirected=sol.graph.undirected)
+    rep = sol.mixing
     payload = {
         "n": sol.graph.n,
         "t_mix": rep.t_mix,
@@ -279,22 +266,25 @@ def _cmd_mixing(args, out) -> int:
     return 0
 
 
+def _spectral_routes(sol, dec):
+    """The spectral (T_mix, T_reset, T_hit) of a chain, and the gap of each spectral route to it."""
+    rep = sol.mixing
+    factor = 1.0 / (1.0 - sol.transition.beta)  # laziness rescales every expected time
+    times = tuple(v * factor for v in spectral_mixing(dec, rep.pessimal))
+    gaps = {
+        "hitting_route": float(np.abs(spectral_hitting(dec).values * factor - sol.hitting.values).max()),
+        "greens_route": float(np.abs(spectral_greens(dec).values * factor - sol.greens.values).max()),
+    }
+    for key, value, solved in zip(("t_mix", "t_reset", "t_hit"), times, (rep.t_mix, rep.t_reset, rep.t_hit)):
+        gaps[key] = abs(value - solved)
+    return times, gaps
+
+
 def _cmd_spectral(args, out) -> int:
     g = load_graph(args.input, args.input_format)
     sol = analyze(g, args.lazy)
-    rep = mixing_report(sol.hitting, sol.greens, sol.stationary, undirected=g.undirected)
     dec = decompose(g)
-    factor = 1.0 / (1.0 - args.lazy)  # laziness rescales every expected time
-    H_eig = spectral_hitting(dec).values * factor
-    G_eig = spectral_greens(dec).values * factor
-    t_mix, t_reset, t_hit = (v * factor for v in spectral_mixing(dec, rep.pessimal))
-    residuals = {
-        "hitting_route": float(np.abs(H_eig - sol.hitting.values).max()),
-        "greens_route": float(np.abs(G_eig - sol.greens.values).max()),
-        "t_mix": abs(t_mix - rep.t_mix),
-        "t_reset": abs(t_reset - rep.t_reset),
-        "t_hit": abs(t_hit - rep.t_hit),
-    }
+    (t_mix, t_reset, t_hit), residuals = _spectral_routes(sol, dec)
     payload = {
         "n": g.n,
         "eigenvalues": dec.eigenvalues,
@@ -312,7 +302,7 @@ def _cmd_spectral(args, out) -> int:
 
 def _cmd_dual(args, out) -> int:
     sol = analyze(load_graph(args.input, args.input_format), args.lazy)
-    rep = duality_checks(sol.transition, sol.stationary)
+    rep = duality_checks(sol)
     payload = {
         "n": sol.graph.n,
         "t_forget": rep.t_forget,
@@ -320,8 +310,8 @@ def _cmd_dual(args, out) -> int:
         "reverse_forget": rep.reverse_forget.probs,
         "offsets": rep.offsets,
         "core": rep.core.probs,
-        "reverse_rows": rep.reverse.probs,
-        "reverse_hitting_rows": rep.reverse_hitting.values,
+        "reverse_rows": sol.reverse.transition.probs,
+        "reverse_hitting_rows": sol.reverse.hitting.values,
         "core_exit_rows": rep.core_exit.values,
         "residuals": rep.residuals,
     }
@@ -336,39 +326,34 @@ def _cmd_dual(args, out) -> int:
 _MEASURE_ALIASES = {"tmix": "t_mix", "treset": "t_reset", "thit": "t_hit", "h10": "h_one_zero"}
 
 
+# family -> (parameter count, oracle); 'toric' and 'tree' take their arguments
+# differently. The oracles are looked up in ``families`` at call time, so a
+# function rebound there (as perfbench's tracer does) is the one called.
+_FAMILIES = {
+    "complete": (1, lambda n: families.complete_oracle(n)),
+    "bipartite": (2, lambda r, s: families.bipartite_oracle(r, s)),
+    "star": (1, lambda leaves: families.bipartite_oracle(1, leaves)),
+    "path": (1, lambda n: families.path_oracle(n)),
+    "cycle": (1, lambda n: families.cycle_oracle(n)),
+    "hypercube": (1, lambda d: families.hypercube_oracle(d)),
+}
+
+
 def _cmd_family(args, out) -> int:
     name, params = args.name, tuple(args.params)
-
-    def need(count):
-        if len(params) != count:
-            raise ValidationError(f"family {name!r} takes {count} parameter(s)")
-
-    if name == "complete":
-        need(1)
-        report = families.complete_oracle(params[0])
-    elif name == "bipartite":
-        need(2)
-        report = families.bipartite_oracle(*params)
-    elif name == "star":
-        need(1)
-        report = families.bipartite_oracle(1, params[0])
-    elif name == "path":
-        need(1)
-        report = families.path_oracle(params[0])
-    elif name == "cycle":
-        need(1)
-        report = families.cycle_oracle(params[0])
-    elif name == "hypercube":
-        need(1)
-        report = families.hypercube_oracle(params[0])
-    elif name == "toric":
+    if name == "toric":
         if not params:
             raise ValidationError("family 'toric' needs at least one cycle length")
         report = families.toric_oracle(params)
-    else:  # tree
+    elif name == "tree":
         if args.input is None:
             raise ValidationError("family 'tree' needs --input")
         report = families.tree_oracle(load_graph(args.input, args.input_format))
+    else:
+        count, oracle = _FAMILIES[name]
+        if len(params) != count:
+            raise ValidationError(f"family {name!r} takes {count} parameter(s)")
+        report = oracle(*params)
 
     if args.measure is not None:
         key = _MEASURE_ALIASES.get(args.measure.replace("_", "").lower(), args.measure)
@@ -395,10 +380,8 @@ def _cmd_family(args, out) -> int:
 
 
 def _cmd_simulate(args, out) -> int:
-    g = load_graph(args.input, args.input_format)
-    P = transition_matrix(g, args.lazy)
-    pi = stationary_distribution(P)
-    H = hitting_times(P, pi)
+    sol = analyze(load_graph(args.input, args.input_format), args.lazy)
+    P, pi, H = sol.transition, sol.stationary, sol.hitting
     if args.stop is not None:
         stats = empirical_hitting(P, args.start, args.stop, args.trials, args.seed)
         analytic = float(H.values[args.start, args.stop])
@@ -419,16 +402,15 @@ def _cmd_simulate(args, out) -> int:
     return 0
 
 
-def _verify_checks(g, beta, tol):
-    """Every invariant suite as (name, residual, limit) triples."""
-    n = g.n
-    sol = analyze(g, beta)
-    P, pi, H, G = sol.transition, sol.stationary, sol.hitting, sol.greens
+def _verify_checks(sol, tol):
+    """Every invariant suite on one chain as (name, residual, limit) triples."""
+    g, P, pi, H, G = sol.graph, sol.transition, sol.stationary, sol.hitting, sol.greens
+    n, beta = g.n, P.beta
     scale = time_scale(H.values)
     checks = []
 
-    checks.append(("row_stochastic", float(np.abs(P.probs.sum(axis=1) - 1.0).max()), 1e-12))
-    checks.append(("stationary", float(np.abs(pi.probs @ P.probs - pi.probs).max()), 1e-10))
+    checks.append(("row_stochastic", float(np.abs(P.probs.sum(axis=1) - 1.0).max()), graph.ROW_SUM_TOL))
+    checks.append(("stationary", float(np.abs(pi.probs @ P.probs - pi.probs).max()), graph.STATIONARY_TOL))
     first_step = H.values - 1.0 - P.probs @ H.values
     np.fill_diagonal(first_step, 0.0)
     checks.append(("first_step", float(np.abs(first_step).max()), tol * scale))
@@ -436,17 +418,15 @@ def _verify_checks(g, beta, tol):
     checks.append(("random_target", rti, tol * scale))
 
     constraint, row_sum = verify_green_constraints(G, P)
-    checks.append(("greens_constraint", constraint, MATRIX_TOL * n))
+    checks.append(("greens_constraint", constraint, CONSTRAINT_TOL * n))
     checks.append(("greens_row_sum", row_sum, ROW_SUM_TOL))
     checks.append(("trace_vs_hit", abs(float(np.trace(G.values)) - t_hit), tol * scale))
     roundtrip = hitting_from_greens(G, pi)
     checks.append(("hitting_roundtrip", float(np.abs(roundtrip.values - H.values).max()), tol * scale))
 
-    X = exit_frequency_matrix(H, pi, pi)
-    conservation = float(
-        np.abs(X.values @ P.laplacian - (np.eye(n) - np.outer(np.ones(n), pi.probs))).max()
-    )
-    checks.append(("exit_conservation", conservation, MATRIX_TOL * n))
+    X = sol.exit_pi
+    conservation, _ = verify_green_constraints(X, P)
+    checks.append(("exit_conservation", conservation, CONSTRAINT_TOL * n))
     checks.append(("exit_row_min", float(X.values.min(axis=1).max()), HALTING_TOL))
     checks.append(("exit_row_sums", float(np.abs(X.values.sum(axis=1) - X.access).max()), tol * scale))
     via_exit = X.values - np.outer(X.access, pi.probs)
@@ -455,11 +435,11 @@ def _verify_checks(g, beta, tol):
     for tag, tau in (("uniform", Distribution.uniform(n)), ("vertex", Distribution.point_mass(n, 0))):
         Gt = greens_general(H, pi, tau)
         c, r = verify_green_constraints(Gt, P)
-        checks.append((f"greens_{tag}_constraint", c, MATRIX_TOL * n))
+        checks.append((f"greens_{tag}_constraint", c, CONSTRAINT_TOL * n))
         checks.append((f"greens_{tag}_row_sum", r, ROW_SUM_TOL))
 
     try:
-        mixing_report(H, G, pi, undirected=g.undirected)
+        sol.mixing
         checks.append(("mixing_formulas", 0.0, 1.0))
     except IntegrityError as exc:
         checks.append(("mixing_formulas", float(exc.residual or 1.0), tol * scale))
@@ -475,44 +455,32 @@ def _verify_checks(g, beta, tol):
         checks.append(("cycle_pair", pair, tol * scale))
         sym = float(np.abs(pi.probs[:, None] * G.values - (pi.probs[:, None] * G.values).T).max())
         checks.append(("greens_symmetry", sym, ROW_SUM_TOL))
-        rep = mixing_report(H, G, pi, undirected=True)
-        dec = decompose(g)
-        factor = 1.0 / (1.0 - beta)
-        checks.append(
-            ("spectral_hitting", float(np.abs(spectral_hitting(dec).values * factor - H.values).max()), tol * scale)
-        )
-        checks.append(
-            ("spectral_greens", float(np.abs(spectral_greens(dec).values * factor - G.values).max()), tol * scale)
-        )
-        t_mix, t_reset, t_hit_eig = (v * factor for v in spectral_mixing(dec, rep.pessimal))
-        checks.append(("spectral_t_mix", abs(t_mix - rep.t_mix), tol * scale))
-        checks.append(("spectral_t_reset", abs(t_reset - rep.t_reset), tol * scale))
-        checks.append(("spectral_t_hit", abs(t_hit_eig - rep.t_hit), tol * scale))
+        _, gaps = _spectral_routes(sol, decompose(g))
+        for name, gap in zip(("hitting", "greens", "t_mix", "t_reset", "t_hit"), gaps.values()):
+            checks.append((f"spectral_{name}", gap, tol * scale))
 
-    dual = duality_checks(P, pi)
+    dual = duality_checks(sol)
     for key, value in dual.residuals.items():
         checks.append((f"dual_{key}", value, tol * scale))
     return checks
 
 
 def _cmd_verify(args, out) -> int:
-    g = load_graph(args.input, args.input_format)
-    checks = _verify_checks(g, args.lazy, args.tol)
+    sol = analyze(load_graph(args.input, args.input_format), args.lazy)
+    checks = _verify_checks(sol, args.tol)
     if args.green is not None:
-        with open(args.green, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-                rows = np.array(data["rows"], dtype=float)
-                target = Distribution(np.array(data["target"], dtype=float))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"bad Green matrix file: {exc}") from None
+        try:
+            data = json.loads(read_text(args.green))
+            rows = np.array(data["rows"], dtype=float)
+            target = Distribution(np.array(data["target"], dtype=float))
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad Green matrix file: {exc}") from None
         M = GreensMatrix(rows, target=target)
-        P = transition_matrix(g, args.lazy)
-        constraint, row_sum = verify_green_constraints(M, P)
-        checks.append(("file_greens_constraint", constraint, MATRIX_TOL * g.n))
+        constraint, row_sum = verify_green_constraints(M, sol.transition)
+        checks.append(("file_greens_constraint", constraint, CONSTRAINT_TOL * sol.graph.n))
         checks.append(("file_greens_row_sum", row_sum, ROW_SUM_TOL))
     payload = {
-        "n": g.n,
+        "n": sol.graph.n,
         "checks": {
             name: {"residual": residual, "limit": limit, "ok": bool(residual <= limit)}
             for name, residual, limit in checks
@@ -555,9 +523,6 @@ def main(argv=None) -> int:
     except (IntegrityError, NumericalError, RunawayError) as exc:
         sys.stderr.write(f"integrity error: {exc}\n")
         return 2
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except GreenWalkError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -3,30 +3,30 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import IntegrityError
 from .graph import Distribution, TransitionMatrix
 from .greens import (
+    NEGATIVE_TOL,
     access_time,
     access_times,
     exit_frequency_matrix,
-    greens_function,
     greens_general,
     ExitFrequencyMatrix,
 )
-from .hitting import TIME_TOL, HittingTimeMatrix, hitting_times, time_scale
+from .hitting import TIME_TOL, time_scale
 
-NEGATIVE_TOL = 1e-10
+if TYPE_CHECKING:
+    from .pipeline import ChainAnalysis
 
 
 @dataclass(frozen=True)
 class DualityReport:
     """Everything the reverse chain says about the forward one."""
 
-    reverse: TransitionMatrix
-    reverse_hitting: HittingTimeMatrix
     forget: Distribution          # forget distribution of the forward chain
     reverse_forget: Distribution  # forget distribution of the reverse chain
     offsets: np.ndarray           # column minima b of X_pi
@@ -59,26 +59,23 @@ def _as_distribution(weights: np.ndarray, what: str) -> Distribution:
     return Distribution(w / w.sum())
 
 
-def forget_distribution(P: TransitionMatrix, pi: Distribution) -> Distribution:
-    """The unique target achieving the forget time of ``P``.
+def forget_distribution(chain: ChainAnalysis) -> Distribution:
+    """The unique target achieving the forget time of the chain.
 
     The weight formula pi_i (1 + sum_j p_ij H(j, pi) - H(i, pi)) evaluated
     with forward quantities yields the reverse chain's forget distribution,
-    so this applies it to the reverse of ``P`` instead.
+    so this applies it to the reverse chain instead.
     """
-    rev = reverse_chain(P, pi)
-    mix_rev = access_times(hitting_times(rev, pi), pi)
-    return _as_distribution(_forget_weights(pi, rev.probs, mix_rev), "forget distribution")
+    pi, rev = chain.stationary, chain.reverse
+    mix_rev = access_times(rev.hitting, pi)
+    return _as_distribution(_forget_weights(pi, rev.transition.probs, mix_rev), "forget distribution")
 
 
-def forget_time(P: TransitionMatrix, pi: Distribution) -> float:
+def forget_time(chain: ChainAnalysis) -> float:
     """min over targets tau of max_i H(i, tau), cross-checked against the dual reset time."""
-    H = hitting_times(P, pi)
-    rev = reverse_chain(P, pi)
-    mix_rev = access_times(hitting_times(rev, pi), pi)
-    mu = _as_distribution(_forget_weights(pi, rev.probs, mix_rev), "forget distribution")
-    value = float(access_times(H, mu).max())
-    reset_rev = float(pi.probs @ mix_rev)
+    H, pi = chain.hitting, chain.stationary
+    value = float(access_times(H, forget_distribution(chain)).max())
+    reset_rev = float(pi.probs @ access_times(chain.reverse.hitting, pi))
     gap = abs(value - reset_rev)
     if gap > TIME_TOL * time_scale(H.values):
         raise IntegrityError(
@@ -88,9 +85,7 @@ def forget_time(P: TransitionMatrix, pi: Distribution) -> float:
     return value
 
 
-def pi_core(
-    P: TransitionMatrix, pi: Distribution, X: ExitFrequencyMatrix
-) -> tuple[Distribution, ExitFrequencyMatrix]:
+def pi_core(chain: ChainAnalysis) -> tuple[Distribution, ExitFrequencyMatrix]:
     """The distribution whose exit matrix is X_pi shifted down by its column minima.
 
     The core is recovered algebraically from conservation,
@@ -99,26 +94,23 @@ def pi_core(
     the two must agree. The shifted matrix X_pi - 1 b^T is returned as the
     core's exit matrix.
     """
+    P, pi, X = chain.transition, chain.stationary, chain.exit_pi
     b = X.values.min(axis=0)
     core_weights = pi.probs + (np.eye(P.n) - P.probs).T @ b
     core = _as_distribution(core_weights, "pi-core")
     shifted = X.values - b[None, :]
     core_exit = ExitFrequencyMatrix(shifted, target=core, access=shifted.sum(axis=1))
 
-    H = hitting_times(P, pi)
-    mix = access_times(H, pi)
-    rev = reverse_chain(P, pi)
-    Hrev = hitting_times(rev, pi)
-    mu_hat = _as_distribution(_forget_weights(pi, P.probs, mix), "reverse forget distribution")
-    acc_rev = access_times(Hrev, mu_hat)
-    formula = _forget_weights(pi, rev.probs, acc_rev)
+    rev = chain.reverse
+    acc_rev = access_times(rev.hitting, forget_distribution(rev))
+    formula = _forget_weights(pi, rev.transition.probs, acc_rev)
     gap = float(np.abs(formula - core_weights).max())
-    if gap > TIME_TOL * time_scale(H.values):
+    if gap > TIME_TOL * time_scale(chain.hitting.values):
         raise IntegrityError(f"pi-core routes disagree by {gap:.3e}", residual=gap)
     return core, core_exit
 
 
-def duality_checks(P: TransitionMatrix, pi: Distribution) -> DualityReport:
+def duality_checks(chain: ChainAnalysis) -> DualityReport:
     """Evaluate every forward/reverse identity and record its residual.
 
     Nothing is asserted here; the report is diagnostic. Residuals cover the
@@ -126,26 +118,24 @@ def duality_checks(P: TransitionMatrix, pi: Distribution) -> DualityReport:
     decomposition of the mixing time, the reset/forget exchange, and the
     optimality (zero row minimum) of the conjugated exit matrix.
     """
+    P, pi = chain.transition, chain.stationary
     n = P.n
     p = pi.probs
-    H = hitting_times(P, pi)
-    G = greens_function(H, pi)
-    X = exit_frequency_matrix(H, pi, pi)
+    H, G, X = chain.hitting, chain.greens, chain.exit_pi
     mix = X.access
     t_reset = float(p @ mix)
 
-    rev = reverse_chain(P, pi)
-    Hrev = hitting_times(rev, pi)
-    Grev = greens_function(Hrev, pi)
+    rev = chain.reverse
+    Hrev, Grev = rev.hitting, rev.greens
     mix_rev = access_times(Hrev, pi)
     t_reset_rev = float(p @ mix_rev)
 
-    mu_hat = _as_distribution(_forget_weights(pi, P.probs, mix), "reverse forget distribution")
-    mu = _as_distribution(_forget_weights(pi, rev.probs, mix_rev), "forget distribution")
+    mu_hat = forget_distribution(rev)
+    mu = forget_distribution(chain)
     t_forget = float(access_times(H, mu).max())
     t_forget_rev = float(access_times(Hrev, mu_hat).max())
 
-    core, core_exit = pi_core(P, pi, X)
+    core, core_exit = pi_core(chain)
     b = X.values.min(axis=0)
 
     ratio = p[None, :] / p[:, None]
@@ -165,13 +155,13 @@ def duality_checks(P: TransitionMatrix, pi: Distribution) -> DualityReport:
     core_to_pi = access_time(H, core, pi)
 
     residuals = {
-        "reverse_involution": float(np.abs(reverse_chain(rev, pi).probs - P.probs).max()),
-        "reverse_stationary": float(np.abs(p @ rev.probs - p).max()),
+        "reverse_involution": float(np.abs(reverse_chain(rev.transition, pi).probs - P.probs).max()),
+        "reverse_stationary": float(np.abs(p @ rev.transition.probs - p).max()),
         "reset_equals_reverse_forget": abs(t_reset - t_forget_rev),
         "forget_equals_reverse_reset": abs(t_forget - t_reset_rev),
         "exit_conjugation": float(np.abs(X_rev_mu.values - dual_image).max()),
         "dual_image_conservation": float(
-            np.abs(dual_image @ (eye - rev.probs) - (eye - np.outer(np.ones(n), mu_hat.probs))).max()
+            np.abs(dual_image @ (eye - rev.transition.probs) - (eye - np.outer(np.ones(n), mu_hat.probs))).max()
         ),
         "dual_image_row_min": float(dual_image.min(axis=1).max()),
         "greens_forget_dual": float(np.abs(G_rev_mu - forget_rhs).max()),
@@ -179,8 +169,6 @@ def duality_checks(P: TransitionMatrix, pi: Distribution) -> DualityReport:
         "core_decomposition": float(np.abs(mix - (acc_core + core_to_pi)).max()),
     }
     return DualityReport(
-        reverse=rev,
-        reverse_hitting=Hrev,
         forget=mu,
         reverse_forget=mu_hat,
         offsets=b,

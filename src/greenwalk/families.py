@@ -18,7 +18,6 @@ import numpy as np
 from . import pipeline
 from .errors import IntegrityError, ValidationError
 from .graph import WeightedDigraph, strongly_connected
-from .greens import mixing_report
 from .hitting import time_scale
 
 ORACLE_TOL = 1e-8
@@ -112,7 +111,7 @@ def compare_with_pipeline(report: OracleReport) -> dict[str, float]:
         residuals["hitting"] = float(np.abs(report.hitting - sol.hitting.values).max())
     if report.greens is not None:
         residuals["greens"] = float(np.abs(report.greens - sol.greens.values).max())
-    rep = mixing_report(sol.hitting, sol.greens, sol.stationary, undirected=report.graph.undirected)
+    rep = sol.mixing
     hpi = sol.stationary.probs @ sol.hitting.values
     solved = {
         "t_hit": rep.t_hit,

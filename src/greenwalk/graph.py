@@ -246,17 +246,22 @@ def _parse_json(text: str) -> WeightedDigraph:
     return WeightedDigraph(n, tuple(arcs), undirected=bool(data.get("undirected", False)))
 
 
+def read_text(path: str) -> str:
+    """The UTF-8 text of a file; a file that cannot be opened or decoded is a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+
+
 def load_graph(path: str, fmt: str | None = None) -> WeightedDigraph:
     """Read a graph file, or standard input for ``-``.
 
     The format is JSON for a ``.json`` suffix and an edge list otherwise,
     unless ``fmt`` names it.
     """
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    text = sys.stdin.read() if path == "-" else read_text(path)
     if fmt is None:
         fmt = "json" if str(path).lower().endswith(".json") else "edgelist"
     return parse_graph(text, fmt)

@@ -130,11 +130,13 @@ def exit_frequency_matrix(
     return X
 
 
-def verify_green_constraints(M: GreensMatrix, P: TransitionMatrix) -> tuple[float, float]:
+def verify_green_constraints(M: GreensMatrix | ExitFrequencyMatrix, P: TransitionMatrix) -> tuple[float, float]:
     """Residuals of the two defining constraints, as (constraint, row-sum).
 
     The first is the max-abs entry of M (I - P) - (I - 1 target^T), the
     second the max-abs row sum of M. Diagnostic only; nothing is raised.
+    An exit-frequency matrix X_tau = G_tau + h pi^T meets the first one as
+    its conservation law, since pi^T (I - P) = 0; its rows sum to h, not 0.
     """
     n = P.n
     lhs = M.values @ (np.eye(n) - P.probs) - (np.eye(n) - np.outer(np.ones(n), M.target.probs))

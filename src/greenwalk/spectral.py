@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -35,6 +36,13 @@ class SpectralDecomposition:
     @property
     def n(self) -> int:
         return self.eigenvalues.size
+
+    @cached_property
+    def _inverse_pool(self) -> np.ndarray:
+        # M_ij = sum_{k >= 1} phi_ki phi_kj / lambda_k; the zero mode is excluded
+        lam = self.eigenvalues[1:]
+        phi = self.eigenvectors[:, 1:]
+        return (phi / lam[None, :]) @ phi.T
 
 
 def normalized_laplacian(g: WeightedDigraph) -> np.ndarray:
@@ -92,20 +100,13 @@ def decompose(g: WeightedDigraph) -> SpectralDecomposition:
     return eigensystem(normalized_laplacian(g), g.degrees, g.volume)
 
 
-def _inverse_pool(dec: SpectralDecomposition) -> np.ndarray:
-    # M_ij = sum_{k >= 1} phi_ki phi_kj / lambda_k; the zero mode is excluded
-    lam = dec.eigenvalues[1:]
-    phi = dec.eigenvectors[:, 1:]
-    return (phi / lam[None, :]) @ phi.T
-
-
 def spectral_hitting(dec: SpectralDecomposition) -> HittingTimeMatrix:
     """Hitting times from the eigensystem alone.
 
     H(i, j) = vol * sum_{k>=1} (phi_kj^2 / deg(j)
               - phi_ki phi_kj / sqrt(deg(i) deg(j))) / lambda_k.
     """
-    M = _inverse_pool(dec)
+    M = dec._inverse_pool
     d = dec.degrees
     H = dec.volume * (np.diag(M)[None, :] / d[None, :] - M / np.sqrt(np.outer(d, d)))
     np.fill_diagonal(H, 0.0)
@@ -117,7 +118,7 @@ def spectral_greens(dec: SpectralDecomposition) -> GreensMatrix:
 
     G(i, j) = sqrt(deg(j) / deg(i)) * sum_{k>=1} phi_ki phi_kj / lambda_k.
     """
-    M = _inverse_pool(dec)
+    M = dec._inverse_pool
     root = np.sqrt(dec.degrees)
     values = (root[None, :] / root[:, None]) * M
     return GreensMatrix(values, target=Distribution(dec.degrees / dec.volume))
@@ -125,7 +126,7 @@ def spectral_greens(dec: SpectralDecomposition) -> GreensMatrix:
 
 def spectral_access_from_stationary(dec: SpectralDecomposition) -> np.ndarray:
     """H(pi, j) for every j, read off the diagonal spectral sums."""
-    M = _inverse_pool(dec)
+    M = dec._inverse_pool
     return dec.volume / dec.degrees * np.diag(M)
 
 
@@ -136,7 +137,7 @@ def spectral_mixing(dec: SpectralDecomposition, pessimal: np.ndarray) -> tuple[f
     worst-start and average mixing formulas need it, while
     T_hit = sum_{k>=1} 1 / lambda_k does not.
     """
-    M = _inverse_pool(dec)
+    M = dec._inverse_pool
     d = dec.degrees
     ip = np.asarray(pessimal, dtype=int)
     vals = M[np.arange(dec.n), ip]

@@ -26,6 +26,7 @@ from greenwalk.greens import (
 )
 from greenwalk.hitting import hit_time, hitting_times
 from greenwalk.montecarlo import empirical_hitting, empirical_random_target
+from greenwalk.pipeline import ChainAnalysis
 from greenwalk.spectral import decompose, spectral_greens, spectral_hitting, spectral_mixing
 
 
@@ -191,9 +192,9 @@ def test_09_duality():
     pi = stationary_distribution(P)
     H = hitting_times(P, pi)
     X = exit_frequency_matrix(H, pi, pi)
-    core, _ = pi_core(P, pi, X)
+    core, _ = pi_core(ChainAnalysis(P, pi))
     b = X.values.min(axis=0)
-    mu = duality_checks(P, pi).forget
+    mu = duality_checks(ChainAnalysis(P, pi)).forget
     ok = (
         np.allclose(b, [0.0, 0.5, 0.0], atol=1e-12)
         and np.allclose(core.probs, [0.0, 1.0, 0.0], atol=1e-12)
@@ -209,12 +210,13 @@ def test_09_duality():
         g = random_strongly_connected_digraph(n, seed=2000 + case)
         Pd = transition_matrix(g)
         pid = stationary_distribution(Pd)
-        rep = duality_checks(Pd, pid)
-        scale = max(1.0, float(np.abs(rep.reverse_hitting.values).max()))
+        chain = ChainAnalysis(Pd, pid)
+        rep = duality_checks(chain)
+        scale = max(1.0, float(np.abs(chain.reverse.hitting.values).max()))
         rev = reverse_chain(Pd, pid)
         mix_rev = access_times(hitting_times(rev, pid), pid)
         t_reset = float(pid.probs @ access_times(hitting_times(Pd, pid), pid))
-        gap = abs(t_reset - forget_time(rev, pid))
+        gap = abs(t_reset - forget_time(chain.reverse))
         worst = max(worst, gap / scale, max(rep.residuals.values()) / scale)
     report("09 duality identities", ok and worst <= 1e-8, f"worst rel {worst:.2e}")
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import greenwalk.hitting
 from greenwalk.cli import main
 
 K3 = "# undirected\n0 1\n0 2\n1 2\n"
@@ -65,6 +66,23 @@ class TestExitCodes:
     def test_missing_file_is_one(self, capsys):
         code, _, _ = run(capsys, "hitting", "--input", "/nonexistent/g.edges")
         assert code == 1
+
+    def test_directory_input_is_one(self, capsys, tmp_path):
+        code, _, err = run(capsys, "hitting", "--input", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error:")
+
+    def test_undecodable_input_is_one(self, capsys, tmp_path):
+        path = tmp_path / "binary.edges"
+        path.write_bytes(b"\xff0 1\n")
+        code, _, err = run(capsys, "hitting", "--input", str(path))
+        assert code == 1
+        assert err.startswith("error:")
+
+    def test_directory_green_is_one(self, capsys, k3_file, tmp_path):
+        code, _, err = run(capsys, "verify", "--input", k3_file, "--green", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error:")
 
     def test_usage_error_is_one(self, capsys):
         assert main(["green"]) == 1
@@ -226,3 +244,55 @@ class TestOtherCommands:
         code, out, _ = run(capsys, "mixing", "--input", "-")
         assert code == 0
         assert json.loads(out)["n"] == 3
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The order of every fundamental-matrix solve, in call order."""
+    calls = []
+    solve = greenwalk.hitting.fundamental_matrix
+
+    def counting(P, pi):
+        calls.append(P.n)
+        return solve(P, pi)
+
+    monkeypatch.setattr(greenwalk.hitting, "fundamental_matrix", counting)
+    return calls
+
+
+class TestSolveCounts:
+    """Each chain a command builds is solved once: the forward chain, the
+    reverse chain for the duality report, and verify's independent
+    beta = 0.5 re-solve."""
+
+    @pytest.mark.parametrize(
+        "argv, count",
+        [
+            (["hitting"], 1),
+            (["green"], 1),
+            (["exitfreq"], 1),
+            (["mixing"], 1),
+            (["spectral"], 1),
+            (["simulate", "--start", "0", "--stop", "2", "--trials", "50"], 1),
+            (["simulate", "--start", "0", "--trials", "50"], 1),
+            (["dual"], 2),
+            (["verify"], 3),
+            (["verify", "--lazy", "0.3"], 2),
+        ],
+    )
+    def test_command(self, capsys, solves, k3_file, argv, count):
+        code, _, _ = run(capsys, argv[0], "--input", k3_file, *argv[1:])
+        assert code == 0
+        assert len(solves) == count
+
+    def test_directed_dual_and_verify(self, capsys, solves, tmp_path):
+        path = tmp_path / "tri.edges"
+        path.write_text(TRIANGLE)
+        assert run(capsys, "dual", "--input", str(path))[0] == 0
+        assert run(capsys, "verify", "--input", str(path))[0] == 0
+        assert len(solves) == 2 + 3
+
+    def test_family(self, capsys, solves):
+        code, _, _ = run(capsys, "family", "toric", "3", "4")
+        assert code == 0
+        assert solves == [12]

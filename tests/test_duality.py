@@ -15,6 +15,7 @@ from greenwalk.generators import random_connected_graph, random_strongly_connect
 from greenwalk.graph import WeightedDigraph, stationary_distribution, transition_matrix
 from greenwalk.greens import access_times, exit_frequency_matrix
 from greenwalk.hitting import hitting_times
+from greenwalk.pipeline import ChainAnalysis
 
 
 def chain(g, beta=0.0):
@@ -54,27 +55,27 @@ class TestReverseChain:
 class TestForgetDistribution:
     def test_path_concentrates_on_center(self):
         P, pi = chain(families.path_graph(3))
-        mu = forget_distribution(P, pi)
+        mu = forget_distribution(ChainAnalysis(P, pi))
         assert np.allclose(mu.probs, [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_cycle_collapses_to_stationary(self):
         P, pi = chain(families.cycle_graph(4))
-        mu = forget_distribution(P, pi)
+        mu = forget_distribution(ChainAnalysis(P, pi))
         assert np.abs(mu.probs - pi.probs).max() <= 1e-12
 
     def test_directed_cycle_uniform(self, directed_triangle):
-        mu = forget_distribution(directed_triangle.transition, directed_triangle.stationary)
+        mu = forget_distribution(directed_triangle)
         assert np.allclose(mu.probs, 1.0 / 3.0, atol=1e-12)
 
 
 class TestForgetTime:
     def test_path(self):
         P, pi = chain(families.path_graph(3))
-        assert forget_time(P, pi) == pytest.approx(1.0, abs=1e-12)
+        assert forget_time(ChainAnalysis(P, pi)) == pytest.approx(1.0, abs=1e-12)
 
     def test_cycle(self):
         P, pi = chain(families.cycle_graph(4))
-        assert forget_time(P, pi) == pytest.approx(1.5, abs=1e-12)
+        assert forget_time(ChainAnalysis(P, pi)) == pytest.approx(1.5, abs=1e-12)
 
     @settings(max_examples=15, deadline=None)
     @given(n=st.integers(2, 15), seed=st.integers(0, 10**6))
@@ -84,14 +85,14 @@ class TestForgetTime:
         mix_rev = access_times(hitting_times(rev, pi), pi)
         reset_rev = float(pi.probs @ mix_rev)
         scale = max(1.0, reset_rev)
-        assert abs(forget_time(P, pi) - reset_rev) <= 1e-8 * scale
+        assert abs(forget_time(ChainAnalysis(P, pi)) - reset_rev) <= 1e-8 * scale
 
 
 class TestPiCore:
     def test_path_hand_values(self):
         P, pi = chain(families.path_graph(3))
         X = exit_frequency_matrix(hitting_times(P, pi), pi, pi)
-        core, core_exit = pi_core(P, pi, X)
+        core, core_exit = pi_core(ChainAnalysis(P, pi))
         assert np.allclose(X.values.min(axis=0), [0.0, 0.5, 0.0], atol=1e-12)
         assert np.allclose(core.probs, [0.0, 1.0, 0.0], atol=1e-12)
         assert np.allclose(core_exit.values, [[1, 0, 0], [0, 0, 0], [0, 0, 1]], atol=1e-12)
@@ -99,7 +100,7 @@ class TestPiCore:
     def test_transitive_core_is_stationary(self):
         P, pi = chain(families.cycle_graph(4))
         X = exit_frequency_matrix(hitting_times(P, pi), pi, pi)
-        core, _ = pi_core(P, pi, X)
+        core, _ = pi_core(ChainAnalysis(P, pi))
         assert np.abs(core.probs - pi.probs).max() <= 1e-12
 
     @settings(max_examples=10, deadline=None)
@@ -109,7 +110,7 @@ class TestPiCore:
         # reverse-chain routes drift apart
         P, pi = digraph_chain(n, seed)
         X = exit_frequency_matrix(hitting_times(P, pi), pi, pi)
-        core, core_exit = pi_core(P, pi, X)
+        core, core_exit = pi_core(ChainAnalysis(P, pi))
         assert abs(core.probs.sum() - 1.0) <= 1e-12
         conservation = core_exit.values @ (np.eye(n) - P.probs) - (
             np.eye(n) - np.outer(np.ones(n), core.probs)
@@ -121,7 +122,7 @@ class TestPiCore:
         # distributions coincide (the core is a different object in general)
         g = random_connected_graph(11, seed=6)
         P, pi = chain(g)
-        rep = duality_checks(P, pi)
+        rep = duality_checks(ChainAnalysis(P, pi))
         assert np.abs(rep.forget.probs - rep.reverse_forget.probs).max() <= 1e-10
 
     def test_core_shift_is_idempotent(self):
@@ -129,7 +130,7 @@ class TestPiCore:
         # construction would change nothing
         P, pi = digraph_chain(10, seed=30)
         X = exit_frequency_matrix(hitting_times(P, pi), pi, pi)
-        _, core_exit = pi_core(P, pi, X)
+        _, core_exit = pi_core(ChainAnalysis(P, pi))
         assert np.abs(core_exit.values.min(axis=0)).max() <= 1e-12
 
     def test_path_core_coincides_with_forget(self):
@@ -137,15 +138,15 @@ class TestPiCore:
         # and the forget distribution happen to be the same point mass
         P, pi = chain(families.path_graph(3))
         X = exit_frequency_matrix(hitting_times(P, pi), pi, pi)
-        core, _ = pi_core(P, pi, X)
-        mu = forget_distribution(P, pi)
+        core, _ = pi_core(ChainAnalysis(P, pi))
+        mu = forget_distribution(ChainAnalysis(P, pi))
         assert np.abs(core.probs - mu.probs).max() <= 1e-12
 
 
 class TestDualityChecks:
     def test_path_decomposition(self):
         P, pi = chain(families.path_graph(3))
-        rep = duality_checks(P, pi)
+        rep = duality_checks(ChainAnalysis(P, pi))
         H = hitting_times(P, pi)
         acc_core = access_times(H, rep.core)
         assert acc_core[0] == pytest.approx(1.0, abs=1e-12)
@@ -154,7 +155,7 @@ class TestDualityChecks:
 
     def test_cycle_reduces_to_symmetry(self):
         P, pi = chain(families.cycle_graph(4))
-        rep = duality_checks(P, pi)
+        rep = duality_checks(ChainAnalysis(P, pi))
         assert np.abs(rep.reverse_forget.probs - pi.probs).max() <= 1e-12
         assert max(rep.residuals.values()) <= 1e-10
 
@@ -162,17 +163,18 @@ class TestDualityChecks:
     @given(n=st.integers(3, 12), seed=st.integers(0, 10**6))
     def test_all_residuals_small(self, n, seed):
         P, pi = digraph_chain(n, seed)
-        rep = duality_checks(P, pi)
-        scale = max(1.0, float(np.abs(rep.reverse_hitting.values).max()))
+        sol = ChainAnalysis(P, pi)
+        rep = duality_checks(sol)
+        scale = max(1.0, float(np.abs(sol.reverse.hitting.values).max()))
         worst = max(rep.residuals.values())
         assert worst <= 1e-8 * scale, rep.residuals
 
     def test_dual_image_has_halting_rows(self):
         P, pi = digraph_chain(9, seed=77)
-        rep = duality_checks(P, pi)
+        rep = duality_checks(ChainAnalysis(P, pi))
         assert rep.residuals["dual_image_row_min"] <= 1e-10
 
     def test_report_carries_offsets(self):
         P, pi = chain(families.path_graph(3))
-        rep = duality_checks(P, pi)
+        rep = duality_checks(ChainAnalysis(P, pi))
         assert np.allclose(rep.offsets, [0.0, 0.5, 0.0], atol=1e-12)
