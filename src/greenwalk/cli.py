@@ -50,10 +50,161 @@ def _fmt(x) -> str:
     return format(float(x) + 0.0, ".17g")
 
 
-def _float_row(row, sep: str) -> str:
-    """A flat float row in one '%' formatting, negative zero normalized as in _fmt."""
-    values = (np.asarray(row, dtype=float) + 0.0).tolist()
-    return sep.join(["%.17g"] * len(values)) % tuple(values)
+# _format_rows prints whole float matrices as _fmt would, with array arithmetic
+# instead of one dtoa call per float. A cell with 1e-6 < |x| < 1e17 has a decimal
+# exponent e = floor(log10|x|) in [-6, 16], so 10^(16 - e) is an exact double and
+# Dekker's two-product gives |x| * 10^(16 - e) exactly as hi + lo (Dekker 1971,
+# "A floating-point technique for extending the available precision"). Its 17
+# digits are that value rounded half to even, as CPython's dtoa rounds. Zero is
+# "0"; every other cell (nan, inf, subnormal, tiny, huge) goes through _fmt.
+#
+# Each cell is laid out as one 48-byte row holding every character any "%.17g"
+# of it can print, in print order:
+#     "-0.000" d0 "." d1 "." ... d16 "." "e-0X" separator
+# The cell's layout, fixed by its exponent, significant digits and sign, zeroes
+# the bytes it does not print, and deleting every zero byte of a chunk's rows
+# leaves its text. A row's last cell ends in a newline instead of the separator.
+
+# fl(1e-6) lies below 10^-6 and 1e17 is exact, so the decimal exponent of every
+# double in (1e-6, 1e17) is in [_E_MIN, _E_MAX]
+_E_MIN, _E_MAX = -6, 16
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
+_CHUNK = 1 << 12  # cells per kernel pass, whole rows at a time: about 1 MB of temporaries
+_ROW, _SEP = 48, 44  # bytes per cell row; the separator (at most 2 bytes) starts at _SEP
+
+
+def _words(table) -> np.ndarray:
+    """Rows of 8 bytes as one uint64 each, to be written into cell rows whole."""
+    return np.ascontiguousarray(table, dtype=np.uint8).view(np.uint64).ravel()
+
+
+_LEAD = np.tile(np.frombuffer(b"-0.000?.", np.uint8), (10, 1))
+_LEAD[:, 6] = np.arange(48, 58)
+_LEAD = _words(_LEAD)  # "-0.000" d0 "."
+_QUAD = np.full((10000, 8), ord("."), np.uint8)  # 0..9999 as four digits, each followed by "."
+_QUAD[:, ::2] = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
+_TRAIL = np.cumprod(_QUAD[:, 6::-2] == ord("0"), axis=1, dtype=np.uint8).sum(axis=1, dtype=np.uint8)  # trailing zeros
+_QUAD = _words(_QUAD)
+_EXPONENT = _words([list(b"e%+03d\0\0\0\0" % e) for e in range(_E_MIN, _E_MAX + 1)])  # "e-0X", then the separator
+
+
+def _split(a):
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_P10 = 10.0 ** np.arange(17 - _E_MIN)
+_P10_HI, _P10_LO = _split(_P10)
+
+
+def _scaled(a, e):
+    """a * 10^(16 - e) exactly, as a rounded product hi and its error lo."""
+    k = 16 - e
+    b, b_hi, b_lo = _P10[k], _P10_HI[k], _P10_LO[k]
+    a_hi, a_lo = _split(a)
+    hi = a * b
+    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _layouts():
+    """The byte mask over a cell row of every "%.17g" layout the kernel prints, as words.
+
+    Row ((e - _E_MIN) * 17 + nz - 1) * 2 + neg is the layout of a value with
+    decimal exponent e, nz significant digits and sign neg. The last row is
+    "0", the prefix's zero. Every mask keeps the separator.
+    """
+    e = np.arange(_E_MIN, _E_MAX + 1)[:, None, None, None]
+    nz = np.arange(1, 18)[None, :, None, None]
+    neg = np.arange(2)[None, None, :, None] == 1
+    col = np.arange(_ROW)
+    sci, small, big = e < -4, (e < 0) & (e >= -4), e >= 0
+    k, dot = np.divmod(col - 6, 2)  # digit k at column 6 + 2k, the dot after it at 7 + 2k
+    digit_area = (col >= 6) & (col < 40)
+    keep = (col == 0) & neg
+    keep = keep | small & ((col == 1) | (col == 2) | ((col >= 3) & (col < 2 - e)))  # "0." and -e-1 zeros
+    keep = keep | digit_area & (dot == 0) & ((k < nz) | big & (k <= e))
+    keep = keep | digit_area & (dot == 1) & np.where(sci, (k == 0) & (nz > 1), big & (k == e) & (nz > e + 1))
+    keep = keep | sci & (col >= 40) & (col < _SEP)
+    keep = keep | (col >= _SEP) & (col < _SEP + 2)
+    zero = (col == 1) | (col >= _SEP) & (col < _SEP + 2)
+    keep = np.concatenate([keep.reshape(-1, _ROW), zero[None]])
+    return _words(keep * np.uint8(255)).reshape(len(keep), -1)
+
+
+_KEEP = _layouts()
+_ZERO_LAYOUT = len(_KEEP) - 1
+
+
+def _decimal(a):
+    """The 17 significant digits, as one integer, and the decimal exponent of each a in (1e-6, 1e17)."""
+    e = np.minimum(np.maximum(np.floor(np.log10(a)), _E_MIN), _E_MAX).astype(np.intp)
+    hi, lo = _scaled(a, e)
+    # log10 can be one off near a power of ten: recompute from the exact product
+    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    off = np.flatnonzero(low | high)
+    if off.size:
+        e[off] += high[off].astype(np.intp) - low[off]
+        hi[off], lo[off] = _scaled(a[off], e[off])
+    # hi >= 1e16 > 2^53 is an even integer, so rint's ties to even on lo round
+    # hi + lo half to even. No carry to 10^17: the double nearest below a power of
+    # ten in range is at least 4.5e-17 (relative) away from it, and rounding up
+    # needs 5e-18.
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64), e
+
+
+def _cells(digits, e, sep: str):
+    """The cell rows of 17-digit integers with decimal exponents e, and their significant digits."""
+    cells = np.empty((len(digits), _ROW // 8), np.uint64)
+    lead, rest = np.divmod(digits, 10**16)
+    cells[:, 0] = _LEAD[lead]
+    quads = np.empty((len(digits), 4), np.int64)
+    np.divmod(rest, 10**12, out=(quads[:, 0], rest))
+    np.divmod(rest, 10**8, out=(quads[:, 1], rest))
+    np.divmod(rest, 10**4, out=(quads[:, 2], quads[:, 3]))
+    cells[:, 1:5] = _QUAD[quads]
+    separator = _words(np.frombuffer(bytes(4) + sep.encode().ljust(4, b"\0"), np.uint8))[0]
+    np.bitwise_or(_EXPONENT[e - _E_MIN], separator, out=cells[:, 5])
+    # trailing zeros, a quad at a time from the right while the quads are zero
+    trail = _TRAIL[quads]
+    zero = quads == 0
+    nz = 17 - trail[:, 3] - zero[:, 3] * (trail[:, 2] + zero[:, 2] * (trail[:, 1] + zero[:, 1] * trail[:, 0]))
+    return cells, nz
+
+
+def _format_chunk(M, sep: str) -> list[str]:
+    """_format_rows of a 2-D float64 array with at least one column."""
+    rows, cols = M.shape
+    x = M.ravel()
+    a = np.abs(x)
+    kernel = (a > 1e-6) & (a < 1e17)  # false for nan
+    digits, e = _decimal(np.where(kernel, a, 1.0))
+    cells, nz = _cells(digits, e, sep)
+    layout = ((e - _E_MIN) * 17 + nz - 1) * 2 + (x < 0)
+    layout[~kernel] = _ZERO_LAYOUT
+    cells &= np.take(_KEEP, layout, axis=0)
+    other = np.flatnonzero(~kernel & (x != 0))
+    if other.size:
+        tail = sep.encode().ljust(_ROW - _SEP, b"\0")
+        padded = b"".join(_fmt(v).encode().ljust(_SEP, b"\0") + tail for v in x[other].tolist())
+        cells[other] = np.frombuffer(padded, np.uint64).reshape(-1, _ROW // 8)
+    last = cells.view(np.uint8).reshape(rows, cols, _ROW)[:, -1]
+    last[:, _SEP : _SEP + 2] = (10, 0)
+    return cells.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+
+
+def _format_rows(M, sep: str) -> list[str]:
+    """Each row of a 1-D or 2-D float array as its "%.17g" % (x + 0.0) cells joined by sep."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim == 1:
+        M = M.reshape(1, -1)
+    if M.ndim != 2:
+        raise TypeError(f"cannot format a {M.ndim}-D array as rows")
+    if M.shape[1] == 0:
+        return [""] * len(M)
+    step = max(1, _CHUNK // M.shape[1])
+    return [row for start in range(0, len(M), step) for row in _format_chunk(M[start : start + step], sep)]
 
 
 def _is_float_row(obj) -> bool:
@@ -89,7 +240,10 @@ def render_json(obj, indent: int = 0) -> str:
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         if _is_float_row(obj):
-            return "[" + _float_row(obj, ", ") + "]"
+            return "[" + _format_rows(obj, ", ")[0] + "]"
+        if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "f" and len(obj):
+            items = [f"{pad}  [{row}]" for row in _format_rows(obj, ", ")]
+            return "[\n" + ",\n".join(items) + "\n" + pad + "]"
         seq = list(obj)
         if not seq:
             return "[]"
@@ -104,7 +258,7 @@ def render_csv(rows) -> str:
     """Plain numeric grid with a header row of vertex indices."""
     rows = np.asarray(rows, dtype=float)
     lines = [",".join(str(j) for j in range(rows.shape[1]))]
-    lines += [_float_row(row, ",") for row in rows]
+    lines += _format_rows(rows, ",")
     return "\n".join(lines) + "\n"
 
 

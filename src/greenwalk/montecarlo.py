@@ -75,6 +75,11 @@ def _walk(cum_rows, start: int, stop: int, rng: np.random.Generator, max_steps: 
             raise RunawayError(f"walk exceeded {max_steps} steps without reaching {stop}")
 
 
+def _check_vertices(P: TransitionMatrix, *vertices: int) -> None:
+    if not all(0 <= v < P.n for v in vertices):
+        raise ValidationError("start and stop must be vertices")
+
+
 def _stats(counts: np.ndarray, seed: int) -> SimStats:
     trials = counts.size
     mean = float(counts.mean())
@@ -89,9 +94,7 @@ def simulate_walk(
 
     The walk is trial 0 of ``empirical_hitting`` with the same seed.
     """
-    n = P.n
-    if not (0 <= start < n and 0 <= stop < n):
-        raise ValidationError("start and stop must be vertices")
+    _check_vertices(P, start, stop)
     return _walk(_cumulative_rows(P), start, stop, _TrialStreams(seed).trial(0), max_steps)
 
 
@@ -99,6 +102,7 @@ def empirical_hitting(
     P: TransitionMatrix, i: int, j: int, trials: int, seed: int, max_steps: int = STEP_CAP
 ) -> SimStats:
     """Sample mean of the first-arrival time from i to j over seeded trials."""
+    _check_vertices(P, i, j)
     if trials < 1:
         raise ValidationError("need at least one trial")
     cum = _cumulative_rows(P)
@@ -124,6 +128,7 @@ def empirical_random_target(
     The mean is the stationary-pair hitting time regardless of the start
     vertex i, which is what the callers assert statistically.
     """
+    _check_vertices(P, i)
     if trials < 1:
         raise ValidationError("need at least one trial")
     cum = _cumulative_rows(P)

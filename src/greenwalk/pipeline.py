@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,7 +32,8 @@ class ChainAnalysis:
     Each derived quantity is built on first use and kept: ``hitting`` is the
     chain's one fundamental-matrix solve, and ``greens``, ``exit_pi`` (X_pi)
     and ``mixing`` are read off it. ``reverse`` is the time-reversed chain
-    over the same pi, solved on its own; its ``reverse`` is this chain.
+    over the same pi, solved on its own; while this chain is alive, its
+    ``reverse`` is this chain.
     """
 
     transition: TransitionMatrix
@@ -58,11 +60,18 @@ class ChainAnalysis:
         undirected = self.graph is not None and self.graph.undirected
         return mixing_report(self.hitting, self.greens, self.stationary, undirected=undirected)
 
-    @cached_property
+    @property
     def reverse(self) -> ChainAnalysis:
-        rev = ChainAnalysis(reverse_chain(self.transition, self.stationary), self.stationary)
-        # fill rev's cached_property slot, so reversing back returns this chain unsolved again
-        rev.__dict__["reverse"] = self
+        # The chain that builds its reverse holds it, and the reverse links back
+        # weakly: the pair forms no reference cycle, so reference counting frees
+        # both chains' matrices as soon as the forward chain goes.
+        rev = self.__dict__.get("_reverse")
+        if isinstance(rev, weakref.ref):
+            rev = rev()
+        if rev is None:
+            rev = ChainAnalysis(reverse_chain(self.transition, self.stationary), self.stationary)
+            self.__dict__["_reverse"] = rev
+            rev.__dict__["_reverse"] = weakref.ref(self)
         return rev
 
 

@@ -1,10 +1,13 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 
+import greenwalk.cli
 import greenwalk.hitting
 from greenwalk.cli import main
+from greenwalk.montecarlo import empirical_hitting
 
 K3 = "# undirected\n0 1\n0 2\n1 2\n"
 P3 = "# undirected\n0 1\n1 2\n"
@@ -97,6 +100,23 @@ class TestExitCodes:
         path.write_text(TRIANGLE)
         code, _, _ = run(capsys, "spectral", "--input", str(path))
         assert code == 1
+
+    @pytest.mark.parametrize("vertices", [["--start", "50", "--stop", "1"], ["--start", "-1"]])
+    def test_simulate_missing_start_is_one(self, capsys, tmp_path, vertices):
+        path = tmp_path / "tri.edges"
+        path.write_text(TRIANGLE)
+        code, _, err = run(capsys, "simulate", "--input", str(path), "--trials", "5", *vertices)
+        assert code == 1
+        assert "start and stop must be vertices" in err
+
+    def test_simulate_negative_stop_is_one(self, capsys, tmp_path, monkeypatch):
+        # a stop that is no vertex is never reached: cap the walk so a missing check fails fast
+        monkeypatch.setattr(greenwalk.cli, "empirical_hitting", functools.partial(empirical_hitting, max_steps=1000))
+        path = tmp_path / "tri.edges"
+        path.write_text(TRIANGLE)
+        code, _, err = run(capsys, "simulate", "--input", str(path), "--trials", "5", "--start", "0", "--stop", "-2")
+        assert code == 1
+        assert "start and stop must be vertices" in err
 
     def test_corrupt_green_matrix_is_two(self, capsys, k3_file, tmp_path):
         bad = {

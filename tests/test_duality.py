@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +53,25 @@ class TestReverseChain:
         P, pi = digraph_chain(n, seed)
         rev = reverse_chain(P, pi)
         assert np.abs(pi.probs @ rev.probs - pi.probs).max() <= 1e-10
+
+
+class TestChainReverse:
+    def test_reverse_of_reverse_is_the_chain(self):
+        sol = ChainAnalysis(*digraph_chain(9, seed=3))
+        assert sol.reverse is sol.reverse
+        assert sol.reverse.reverse is sol
+
+    def test_chains_freed_without_cyclic_gc(self):
+        sol = ChainAnalysis(*digraph_chain(9, seed=3))
+        duality_checks(sol)
+        forward, backward = weakref.ref(sol), weakref.ref(sol.reverse)
+        gc.disable()
+        try:
+            del sol
+            assert forward() is None
+            assert backward() is None
+        finally:
+            gc.enable()
 
 
 class TestForgetDistribution:

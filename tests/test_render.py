@@ -1,13 +1,15 @@
-"""The row-at-a-time renderers against the per-scalar renderer they replaced."""
+"""The matrix renderers against the per-scalar renderer they replaced, and the
+float-formatting kernel against "%.17g" itself."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from greenwalk.cli import render_csv, render_json
+from greenwalk.cli import _CHUNK, _format_rows, render_csv, render_json
 
 # ---------------------------------------------------------------------------
 # reference: the per-scalar renderer, kept verbatim
@@ -130,3 +132,88 @@ class TestRenderCsv:
     def test_matches_reference(self, rows):
         assert outcome(render_csv, rows) == outcome(reference_render_csv, rows)
         assert outcome(render_csv, rows.tolist()) == outcome(reference_render_csv, rows.tolist())
+
+
+# ---------------------------------------------------------------------------
+# the kernel, cell by cell against "%.17g"
+
+
+def reference_rows(M, sep):
+    return [sep.join("%.17g" % (v + 0.0) for v in row) for row in np.atleast_2d(np.asarray(M, float)).tolist()]
+
+
+def assert_exact(M):
+    for sep in (", ", ","):
+        assert _format_rows(M, sep) == reference_rows(M, sep)
+
+
+def half_way_ties():
+    """x = j / 2^(17 - e), j odd, in decade e: x * 10^(16 - e) = j * 5^(16 - e) / 2 ends in exactly .5.
+
+    Decade 16 has none: every double in [1e16, 1e17) is an even integer.
+    """
+    ties = []
+    for e in range(-6, 16):
+        decade = Fraction(10) ** e
+        lo = -(-decade * 2 ** (17 - e) // 1)
+        hi = min(int(10 * decade * 2 ** (17 - e)), 2**53)
+        for j in sorted({(lo + (hi - 1 - lo) * t // 6) | 1 for t in range(7)}):
+            x = j / 2 ** (17 - e)
+            assert decade <= Fraction(x) < 10 * decade
+            assert (Fraction(x) * 10 ** (16 - e)).denominator == 2
+            ties.append(x)
+    return np.array(ties)
+
+
+bit_patterns = hnp.arrays(
+    np.uint64,
+    hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+    elements=st.integers(0, 2**64 - 1),
+).map(lambda a: a.view(np.float64))
+
+
+class TestFormatRows:
+    @settings(max_examples=300, deadline=None)
+    @given(bit_patterns)
+    def test_bit_patterns(self, M):
+        assert_exact(M)
+
+    @settings(max_examples=100, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6), elements=floats))
+    def test_float_grids(self, M):
+        assert_exact(M)
+
+    def test_half_way_ties(self):
+        ties = half_way_ties()
+        assert len(ties) > 100
+        assert_exact(ties)
+        assert_exact(-ties)
+
+    def test_decade_carries(self):
+        assert_exact([9.9999999999999999e-5, 1e17 - 8, 9.999999999999999e16, 9.9999999999999999e-7, 0.99999999999999999])
+
+    def test_class_edges_and_powers_of_ten(self):
+        powers = np.array([float(f"1e{k}") for k in range(-8, 19)])
+        near = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+        assert_exact(np.concatenate([near, -near]))
+        assert_exact([1e-4, 1e-6, 1e16])
+
+    def test_special_values(self):
+        assert_exact([0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e308, -1e308])
+
+    def test_fallback_and_kernel_cells_in_one_row(self):
+        row = [1e-7, 0.5, float("nan"), -3.25e-300, 123.456, 0.0, 2e17, -1e-5, float("-inf"), 7.0]
+        assert_exact(row)
+        assert _format_rows(row, ", ")[0].startswith("9.9999999999999995e-08, 0.5, nan, -3.2499999999999999e-300")
+
+    def test_empty_sides(self):
+        assert _format_rows(np.empty((0, 4)), ",") == []
+        assert _format_rows(np.empty((3, 0)), ",") == ["", "", ""]
+        assert _format_rows(np.empty(0), ",") == [""]
+
+    def test_rows_across_chunks(self):
+        rng = np.random.default_rng(5)
+        tall = rng.integers(0, 2**64, size=(2 * _CHUNK // 3 + 1, 3), dtype=np.uint64).view(np.float64)
+        wide = rng.standard_normal((2, _CHUNK + 7)) * 10.0 ** rng.integers(-8, 18, size=(2, _CHUNK + 7))
+        assert_exact(tall)
+        assert_exact(wide)
