@@ -207,6 +207,21 @@ def _format_rows(M, sep: str) -> list[str]:
     return [row for start in range(0, len(M), step) for row in _format_chunk(M[start : start + step], sep)]
 
 
+# A 1-D row shorter than this formats faster with one "%" than through
+# _format_rows, whose fixed cost is some 40 numpy calls: the two cost the
+# same at about 170 floats (scripts/render_sweep.py --rows).
+_SHORT_ROW = 170
+
+
+def _float_row(row, sep: str) -> str:
+    """A flat float row as its "%.17g" % (x + 0.0) cells joined by sep."""
+    row = np.asarray(row, dtype=float)
+    if row.size >= _SHORT_ROW:
+        return _format_rows(row, sep)[0]
+    values = (row + 0.0).tolist()
+    return sep.join(["%.17g"] * len(values)) % tuple(values)
+
+
 def _is_float_row(obj) -> bool:
     if isinstance(obj, np.ndarray):
         return obj.ndim == 1 and obj.dtype.kind == "f"
@@ -240,7 +255,7 @@ def render_json(obj, indent: int = 0) -> str:
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         if _is_float_row(obj):
-            return "[" + _format_rows(obj, ", ")[0] + "]"
+            return "[" + _float_row(obj, ", ") + "]"
         if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "f" and len(obj):
             items = [f"{pad}  [{row}]" for row in _format_rows(obj, ", ")]
             return "[\n" + ",\n".join(items) + "\n" + pad + "]"

@@ -14,18 +14,24 @@ def _weight(rng, weighted: bool) -> float:
 def random_strongly_connected_digraph(
     n: int, seed: int, extra: float = 0.25, weighted: bool = True
 ) -> WeightedDigraph:
-    """A random permutation cycle plus extra arcs; strongly connected by construction."""
+    """A random permutation cycle plus extra arcs; strongly connected by construction.
+
+    The cycle arcs come first, then the extra arcs in row-major order, each
+    weight drawn in that order.
+    """
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
-    arcs = []
-    for a, b in zip(order, np.roll(order, -1)):
-        arcs.append((int(a), int(b), _weight(rng, weighted)))
+    cycle_w = rng.uniform(0.5, 1.5, size=n) if weighted else np.ones(n)
     mask = rng.random((n, n)) < extra
-    for i in range(n):
-        for j in range(n):
-            if i != j and mask[i, j]:
-                arcs.append((i, j, _weight(rng, weighted)))
-    return WeightedDigraph(n, tuple(arcs))
+    np.fill_diagonal(mask, False)
+    src, dst = np.nonzero(mask)
+    extra_w = rng.uniform(0.5, 1.5, size=src.size) if weighted else np.ones(src.size)
+    return WeightedDigraph.from_columns(
+        n,
+        np.concatenate([order, src]),
+        np.concatenate([np.roll(order, -1), dst]),
+        np.concatenate([cycle_w, extra_w]),
+    )
 
 
 def random_tree(n: int, seed: int, weighted: bool = False) -> WeightedDigraph:

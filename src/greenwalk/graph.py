@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,51 +21,89 @@ DISTRIBUTION_TOL = 1e-12
 STATIONARY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+def _index_column(values) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        # an index beyond int64 is kept exact, so it is reported (or rejected
+        # later, when n-sized arrays are built) as it was given
+        return np.array(values, dtype=object)
+
+
 class WeightedDigraph:
     """A weighted directed graph on vertices 0..n-1.
 
-    Arcs are (source, target, weight) triples; parallel arcs accumulate
-    weight. When ``undirected`` is set every arc is stored in both
-    directions with equal weight, so callers should list each undirected
-    edge once.
+    Arcs are stored as read-only columns ``src``, ``dst`` and ``w`` in arc
+    order; parallel arcs accumulate weight. When ``undirected`` is set every
+    arc is followed by its mirror with equal weight (a self-loop is stored
+    once), so callers should list each undirected edge once. Instances are
+    immutable.
     """
 
     n: int
-    arcs: tuple[tuple[int, int, float], ...]
-    undirected: bool = False
+    src: np.ndarray
+    dst: np.ndarray
+    w: np.ndarray
+    undirected: bool
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, arcs=(), undirected: bool = False):
+        """A graph from an iterable of (source, target, weight) triples."""
+        columns = tuple(zip(*arcs)) or ((), (), ())
+        self._store(n, columns[0], columns[1], columns[2], undirected)
+
+    @classmethod
+    def from_columns(cls, n: int, src, dst, w, undirected: bool = False) -> "WeightedDigraph":
+        """A graph from arc columns, with no per-arc Python objects."""
+        g = cls.__new__(cls)
+        g._store(n, src, dst, w, undirected)
+        return g
+
+    def _store(self, n, src, dst, w, undirected) -> None:
+        if n < 1:
             raise ValidationError("graph needs at least one vertex")
-        cleaned = []
-        for arc in self.arcs:
-            i, j, w = int(arc[0]), int(arc[1]), float(arc[2])
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValidationError(f"arc ({i}, {j}) out of range for n={self.n}")
-            if not math.isfinite(w):
+        src, dst = _index_column((src, dst))  # one dtype, so mirroring can swap them
+        w = np.array(w, dtype=float)
+        # the first bad arc in arc order, checked for range, then finiteness, then sign
+        out_of_range = np.asarray((src < 0) | (src >= n) | (dst < 0) | (dst >= n), dtype=bool)
+        non_finite = ~np.isfinite(w)
+        bad = out_of_range | non_finite | (w < 0)
+        if bad.any():
+            k = int(np.argmax(bad))
+            i, j = int(src[k]), int(dst[k])
+            if out_of_range[k]:
+                raise ValidationError(f"arc ({i}, {j}) out of range for n={n}")
+            if non_finite[k]:
                 raise ValidationError(f"arc ({i}, {j}) has non-finite weight")
-            if w < 0:
-                raise ValidationError(f"arc ({i}, {j}) has negative weight {w}")
-            cleaned.append((i, j, w))
-            if self.undirected and i != j:
-                cleaned.append((j, i, w))
-        object.__setattr__(self, "arcs", tuple(cleaned))
+            raise ValidationError(f"arc ({i}, {j}) has negative weight {float(w[k])}")
+        if undirected:
+            # each arc, then its mirror: parallel arcs then accumulate in the
+            # order of the edge list, as listing both directions would
+            copies = np.where(src != dst, 2, 1)
+            mirror = np.cumsum(copies)[copies == 2] - 1
+            src, dst, w = np.repeat(src, copies), np.repeat(dst, copies), np.repeat(w, copies)
+            src[mirror], dst[mirror] = dst[mirror - 1], src[mirror - 1]
+        for column in (src, dst, w):
+            column.setflags(write=False)
+        self.__dict__.update(n=n, src=src, dst=dst, w=w, undirected=bool(undirected))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        return f"WeightedDigraph(n={self.n}, arcs={len(self.w)}, undirected={self.undirected})"
 
     @cached_property
-    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sources, targets and weights of the arcs, in arc order."""
-        table = np.array(self.arcs, dtype=float).reshape(len(self.arcs), 3)
-        return table[:, 0].astype(np.intp), table[:, 1].astype(np.intp), table[:, 2]
+    def arcs(self) -> tuple[tuple[int, int, float], ...]:
+        """(source, target, weight) triples in arc order, as Python scalars."""
+        return tuple(zip(self.src.tolist(), self.dst.tolist(), self.w.tolist()))
 
     @cached_property
     def degrees(self) -> np.ndarray:
         """Out-degrees deg(k), the total weight leaving each vertex."""
-        src, _, w = self._columns
         deg = np.zeros(self.n)
         # unbuffered and in arc order, so parallel arcs add up exactly as a loop would;
         # a pairwise weights.sum(axis=1) would round differently
-        np.add.at(deg, src, w)
+        np.add.at(deg, self.src, self.w)
         deg.setflags(write=False)
         return deg
 
@@ -76,9 +115,8 @@ class WeightedDigraph:
     @cached_property
     def weights(self) -> np.ndarray:
         # dense n x n matrix, materialized lazily so large arc lists stay cheap
-        src, dst, w = self._columns
         W = np.zeros((self.n, self.n))
-        np.add.at(W, (src, dst), w)
+        np.add.at(W, (self.src, self.dst), self.w)
         W.setflags(write=False)
         return W
 
@@ -167,9 +205,11 @@ def parse_graph(text: str, fmt: str = "edgelist") -> WeightedDigraph:
     """Parse a graph from edge-list or JSON text.
 
     Edge list: one ``src dst [weight]`` arc per line (weight defaults to 1),
-    ``#`` comment lines, and a ``# undirected`` header switching on
-    symmetrization; the vertex count is the largest index plus one. JSON:
-    ``{"n": int, "undirected": bool, "arcs": [[src, dst, weight], ...]}``.
+    ``#`` comment lines (a ``#`` after an arc is an error), and a
+    ``# undirected`` header switching on symmetrization; the vertex count
+    is the largest index plus one. JSON: ``{"n": int, "undirected": bool,
+    "arcs": [[src, dst, weight], ...]}`` with JSON integers for ``n`` and
+    the indices (a float with no fraction counts as one).
     """
     key = fmt.replace("-", "").replace("_", "").lower()
     if key in ("edgelist", "edges"):
@@ -182,7 +222,83 @@ def parse_graph(text: str, fmt: str = "edgelist") -> WeightedDigraph:
     return g
 
 
+# The only bytes the C reader sees: printable ASCII, tabs and line breaks.
+# Texts with anything else (non-ASCII digits, form feeds, Unicode line
+# breaks) go to the line loop, which splits and converts as str and int do.
+_PLAIN = bytes([9, 10, 13, *range(32, 127)])
+_ARC_LINE = re.compile(r"^[ \t]*[^ \t\n].*$", re.M)
+_ARC_DTYPES = {
+    2: np.dtype([("i", np.int64), ("j", np.int64)]),
+    3: np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)]),
+}
+
+
 def _parse_edge_list(text: str) -> WeightedDigraph:
+    columns = _read_arc_columns(text)
+    if columns is None:
+        return _parse_edge_list_lines(text)
+    n, src, dst, w, undirected = columns
+    return WeightedDigraph.from_columns(n, src, dst, w, undirected=undirected)
+
+
+def _read_arc_columns(text: str):
+    """(n, src, dst, w, undirected) read by numpy's C reader, or None.
+
+    None means the text needs the line loop: it has an error to locate, or
+    a spelling only Python's int and float accept (``1_0``). A text read
+    here gives the arcs the line loop would: both parsers round decimals
+    correctly, and the reader rejects every token int and float reject.
+    """
+    if not text.isascii() or text.encode("ascii").translate(None, _PLAIN):
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    # cut out the comment lines, keeping their line breaks; a "#" inside an
+    # arc line is an error (or an inline comment), which the line loop reports
+    undirected = False
+    pieces = []
+    end = 0
+    hash_at = text.find("#")
+    while hash_at >= 0:
+        start = text.rfind("\n", 0, hash_at) + 1
+        if text[start:hash_at].strip(" \t"):
+            return None
+        pieces.append(text[end:start])
+        end = text.find("\n", hash_at)
+        end = len(text) if end < 0 else end
+        undirected = undirected or text[hash_at + 1 : end].strip().lower() == "undirected"
+        hash_at = text.find("#", end)
+    body = "".join(pieces) + text[end:] if pieces else text
+    first = _ARC_LINE.search(body)
+    dtype = _ARC_DTYPES.get(len(first.group().split())) if first else None
+    if dtype is None:
+        return None
+    try:
+        table = np.loadtxt(_lines(body), dtype=dtype, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    src, dst = table["i"], table["j"]
+    w = table["w"] if "w" in dtype.names else np.ones(len(table))
+    if (src < 0).any() or (dst < 0).any() or not np.isfinite(w).all() or (w < 0).any():
+        return None
+    return int(max(src.max(), dst.max())) + 1, src, dst, w, undirected
+
+
+def _lines(text: str, block: int = 1 << 20):
+    """The lines of text, split a block at a time so that no list holds them all.
+
+    numpy's reader takes a text only as a file path or as an iterable of
+    lines; a StringIO is iterated line by line too, after copying the text
+    into a buffer of four bytes per character.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + block) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
+def _parse_edge_list_lines(text: str) -> WeightedDigraph:
     arcs = []
     undirected = False
     top = -1
@@ -212,7 +328,16 @@ def _parse_edge_list(text: str) -> WeightedDigraph:
         top = max(top, i, j)
     if not arcs:
         raise ParseError("no arcs found")
-    return WeightedDigraph(top + 1, tuple(arcs), undirected=undirected)
+    return WeightedDigraph(top + 1, arcs, undirected=undirected)
+
+
+def _json_integer(value):
+    """A JSON integer (an int, or a float with no fraction) as an int; None for anything else."""
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    return None
 
 
 def _parse_json(text: str) -> WeightedDigraph:
@@ -222,28 +347,38 @@ def _parse_json(text: str) -> WeightedDigraph:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ParseError("top-level JSON value must be an object")
-    try:
-        n = int(data["n"])
-    except (KeyError, TypeError, ValueError):
-        raise ParseError("JSON graph needs an integer field 'n'") from None
+    n = _json_integer(data.get("n"))
+    if n is None:
+        raise ParseError("JSON graph needs an integer field 'n'")
+    undirected = data.get("undirected", False)
+    if type(undirected) is not bool:
+        raise ParseError("JSON field 'undirected' must be true or false")
     raw_arcs = data.get("arcs")
     if not isinstance(raw_arcs, list):
         raise ParseError("JSON graph needs a list field 'arcs'")
-    arcs = []
+    src, dst, w = [], [], []
     for k, arc in enumerate(raw_arcs):
-        if not isinstance(arc, (list, tuple)) or len(arc) not in (2, 3):
+        if not isinstance(arc, list) or len(arc) not in (2, 3):
             raise ParseError(f"arc #{k}: expected [src, dst] or [src, dst, weight]")
-        try:
-            i, j = int(arc[0]), int(arc[1])
-            w = float(arc[2]) if len(arc) == 3 else 1.0
-        except (TypeError, ValueError):
-            raise ParseError(f"arc #{k}: non-numeric entry") from None
+        # JSON numbers only: true and false are not numbers, and int(1.7) would
+        # silently move an arc
+        if not all(type(x) is int or type(x) is float for x in arc):
+            raise ParseError(f"arc #{k}: non-numeric entry")
+        i, j = _json_integer(arc[0]), _json_integer(arc[1])
+        if i is None or j is None:
+            raise ParseError(f"arc #{k}: vertex index is not an integer")
         if not (0 <= i < n and 0 <= j < n):
             raise ParseError(f"arc #{k}: vertex index out of range")
-        if w < 0:
-            raise ParseError(f"arc #{k}: negative weight {w:g}")
-        arcs.append((i, j, w))
-    return WeightedDigraph(n, tuple(arcs), undirected=bool(data.get("undirected", False)))
+        try:
+            weight = float(arc[2]) if len(arc) == 3 else 1.0
+        except OverflowError:
+            raise ParseError(f"arc #{k}: non-finite weight") from None
+        if weight < 0:
+            raise ParseError(f"arc #{k}: negative weight {weight:g}")
+        src.append(i)
+        dst.append(j)
+        w.append(weight)
+    return WeightedDigraph.from_columns(n, src, dst, w, undirected=undirected)
 
 
 def read_text(path: str) -> str:
@@ -282,10 +417,9 @@ def transition_matrix(g: WeightedDigraph, beta: float = 0.0) -> TransitionMatrix
 
 
 def _arc_support(g: WeightedDigraph) -> sparse.csr_matrix:
-    src, dst, w = g._columns
-    positive = w > 0
+    positive = g.w > 0
     data = np.ones(int(positive.sum()))
-    return sparse.coo_matrix((data, (src[positive], dst[positive])), shape=(g.n, g.n)).tocsr()
+    return sparse.coo_matrix((data, (g.src[positive], g.dst[positive])), shape=(g.n, g.n)).tocsr()
 
 
 def strongly_connected(g: WeightedDigraph) -> bool:

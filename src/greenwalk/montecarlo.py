@@ -46,33 +46,37 @@ class _TrialStreams:
         return self._gen
 
 
-def _cumulative_rows(P: TransitionMatrix) -> list[list[float]]:
-    cum = np.cumsum(P.probs, axis=1)
-    # from each row's last arc on the entries are exactly 1: a running sum that
-    # rounds short of 1 would otherwise let bisect_right step past the last arc
-    last_arc = P.n - 1 - np.argmax(P.probs[:, ::-1] > 0, axis=1)
-    cum[np.arange(P.n) >= last_arc[:, None]] = 1.0
-    return [row.tolist() for row in cum]
+def _cumulative_rows(P: TransitionMatrix) -> list[tuple[list[float], list[int]]]:
+    """Per vertex, the running sums of its row at its arcs, and the arcs' targets.
+
+    The sums are the floats of the dense row's cumsum at the arc columns
+    (a zero entry adds nothing), with the last arc's set to exactly 1: a
+    running sum that rounds short of 1 would otherwise let a uniform step
+    past the last arc.
+    """
+    rows, cols = np.nonzero(P.probs > 0)  # row-major: each row's arcs in column order
+    cum = np.cumsum(P.probs, axis=1)[rows, cols]
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=P.n))])
+    cum[bounds[1:] - 1] = 1.0
+    cum, cols, bounds = cum.tolist(), cols.tolist(), bounds.tolist()
+    return [(cum[a:b], cols[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
-def _walk(cum_rows, start: int, stop: int, rng: np.random.Generator, max_steps: int) -> int:
+def _walk(rows, start: int, stop: int, rng: np.random.Generator, max_steps: int) -> int:
     if start == stop:
         return 0
     v = start
     steps = 0
-    buf: list[float] = []
-    ptr = 0
     while True:
-        if ptr >= len(buf):
-            buf = rng.random(_BUFFER).tolist()
-            ptr = 0
-        v = bisect_right(cum_rows[v], buf[ptr])
-        ptr += 1
-        steps += 1
-        if v == stop:
-            return steps
-        if steps >= max_steps:
-            raise RunawayError(f"walk exceeded {max_steps} steps without reaching {stop}")
+        # one block of uniforms at a time, as the per-step draws would consume them
+        for u in rng.random(_BUFFER).tolist():
+            cum, targets = rows[v]
+            v = targets[bisect_right(cum, u)]
+            steps += 1
+            if v == stop:
+                return steps
+            if steps >= max_steps:
+                raise RunawayError(f"walk exceeded {max_steps} steps without reaching {stop}")
 
 
 def _check_vertices(P: TransitionMatrix, *vertices: int) -> None:

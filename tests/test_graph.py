@@ -220,3 +220,86 @@ class TestDistribution:
     def test_graph_rejects_bad_index(self):
         with pytest.raises(ValidationError, match="out of range"):
             WeightedDigraph(2, ((0, 2, 1.0),))
+
+
+class TestJsonTypes:
+    """JSON input takes JSON integers for n and vertices, and a JSON boolean for undirected."""
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"n": 3, "arcs": [[0, 1.7, 1.0], [1, 2], [2, 0]]}', "arc #0: vertex index is not an integer"),
+            ('{"n": 3, "arcs": [[0, 1], [1, 2], [true, 0]]}', "arc #2: non-numeric entry"),
+            ('{"n": 3, "arcs": [[0, 1], [1, "2"], [2, 0]]}', "arc #1: non-numeric entry"),
+            ('{"n": 3, "arcs": [[0, 1, false], [1, 2], [2, 0]]}', "arc #0: non-numeric entry"),
+            ('{"n": 3, "arcs": [[0, 1], [1, 2, null], [2, 0]]}', "arc #1: non-numeric entry"),
+            pytest.param('{"n": 3, "arcs": [[0, 1, 1%s]]}' % ("0" * 400), "arc #0: non-finite weight", id="huge-weight"),
+            ('{"n": 3.9, "arcs": [[0, 1], [1, 2], [2, 0]]}', "integer field 'n'"),
+            ('{"n": true, "arcs": [[0, 0]]}', "integer field 'n'"),
+            ('{"n": "3", "arcs": [[0, 1], [1, 2], [2, 0]]}', "integer field 'n'"),
+            ('{"n": 2, "undirected": "false", "arcs": [[0, 1]]}', "'undirected' must be true or false"),
+            ('{"n": 2, "undirected": 0, "arcs": [[0, 1]]}', "'undirected' must be true or false"),
+            ('{"n": 2, "arcs": [[0, 1], [1, 0, 1, 5]]}', "arc #1: expected"),
+        ],
+    )
+    def test_rejected(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_graph(text, fmt="json")
+
+    def test_integral_floats_are_integers(self):
+        g = parse_graph('{"n": 3.0, "arcs": [[0, 1.0, 2], [1, 2], [2.0, 0, 0.5]]}', fmt="json")
+        assert g.n == 3 and type(g.n) is int
+        assert g.arcs == ((0, 1, 2.0), (1, 2, 1.0), (2, 0, 0.5))
+
+    def test_undirected_false_is_directed(self):
+        g = parse_graph('{"n": 2, "undirected": false, "arcs": [[0, 1], [1, 0, 3]]}', fmt="json")
+        assert not g.undirected and g.weights[0, 1] == 1.0 and g.weights[1, 0] == 3.0
+
+    def test_cli_exit_code(self, tmp_path, capsys):
+        from greenwalk.cli import main
+
+        path = tmp_path / "g.json"
+        path.write_text('{"n": 3, "arcs": [[0, 1.7, 1.0], [1, 2], [2, 0]]}')
+        assert main(["hitting", "--input", str(path)]) == 1
+        assert "arc #0" in capsys.readouterr().err
+
+
+class TestColumns:
+    def test_columns_are_read_only(self):
+        g = random_strongly_connected_digraph(6, 1)
+        for column in (g.src, g.dst, g.w):
+            assert not column.flags.writeable
+        with pytest.raises(AttributeError):
+            g.n = 4
+
+    def test_arcs_are_python_scalars(self):
+        # writers print arcs with repr, which must not show numpy scalar types
+        g = random_strongly_connected_digraph(6, 1)
+        assert all(type(i) is int and type(j) is int and type(w) is float for i, j, w in g.arcs)
+        assert parse_graph("0 1 0.1\n1 0 2").arcs == ((0, 1, 0.1), (1, 0, 2.0))
+
+    def test_mirrors_follow_their_arcs(self):
+        g = WeightedDigraph(3, ((0, 1, 1.5), (2, 2, 1.0), (1, 2, 0.5)), undirected=True)
+        assert g.arcs == ((0, 1, 1.5), (1, 0, 1.5), (2, 2, 1.0), (1, 2, 0.5), (2, 1, 0.5))
+
+    def test_from_columns_matches_triples(self):
+        arcs = ((0, 1, 0.25), (1, 2, 1.0), (2, 0, 3.0), (0, 1, 0.5))
+        by_columns = WeightedDigraph.from_columns(3, [0, 1, 2, 0], [1, 2, 0, 1], [0.25, 1.0, 3.0, 0.5], True)
+        by_triples = WeightedDigraph(3, arcs, undirected=True)
+        assert by_columns.arcs == by_triples.arcs
+        assert np.array_equal(by_columns.weights, by_triples.weights)
+
+    @pytest.mark.parametrize(
+        "arcs,message",
+        [
+            # the first bad arc in arc order, then range before finiteness before sign
+            (((0, 1, -1.0), (0, 5, 1.0)), r"arc \(0, 1\) has negative weight -1.0"),
+            (((0, 1, 1.0), (0, 5, float("nan"))), r"arc \(0, 5\) out of range for n=3"),
+            (((0, 1, 1.0), (1, 2, float("inf")), (0, 9, 1.0)), r"arc \(1, 2\) has non-finite weight"),
+            (((0, 1, 1.0), (-1, 2, -2.0)), r"arc \(-1, 2\) out of range for n=3"),
+            (((0, 10**20, 1.0),), r"arc \(0, 100000000000000000000\) out of range for n=3"),
+        ],
+    )
+    def test_first_bad_arc_reported(self, arcs, message):
+        with pytest.raises(ValidationError, match=message):
+            WeightedDigraph(3, arcs)

@@ -48,10 +48,13 @@ class TestCumulativeRows:
         for seed in range(50):
             P = transition_matrix(random_strongly_connected_digraph(60, seed, extra=0.25))
             running = np.cumsum(P.probs, axis=1)
-            for v, row in enumerate(_cumulative_rows(P)):
-                last_arc = int(np.flatnonzero(P.probs[v])[-1])
+            for v, (cum, targets) in enumerate(_cumulative_rows(P)):
+                assert targets == np.flatnonzero(P.probs[v]).tolist()
+                # the dense cumsum's floats at the arc columns, the last arc's set to 1
+                assert cum[:-1] == running[v, targets[:-1]].tolist() and cum[-1] == 1.0
+                last_arc = targets[-1]
                 for u in (top, min(top, float(running[v, last_arc]))):
-                    assert P.probs[v, bisect_right(row, u)] > 0, (seed, v, u)
+                    assert P.probs[v, targets[bisect_right(cum, u)]] > 0, (seed, v, u)
 
 
 class TestEmpiricalHitting:
