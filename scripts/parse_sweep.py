@@ -8,7 +8,10 @@ per-line parser and per-arc graph constructor that the columnar graph
 replaced, with greenwalk.graph.load_graph, and with np.loadtxt alone (the
 C reader's own cost, a floor for the parser). It asserts that both graphs
 are equal (vertex count, arcs in order, bitwise degrees) and prints the
-best time of --repeat runs for each. The last line is the table as JSON.
+best time of --repeat runs for each. It also prints the peak memory
+tracemalloc sees in one load_graph, and in one with the arc text split into
+a single list of lines (str.splitlines) instead of a block at a time. The
+last line is the table as JSON.
 
 Usage: python3 scripts/parse_sweep.py [--sizes N ...] [--repeat R] [--dir DIR]
 """
@@ -18,9 +21,11 @@ import json
 import math
 import tempfile
 import time
+import tracemalloc
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -127,6 +132,20 @@ def loadtxt_only(path: str):
     return np.loadtxt(path, dtype=dtype, comments="#", ndmin=1)
 
 
+def load_graph_one_split(path: str):
+    with mock.patch("greenwalk.graph._lines", str.splitlines):
+        return load_graph(path)
+
+
+def peak_traced_mb(load, path: str) -> float:
+    tracemalloc.start()
+    try:
+        load(path)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def write_dense_digraph(n: int, path: Path) -> int:
     g = random_strongly_connected_digraph(n, 1, extra=0.5)
     lines = [f"# random_strongly_connected_digraph({n}, 1, extra=0.5)"]
@@ -153,6 +172,7 @@ def main() -> None:
     args = parser.parse_args()
 
     header = f"{'n':>6}{'arcs':>10}{'MB in':>8}{'line loop s':>14}{'columnar s':>12}{'loadtxt s':>11}{'speed-up':>10}"
+    header += f"{'peak MB':>9}{'one split':>11}"
     print(header)
     print("-" * len(header))
     table = []
@@ -170,6 +190,8 @@ def main() -> None:
             assert new.w.tobytes() == w.tobytes() and new.degrees.tobytes() == old.degrees.tobytes()
             del old, new, src, dst, w
             floor_s, _ = best_time(loadtxt_only, str(path), args.repeat)
+            peak_mb = peak_traced_mb(load_graph, str(path))
+            one_split_mb = peak_traced_mb(load_graph_one_split, str(path))
             row = {
                 "n": n,
                 "arcs": arcs,
@@ -178,11 +200,13 @@ def main() -> None:
                 "columnar_s": new_s,
                 "loadtxt_s": floor_s,
                 "speedup": old_s / new_s,
+                "peak_traced_mb": peak_mb,
+                "one_split_peak_traced_mb": one_split_mb,
             }
             table.append(row)
             print(
                 f"{n:>6}{arcs:>10}{row['input_mb']:>8.1f}{old_s:>14.3f}{new_s:>12.3f}{floor_s:>11.3f}"
-                f"{row['speedup']:>10.2f}"
+                f"{row['speedup']:>10.2f}{peak_mb:>9.1f}{one_split_mb:>11.1f}"
             )
             path.unlink()
     print(json.dumps(table))

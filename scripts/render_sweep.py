@@ -8,12 +8,7 @@ verbatim copy of the renderer that formatted each float row with one
 are equal, and prints the time per float (best of --repeat) and the peak
 memory tracemalloc sees while rendering. The last line is the table as JSON.
 
-With --rows L ..., it instead times one 1-D float row of each length L
-through the kernel (greenwalk.cli._format_rows) and through the '%' join,
-alternating the two, and prints the best of 20 rounds for each: the
-length where they cross sets greenwalk.cli._SHORT_ROW.
-
-Usage: python3 scripts/render_sweep.py [--sizes N ...] [--repeat R] [--rows L ...]
+Usage: python3 scripts/render_sweep.py [--sizes N ...] [--repeat R]
 """
 
 import argparse
@@ -23,7 +18,7 @@ import tracemalloc
 
 import numpy as np
 
-from greenwalk.cli import _format_rows, render_json
+from greenwalk.cli import render_json
 from greenwalk.generators import random_strongly_connected_digraph
 from greenwalk.hitting import hit_time
 from greenwalk.pipeline import analyze
@@ -119,38 +114,11 @@ def peak_traced_mb(render, payload) -> float:
         tracemalloc.stop()
 
 
-def row_crossover(lengths: list[int]) -> None:
-    rng = np.random.default_rng(0)
-    rows = {n: rng.uniform(0.0, 1000.0, n) * rng.choice([1e-3, 1.0, 1e3], n) for n in lengths}
-    formats = {"kernel": lambda row: _format_rows(row, ", "), "join": lambda row: _float_row(row, ", ")}
-    best = {(n, name): float("inf") for n in lengths for name in formats}
-    for n, row in rows.items():
-        assert _format_rows(row, ", ")[0] == _float_row(row, ", ")
-    # every length in every round, so a change in the host's speed hits all of them alike
-    for _ in range(20):
-        for n, row in rows.items():
-            for name, fmt in formats.items():
-                start = time.perf_counter()
-                for _ in range(20):
-                    fmt(row)
-                best[n, name] = min(best[n, name], (time.perf_counter() - start) / 20)
-    print(f"{'floats':>8}{'kernel us':>12}{'% join us':>12}")
-    table = []
-    for n in lengths:
-        table.append({"floats": n, "kernel_us": best[n, "kernel"] * 1e6, "join_us": best[n, "join"] * 1e6})
-        print(f"{n:>8}{best[n, 'kernel'] * 1e6:>12.1f}{best[n, 'join'] * 1e6:>12.1f}")
-    print(json.dumps(table))
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[250, 500, 1000, 2000])
     parser.add_argument("--repeat", type=int, default=3)
-    parser.add_argument("--rows", type=int, nargs="+", help="time 1-D rows of these lengths instead")
     args = parser.parse_args()
-    if args.rows:
-        row_crossover(args.rows)
-        return
 
     renderers = {"row_join": row_join_render_json, "kernel": render_json}
     header = f"{'n':>6}{'floats':>10}{'MB out':>9}" + "".join(

@@ -207,18 +207,9 @@ def _format_rows(M, sep: str) -> list[str]:
     return [row for start in range(0, len(M), step) for row in _format_chunk(M[start : start + step], sep)]
 
 
-# A 1-D row shorter than this formats faster with one "%" than through
-# _format_rows, whose fixed cost is some 40 numpy calls: the two cost the
-# same at about 170 floats (scripts/render_sweep.py --rows).
-_SHORT_ROW = 170
-
-
 def _float_row(row, sep: str) -> str:
     """A flat float row as its "%.17g" % (x + 0.0) cells joined by sep."""
-    row = np.asarray(row, dtype=float)
-    if row.size >= _SHORT_ROW:
-        return _format_rows(row, sep)[0]
-    values = (row + 0.0).tolist()
+    values = (np.asarray(row, dtype=float) + 0.0).tolist()
     return sep.join(["%.17g"] * len(values)) % tuple(values)
 
 

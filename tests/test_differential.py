@@ -8,6 +8,7 @@ order, the same error messages, and the same walk lengths trial by trial.
 """
 
 import math
+import warnings
 from bisect import bisect_right
 
 import numpy as np
@@ -183,6 +184,8 @@ class TestEdgeListParser:
             "0 1 2 # trailing comment\n1 0 1\n",
             "0 1 #\n",
             "0 1 1_0\n1 0 1\n",
+            "0 1.7 2\n1 0\n",
+            "0 1e1 2\n1 0\n",
             "0 ٣\n٣ 0\n",
             "0 1 2\n1 0\n",
             "0 1\x0c2 3\n",
@@ -196,6 +199,20 @@ class TestEdgeListParser:
         ],
     )
     def test_examples_match_line_loop(self, text):
+        assert _outcome(_columnar, text) == _outcome(_reference_edge_list, text)
+
+    def test_reader_deprecation_goes_to_line_loop(self, monkeypatch):
+        # numpy 1.23 and later releases read "1.7" in an integer field as 1,
+        # with only a DeprecationWarning until the deprecation expired
+        loadtxt = np.loadtxt
+
+        def warning_loadtxt(*args, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+        text = "0 1 2\n1 0 1\n"
+        assert _read_arc_columns(text) is None
         assert _outcome(_columnar, text) == _outcome(_reference_edge_list, text)
 
     def test_inline_comment_is_rejected(self):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from greenwalk.cli import _CHUNK, _SHORT_ROW, _format_rows, render_csv, render_json
+from greenwalk.cli import _CHUNK, _format_rows, render_csv, render_json
 
 # ---------------------------------------------------------------------------
 # reference: the per-scalar renderer, kept verbatim
@@ -123,9 +123,9 @@ class TestRenderJson:
             {"a": [], "b": [1, True, None], "c": {}}
         )
 
-    @pytest.mark.parametrize("length", [1, 2, _SHORT_ROW - 1, _SHORT_ROW, _SHORT_ROW + 1, 3 * _SHORT_ROW])
-    def test_rows_either_side_of_short_row(self, length):
-        # short 1-D rows take the "%" join, long ones the kernel
+    @pytest.mark.parametrize("length", [1, 2, 150, 510])
+    def test_flat_rows(self, length):
+        # 1-D rows take the "%" join, at every length
         rng = np.random.default_rng(length)
         row = rng.standard_normal(length) * 10.0 ** rng.integers(-8, 18, size=length)
         row[::5] = rng.integers(0, 2**64, size=len(row[::5]), dtype=np.uint64).view(np.float64)
