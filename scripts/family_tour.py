@@ -34,7 +34,7 @@ def main() -> None:
         return f"{rep.measures[key]:>12.5f}" if key in rep.measures else f"{'-':>12}"
 
     for rep in reports:
-        worst = max(rep.details["solver_residuals"].values())
+        worst = max(rep.solver_residuals.values())
         label = f"{rep.family}{rep.params}"
         print(
             f"{label:<16}{rep.graph.n:>6}"

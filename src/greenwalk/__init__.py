@@ -50,7 +50,7 @@ from .hitting import (
     return_times,
 )
 from .montecarlo import SimStats, empirical_hitting, empirical_random_target, simulate_walk
-from .pipeline import ChainAnalysis, analyze
+from .pipeline import ChainAnalysis, analyze, verify_checks
 from .spectral import (
     SpectralDecomposition,
     decompose,

@@ -1,16 +1,16 @@
 """Closed-form reference values for named graph families.
 
 Each oracle realizes its family as a concrete graph, evaluates the known
-closed forms, and (by default) replays the graph through the generic
-solver to confirm entrywise agreement. The oracles are deliberately
-independent of the solver: combinatorial or trigonometric routes only.
+closed forms, and replays the graph through the generic solver to confirm
+entrywise agreement. The oracles are deliberately independent of the
+solver: combinatorial or trigonometric routes only.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -92,7 +92,11 @@ def toric_grid_graph(dims: tuple[int, ...]) -> WeightedDigraph:
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Closed-form values for one family instance, plus the realized graph."""
+    """Closed-form values for one family instance, plus the realized graph.
+
+    ``solver_residuals`` holds each closed form's gap to the generic solver;
+    it is empty when the instance is too large to solve densely.
+    """
 
     family: str
     params: tuple
@@ -101,6 +105,7 @@ class OracleReport:
     greens: np.ndarray | None
     measures: dict[str, float]
     details: dict[str, object] = field(default_factory=dict)
+    solver_residuals: dict[str, float] = field(default_factory=dict)
 
 
 def compare_with_pipeline(report: OracleReport) -> dict[str, float]:
@@ -143,15 +148,14 @@ def _verify(report: OracleReport) -> OracleReport:
             f"{bad} by {residuals[bad]:.3e}",
             residual=worst,
         )
-    report.details["solver_residuals"] = residuals
-    return report
+    return replace(report, solver_residuals=residuals)
 
 
 # ---------------------------------------------------------------------------
 # oracles
 
 
-def complete_oracle(n: int, verify: bool = True) -> OracleReport:
+def complete_oracle(n: int) -> OracleReport:
     """Complete graph K_n: constant off-diagonal hitting times n - 1."""
     g = complete_graph(n)
     H = float(n - 1) * (1.0 - np.eye(n))
@@ -163,10 +167,10 @@ def complete_oracle(n: int, verify: bool = True) -> OracleReport:
         "t_reset": (n - 1) / n,
     }
     report = OracleReport("complete", (n,), g, H, G, measures, {})
-    return _verify(report) if verify else report
+    return _verify(report)
 
 
-def bipartite_oracle(r: int, s: int, verify: bool = True) -> OracleReport:
+def bipartite_oracle(r: int, s: int) -> OracleReport:
     """Complete bipartite graph K_{r,s}; r = 1 specializes to the star."""
     g = complete_bipartite(r, s)
     n = r + s
@@ -194,10 +198,10 @@ def bipartite_oracle(r: int, s: int, verify: bool = True) -> OracleReport:
     }
     details: dict[str, object] = {"star": r == 1}
     report = OracleReport("bipartite", (r, s), g, H, G, measures, details)
-    return _verify(report) if verify else report
+    return _verify(report)
 
 
-def path_oracle(n: int, verify: bool = True) -> OracleReport:
+def path_oracle(n: int) -> OracleReport:
     """Path on n vertices.
 
     The upper triangle (in 1-based labels, i <= j) is
@@ -213,10 +217,10 @@ def path_oracle(n: int, verify: bool = True) -> OracleReport:
     G = np.where(i0 <= j0, upper, pi[None, :] / pi[:, None] * upper.T)
     measures = {"t_mix": t_mix, "t_hit": float(np.trace(G))}
     report = OracleReport("path", (n,), g, None, G, measures, {})
-    return _verify(report) if verify else report
+    return _verify(report)
 
 
-def cycle_oracle(n: int, verify: bool = True) -> OracleReport:
+def cycle_oracle(n: int) -> OracleReport:
     """Cycle C_n, with both the polynomial and the trigonometric forms.
 
     H(0, j) = j (n - j) and G(0, j) = ((n^2 - 1)/6 - j (n - j)) / n; the
@@ -244,7 +248,7 @@ def cycle_oracle(n: int, verify: bool = True) -> OracleReport:
     }
     details: dict[str, object] = {"poly_vs_trig": gap, "trig_row": trig.tolist()}
     report = OracleReport("cycle", (n,), g, H, G, measures, details)
-    return _verify(report) if verify else report
+    return _verify(report)
 
 
 def _tree_structure(tree: WeightedDigraph, root: int):
@@ -303,7 +307,7 @@ def tree_hitting_times(tree: WeightedDigraph) -> np.ndarray:
     return H
 
 
-def tree_oracle(tree: WeightedDigraph, verify: bool = True) -> OracleReport:
+def tree_oracle(tree: WeightedDigraph) -> OracleReport:
     """Any tree, via its two mixing-pessimal endpoints z and z'.
 
     With i*, j* the projections onto the (z, z') path,
@@ -383,7 +387,7 @@ def tree_oracle(tree: WeightedDigraph, verify: bool = True) -> OracleReport:
         "projection_form_pairs": projected_pairs,
     }
     report = OracleReport("tree", (n,), tree, H, G, measures, details)
-    return _verify(report) if verify else report
+    return _verify(report)
 
 
 def hypercube_level_times(d: int) -> list[Fraction]:
@@ -407,7 +411,7 @@ def check_hypercube_identity(d: int) -> bool:
     return lhs == rhs
 
 
-def hypercube_oracle(d: int, verify: bool = True) -> OracleReport:
+def hypercube_oracle(d: int) -> OracleReport:
     """The d-dimensional hypercube on 2^d binary labels.
 
     All closed forms are evaluated exactly in rationals for d <= 14. Full
@@ -444,12 +448,10 @@ def hypercube_oracle(d: int, verify: bool = True) -> OracleReport:
         "identity_exact": True,
     }
     report = OracleReport("hypercube", (d,), g, hitting, greens, measures, details)
-    if verify and d <= 10:
-        return _verify(report)
-    return report
+    return _verify(report) if d <= 10 else report
 
 
-def toric_oracle(dims: tuple[int, ...], verify: bool = True) -> OracleReport:
+def toric_oracle(dims: tuple[int, ...]) -> OracleReport:
     """Cartesian product of cycles C_{n_1} x ... x C_{n_d}.
 
     Eigenvalues come from per-axis cosines and Green's row zero from the
@@ -498,6 +500,4 @@ def toric_oracle(dims: tuple[int, ...], verify: bool = True) -> OracleReport:
         "halfway_is_pessimal": halfway_matches,
     }
     report = OracleReport("toric", dims, g, hitting, greens, measures, details)
-    if verify and n <= 1024:
-        return _verify(report)
-    return report
+    return _verify(report) if n <= 1024 else report

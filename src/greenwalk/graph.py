@@ -124,6 +124,12 @@ class WeightedDigraph:
 
 def validate_out_degrees(g: WeightedDigraph) -> None:
     """Raise unless every vertex has positive outgoing weight."""
+    if g.n > len(g.w):
+        # some vertex has no out-arc, and n may be far too large to allocate
+        # degrees: the first vertex missing from the sorted sources is it
+        sources = np.unique(g.src[g.w > 0])
+        bad = np.flatnonzero(sources != np.arange(len(sources)))
+        raise ValidationError(f"vertex {int(bad[0]) if bad.size else len(sources)} has zero outgoing weight")
     bad = np.flatnonzero(g.degrees <= 0.0)
     if bad.size:
         raise ValidationError(f"vertex {int(bad[0])} has zero outgoing weight")

@@ -15,6 +15,8 @@ CONSTRAINT_TOL = 1e-9  # scaled by n
 HALTING_TOL = 1e-10
 NEGATIVE_TOL = 1e-10
 
+Check = tuple[str, float, float]  # (name, residual, limit); the check fails when residual > limit
+
 
 @dataclass(frozen=True)
 class GreensMatrix:
@@ -141,6 +143,12 @@ def verify_green_constraints(M: GreensMatrix | ExitFrequencyMatrix, P: Transitio
     n = P.n
     lhs = M.values @ (np.eye(n) - P.probs) - (np.eye(n) - np.outer(np.ones(n), M.target.probs))
     return float(np.abs(lhs).max()), float(np.abs(M.values.sum(axis=1)).max())
+
+
+def green_checks(M: GreensMatrix, P: TransitionMatrix, name: str = "greens") -> list[Check]:
+    """The two defining constraints of a Green matrix for P, as ``name``_constraint and ``name``_row_sum."""
+    constraint, row_sum = verify_green_constraints(M, P)
+    return [(f"{name}_constraint", constraint, CONSTRAINT_TOL * P.n), (f"{name}_row_sum", row_sum, ROW_SUM_TOL)]
 
 
 def hitting_from_greens(M: GreensMatrix, pi: Distribution) -> HittingTimeMatrix:

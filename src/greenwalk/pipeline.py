@@ -1,4 +1,8 @@
-"""One chain, solved once: hitting times, Green's function, X_pi, mixing and the reverse chain."""
+"""One chain, solved once: hitting times, Green's function, X_pi, mixing and the reverse chain.
+
+The check functions here audit a chain: each returns (name, residual, limit)
+triples, and a check fails when its residual exceeds its limit.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,11 @@ import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
-from .duality import reverse_chain
+import numpy as np
+
+from . import graph
+from .duality import DualityReport, duality_checks, reverse_chain
+from .errors import IntegrityError
 from .graph import (
     Distribution,
     TransitionMatrix,
@@ -15,14 +23,25 @@ from .graph import (
     transition_matrix,
 )
 from .greens import (
+    CONSTRAINT_TOL,
+    HALTING_TOL,
+    ROW_SUM_TOL,
+    Check,
     ExitFrequencyMatrix,
     GreensMatrix,
     MixingReport,
     exit_frequency_matrix,
+    green_checks,
     greens_function,
+    greens_general,
+    hitting_from_greens,
     mixing_report,
+    verify_green_constraints,
 )
-from .hitting import HittingTimeMatrix, hitting_times
+from .hitting import TIME_TOL, HittingTimeMatrix, check_cycle_identities, hit_time, hitting_times, time_scale
+from .spectral import SpectralDecomposition, decompose, spectral_greens, spectral_hitting, spectral_mixing
+
+EXIT_ROUTE_TOL = 1e-9  # scaled by time_scale: G read off X_pi against G from H
 
 
 @dataclass(frozen=True)
@@ -46,6 +65,11 @@ class ChainAnalysis:
     @cached_property
     def hitting(self) -> HittingTimeMatrix:
         return hitting_times(self.transition, self.stationary)
+
+    @cached_property
+    def time_scale(self) -> float:
+        """max(1, largest hitting time): limits on expected-step residuals are multiples of it."""
+        return time_scale(self.hitting.values)
 
     @cached_property
     def greens(self) -> GreensMatrix:
@@ -79,3 +103,84 @@ def analyze(g: WeightedDigraph, beta: float = 0.0) -> ChainAnalysis:
     """The chain of the (optionally beta-lazy) random walk on a graph."""
     P = transition_matrix(g, beta)
     return ChainAnalysis(P, stationary_distribution(P))
+
+
+def exit_checks(chain: ChainAnalysis, X: ExitFrequencyMatrix, tol: float = TIME_TOL) -> list[Check]:
+    """An exit-frequency matrix of the chain: its conservation law, a zero in every row, and row sums H(i, tau)."""
+    conservation, _ = verify_green_constraints(X, chain.transition)
+    return [
+        ("exit_conservation", conservation, CONSTRAINT_TOL * X.n),
+        ("exit_row_min", float(X.values.min(axis=1).max()), HALTING_TOL),
+        ("exit_row_sums", float(np.abs(X.values.sum(axis=1) - X.access).max()), tol * chain.time_scale),
+    ]
+
+
+def spectral_routes(
+    chain: ChainAnalysis, dec: SpectralDecomposition, tol: float = TIME_TOL
+) -> tuple[tuple[float, float, float], list[Check]]:
+    """The spectral (T_mix, T_reset, T_hit) of a chain, and the gap of each spectral route to the solved one."""
+    rep = chain.mixing
+    factor = 1.0 / (1.0 - chain.transition.beta)  # laziness rescales every expected time
+    times = tuple(v * factor for v in spectral_mixing(dec, rep.pessimal))
+    gaps = {
+        "hitting": float(np.abs(spectral_hitting(dec).values * factor - chain.hitting.values).max()),
+        "greens": float(np.abs(spectral_greens(dec).values * factor - chain.greens.values).max()),
+    }
+    for key, value, solved in zip(("t_mix", "t_reset", "t_hit"), times, (rep.t_mix, rep.t_reset, rep.t_hit)):
+        gaps[key] = abs(value - solved)
+    limit = tol * chain.time_scale
+    return times, [(f"spectral_{key}", gap, limit) for key, gap in gaps.items()]
+
+
+def dual_checks(chain: ChainAnalysis, tol: float = TIME_TOL) -> tuple[DualityReport, list[Check]]:
+    """The chain's duality report, and each forward/reverse identity's residual as a check."""
+    rep = duality_checks(chain)
+    limit = tol * chain.time_scale
+    return rep, [(f"dual_{key}", value, limit) for key, value in rep.residuals.items()]
+
+
+def verify_checks(chain: ChainAnalysis, tol: float = TIME_TOL) -> list[Check]:
+    """Every invariant suite on the chain of a graph; ``tol`` scales the limits on expected times."""
+    g, P, pi, H, G, X = chain.graph, chain.transition, chain.stationary, chain.hitting, chain.greens, chain.exit_pi
+    limit = tol * chain.time_scale
+    first_step = H.values - 1.0 - P.probs @ H.values
+    np.fill_diagonal(first_step, 0.0)
+    t_hit, random_target = hit_time(H, pi)
+    checks = [
+        ("row_stochastic", float(np.abs(P.probs.sum(axis=1) - 1.0).max()), graph.ROW_SUM_TOL),
+        ("stationary", float(np.abs(pi.probs @ P.probs - pi.probs).max()), graph.STATIONARY_TOL),
+        ("first_step", float(np.abs(first_step).max()), limit),
+        ("random_target", random_target, limit),
+        *green_checks(G, P),
+        ("trace_vs_hit", abs(float(np.trace(G.values)) - t_hit), limit),
+        ("hitting_roundtrip", float(np.abs(hitting_from_greens(G, pi).values - H.values).max()), limit),
+        *exit_checks(chain, X, tol),
+        (
+            "greens_from_exit",
+            float(np.abs(X.values - np.outer(X.access, pi.probs) - G.values).max()),
+            EXIT_ROUTE_TOL * chain.time_scale,
+        ),
+    ]
+    for tag, tau in (("uniform", Distribution.uniform(g.n)), ("vertex", Distribution.point_mass(g.n, 0))):
+        checks += green_checks(greens_general(H, pi, tau), P, f"greens_{tag}")
+
+    try:
+        chain.mixing
+        checks.append(("mixing_formulas", 0.0, 1.0))
+    except IntegrityError as exc:
+        checks.append(("mixing_formulas", float(exc.residual or 1.0), limit))
+
+    if P.beta == 0.0:
+        lazy = analyze(g, 0.5)
+        checks.append(("laziness_scaling", float(np.abs(lazy.hitting.values * 0.5 - H.values).max()), limit))
+
+    if g.undirected:
+        triple, pair = check_cycle_identities(H, pi)
+        weighted = pi.probs[:, None] * G.values
+        checks += [
+            ("cycle_triple", triple, limit),
+            ("cycle_pair", pair, limit),
+            ("greens_symmetry", float(np.abs(weighted - weighted.T).max()), ROW_SUM_TOL),
+            *spectral_routes(chain, decompose(g), tol)[1],
+        ]
+    return checks + dual_checks(chain, tol)[1]

@@ -78,7 +78,7 @@ def test_03_cycles():
         worst = max(worst, float(np.abs(sol.hitting.values[0] - j * (n - j)).max()))
         hpi0 = float(sol.stationary.probs @ sol.hitting.values[:, 0])
         worst = max(worst, abs(hpi0 - (n * n - 1) / 6))
-        oracle = families.cycle_oracle(n, verify=False)
+        oracle = families.cycle_oracle(n)
         trig = np.array(oracle.details["trig_row"])
         worst = max(worst, float(np.abs(oracle.greens[0] - sol.greens.values[0]).max()))
         worst = max(worst, float(np.abs(trig - sol.greens.values[0]).max()))
@@ -88,12 +88,12 @@ def test_03_cycles():
 def test_04_paths_and_trees():
     worst = 0.0
     for n in range(2, 31):
-        oracle = families.path_oracle(n, verify=False)
+        oracle = families.path_oracle(n)
         sol = pipeline.analyze(oracle.graph)
         worst = max(worst, float(np.abs(oracle.greens - sol.greens.values).max()))
     for seed in range(50):
         tree = random_tree(3 + seed % 23, seed=seed)
-        oracle = families.tree_oracle(tree, verify=False)
+        oracle = families.tree_oracle(tree)
         sol = pipeline.analyze(tree)
         worst = max(worst, float(np.abs(oracle.greens - sol.greens.values).max()))
         worst = max(worst, float(np.abs(oracle.hitting - sol.hitting.values).max()))

@@ -1,17 +1,24 @@
+import dataclasses
 import functools
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import greenwalk.cli
+import greenwalk.greens
 import greenwalk.hitting
+import greenwalk.pipeline
 from greenwalk.cli import main
+from greenwalk.hitting import HittingTimeMatrix
 from greenwalk.montecarlo import empirical_hitting
 
 K3 = "# undirected\n0 1\n0 2\n1 2\n"
 P3 = "# undirected\n0 1\n1 2\n"
 TRIANGLE = "0 1 1\n1 2 1\n2 0 1\n"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -129,6 +136,96 @@ class TestExitCodes:
         code, _, err = run(capsys, "verify", "--input", k3_file, "--green", str(green_path))
         assert code == 2
         assert "file_greens" in err
+
+    @pytest.mark.parametrize(
+        "green",
+        [
+            pytest.param(None, id="3-vertex-green-on-4-cycle"),
+            pytest.param({"n": 4, "target": [0.25] * 4, "rows": [1, 2, 3]}, id="flat-rows"),
+        ],
+    )
+    def test_green_matrix_of_wrong_shape_is_one(self, capsys, k3_file, tmp_path, green):
+        cycle = tmp_path / "c4.edges"
+        cycle.write_text("# undirected\n0 1\n1 2\n2 3\n3 0\n")
+        green_path = tmp_path / "green.json"
+        green_path.write_text(run(capsys, "green", "--input", k3_file)[1] if green is None else json.dumps(green))
+        code, out, err = run(capsys, "verify", "--input", str(cycle), "--green", str(green_path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad Green matrix file: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mixing", "--input", "K3", "--format", "csv"],
+            ["hitting", "--input", "K3", "--tol", "1"],
+            ["family", "path", "5", "--lazy", "0.5"],
+        ],
+    )
+    def test_option_the_command_does_not_read_is_one(self, capsys, k3_file, argv):
+        code, out, err = run(capsys, *[k3_file if a == "K3" else a for a in argv])
+        assert code == 1 and out == ""
+        assert "unrecognized arguments" in err
+
+
+def _first_constraint_is_one(real):
+    return lambda M, P: (1.0, real(M, P)[1])
+
+
+def _zero_spectral_hitting(dec):
+    return HittingTimeMatrix(np.zeros((dec.n, dec.n)))
+
+
+def _core_decomposition_is_one(real):
+    def fake(chain):
+        rep = real(chain)
+        return dataclasses.replace(rep, residuals={**rep.residuals, "core_decomposition": 1.0})
+
+    return fake
+
+
+def _largest_hitting_time(case):
+    return float(np.max(json.loads((GOLDEN / f"{case}.out").read_text())["rows"]))
+
+
+class TestCheckFailures:
+    """A check over its limit exits 2: the output is printed in full, and
+    stderr names each failing check with its residual and limit."""
+
+    @pytest.mark.parametrize(
+        "case, module, attr, fake, key, residual, check",
+        [
+            pytest.param(
+                "green-directed", greenwalk.greens, "verify_green_constraints", _first_constraint_is_one,
+                "constraint", 1.0, "greens_constraint", id="green",
+            ),
+            pytest.param(
+                "exitfreq-directed", greenwalk.pipeline, "verify_green_constraints", _first_constraint_is_one,
+                "conservation", 1.0, "exit_conservation", id="exitfreq",
+            ),
+            pytest.param(
+                "spectral-undirected", greenwalk.pipeline, "spectral_hitting", lambda real: _zero_spectral_hitting,
+                "hitting_route", _largest_hitting_time("hitting-undirected"), "spectral_hitting", id="spectral",
+            ),
+            pytest.param(
+                "dual-directed", greenwalk.pipeline, "duality_checks", _core_decomposition_is_one,
+                "core_decomposition", 1.0, "dual_core_decomposition", id="dual",
+            ),
+        ],
+    )
+    def test_command_exits_two(self, capsys, monkeypatch, case, module, attr, fake, key, residual, check):
+        command, graph = case.split("-")
+        monkeypatch.setattr(module, attr, fake(getattr(module, attr)))
+        code, out, err = run(capsys, command, "--input", str(GOLDEN / f"{graph}.edges"))
+        golden = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+        expected, count = re.subn(f'"{key}": [^,\n]+', f'"{key}": {residual:.17g}', golden)
+        assert code == 2
+        assert count == 1 and out == expected
+        assert re.fullmatch(re.escape(f"FAIL {check}: residual {residual:.6e} exceeds ") + r"[0-9.e+-]+\n", err)
+
+
+def test_cli_binds_no_tolerance():
+    """Every limit comes with its check from the library; the CLI holds none of its own."""
+    assert [name for name in vars(greenwalk.cli) if name.endswith("_TOL") or name == "time_scale"] == []
 
 
 class TestVerify:

@@ -75,7 +75,7 @@ class TestTree:
 
     def test_random_tree_agrees_with_solver(self):
         rep = families.tree_oracle(random_tree(12, seed=21))
-        assert max(rep.details["solver_residuals"].values()) <= 1e-8
+        assert max(rep.solver_residuals.values()) <= 1e-8
 
     def test_combinatorial_hitting_is_exact(self):
         tree = random_tree(18, seed=3, weighted=True)
@@ -145,7 +145,7 @@ class TestToric:
 
     def test_square_grid_hit_time(self):
         rep = families.toric_oracle((3, 3))
-        assert max(rep.details["solver_residuals"].values()) <= 1e-8
+        assert max(rep.solver_residuals.values()) <= 1e-8
 
     def test_transitive_mix_equals_reset(self):
         rep = families.toric_oracle((4, 4))

@@ -16,6 +16,7 @@ from greenwalk.graph import (
     stationary_distribution,
     strongly_connected,
     transition_matrix,
+    validate_out_degrees,
 )
 from greenwalk import families
 
@@ -47,6 +48,28 @@ class TestParsing:
     def test_zero_out_weight_vertex(self):
         with pytest.raises(ValidationError, match="zero outgoing"):
             parse_graph("0 1 1")
+
+    @pytest.mark.parametrize(
+        "name, text, vertex",
+        [
+            ("huge.edges", "0 99999999999999999999\n99999999999999999999 0\n", 1),
+            ("huge.json", '{"n": 1e20, "arcs": [[0, 1], [1, 0]]}', 2),
+        ],
+        ids=["edgelist", "json"],
+    )
+    def test_huge_vertex_index_is_one(self, tmp_path, capsys, name, text, vertex):
+        from greenwalk.cli import main
+
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["hitting", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: vertex {vertex} has zero outgoing weight\n"
+
+    def test_more_vertices_than_arcs_builds_no_degrees(self, monkeypatch):
+        g = WeightedDigraph(3_000_000_001, [(0, 1, 1.0), (1, 0, 1.0), (3_000_000_000, 0, 1.0)])
+        monkeypatch.setattr(WeightedDigraph, "degrees", property(lambda self: pytest.fail("degrees of 3e9 vertices")))
+        with pytest.raises(ValidationError, match="vertex 2 has zero outgoing weight"):
+            validate_out_degrees(g)
 
     def test_json_format(self):
         text = '{"n": 3, "undirected": true, "arcs": [[0, 1, 1.0], [1, 2, 2.0]]}'
