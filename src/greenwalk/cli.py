@@ -2,12 +2,11 @@
 
 A command returns its output and its checks, the (name, residual, limit)
 triples of the library functions it called. Exit status 0 means success,
-1 a validation or usage problem, and 2 an integrity failure: a check whose
-residual exceeds its limit, reported on standard error as
-``FAIL name: residual R exceeds L`` after the output is printed, or a
-residual the library rejected while computing. Output formatting is fixed
-at 17 significant digits so identical invocations produce byte-identical
-output.
+1 a validation or usage problem, and 2 an integrity failure. A failed
+check is reported on standard error as ``FAIL name: residual R exceeds L``:
+after the output when the command returned it, and with no output when the
+library raised it while computing. Output formatting is fixed at 17
+significant digits so identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -19,14 +18,7 @@ import sys
 import numpy as np
 
 from . import families
-from .errors import (
-    GreenWalkError,
-    IntegrityError,
-    NumericalError,
-    ParseError,
-    RunawayError,
-    ValidationError,
-)
+from .errors import GreenWalkError, ParseError, ValidationError, describe, failed
 from .graph import Distribution, load_graph, read_text
 from .greens import GreensMatrix, exit_frequency_matrix, green_checks, greens_general
 from .hitting import hit_time
@@ -503,6 +495,8 @@ def _read_green_file(path: str, n: int) -> GreensMatrix:
         target = np.array(data["target"], dtype=float)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad Green matrix file: {exc}") from None
+    if not (np.isfinite(rows).all() and np.isfinite(target).all()):
+        raise ParseError("bad Green matrix file: entries must be finite")
     if rows.shape != (n, n) or target.shape != (n,):
         raise ParseError(
             f"bad Green matrix file: rows of shape {rows.shape} and target of shape {target.shape} "
@@ -518,10 +512,10 @@ def _cmd_verify(args, chain):
     payload = {
         "n": chain.graph.n,
         "checks": {
-            name: {"residual": residual, "limit": limit, "ok": bool(residual <= limit)}
+            name: {"residual": residual, "limit": limit, "ok": not failed((name, residual, limit))}
             for name, residual, limit in checks
         },
-        "ok": not any(residual > limit for _, residual, limit in checks),
+        "ok": not any(map(failed, checks)),
     }
     return payload, checks
 
@@ -539,16 +533,16 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (IntegrityError, NumericalError, RunawayError) as exc:
-        sys.stderr.write(f"integrity error: {exc}\n")
-        return 2
     except GreenWalkError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        if exc.check is None:
+            sys.stderr.write(f"integrity error: {exc}\n")
+            return 2
+        # a check the library raised while computing ends the command before any output
+        output, checks = "", [exc.check]
     sys.stdout.write(output if isinstance(output, str) else render_json(output) + "\n")
-    failures = [(name, residual, limit) for name, residual, limit in checks if residual > limit]
-    for name, residual, limit in failures:
-        sys.stderr.write(f"FAIL {name}: residual {residual:.6e} exceeds {limit:.6e}\n")
+    failures = [check for check in checks if failed(check)]
+    for check in failures:
+        sys.stderr.write(f"FAIL {describe(check)}\n")
     return 2 if failures else 0
 
 

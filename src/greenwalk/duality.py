@@ -7,8 +7,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import IntegrityError
-from .graph import Distribution, TransitionMatrix
+from .errors import require
+from .graph import ROW_SUM_TOL, Distribution, TransitionMatrix
 from .greens import (
     NEGATIVE_TOL,
     access_time,
@@ -17,7 +17,7 @@ from .greens import (
     greens_general,
     ExitFrequencyMatrix,
 )
-from .hitting import TIME_TOL, time_scale
+from .hitting import TIME_TOL
 
 if TYPE_CHECKING:
     from .pipeline import ChainAnalysis
@@ -40,9 +40,11 @@ def reverse_chain(P: TransitionMatrix, pi: Distribution) -> TransitionMatrix:
     """The dual chain with entries pi_j p_ji / pi_i; pi stays stationary.
 
     Reversible chains come back unchanged, and reversing twice is the
-    identity.
+    identity. Rows that drift from summing to 1, which a pi off stationary
+    causes, fail the check ``reverse_row_sum``.
     """
     probs = P.probs.T * pi.probs[None, :] / pi.probs[:, None]
+    require("reverse_row_sum", np.abs(probs.sum(axis=1) - 1.0).max(), ROW_SUM_TOL)
     graph = P.graph if (P.graph is not None and P.graph.undirected) else None
     return TransitionMatrix(probs, beta=P.beta, graph=graph)
 
@@ -51,10 +53,8 @@ def _forget_weights(pi: Distribution, probs: np.ndarray, mix: np.ndarray) -> np.
     return pi.probs * (1.0 + probs @ mix - mix)
 
 
-def _as_distribution(weights: np.ndarray, what: str) -> Distribution:
-    worst = float(weights.min())
-    if worst < -NEGATIVE_TOL:
-        raise IntegrityError(f"{what} has negative mass {worst:.3e}", residual=-worst)
+def _as_distribution(weights: np.ndarray, name: str) -> Distribution:
+    require(name, -weights.min(), NEGATIVE_TOL)
     w = np.maximum(weights, 0.0)
     return Distribution(w / w.sum())
 
@@ -68,7 +68,7 @@ def forget_distribution(chain: ChainAnalysis) -> Distribution:
     """
     pi, rev = chain.stationary, chain.reverse
     mix_rev = access_times(rev.hitting, pi)
-    return _as_distribution(_forget_weights(pi, rev.transition.probs, mix_rev), "forget distribution")
+    return _as_distribution(_forget_weights(pi, rev.transition.probs, mix_rev), "forget_negative_mass")
 
 
 def forget_time(chain: ChainAnalysis) -> float:
@@ -76,12 +76,7 @@ def forget_time(chain: ChainAnalysis) -> float:
     H, pi = chain.hitting, chain.stationary
     value = float(access_times(H, forget_distribution(chain)).max())
     reset_rev = float(pi.probs @ access_times(chain.reverse.hitting, pi))
-    gap = abs(value - reset_rev)
-    if gap > TIME_TOL * time_scale(H.values):
-        raise IntegrityError(
-            f"forget time {value!r} disagrees with the reverse reset time {reset_rev!r}",
-            residual=gap,
-        )
+    require("dual_forget_equals_reverse_reset", abs(value - reset_rev), TIME_TOL * chain.time_scale)
     return value
 
 
@@ -97,16 +92,14 @@ def pi_core(chain: ChainAnalysis) -> tuple[Distribution, ExitFrequencyMatrix]:
     P, pi, X = chain.transition, chain.stationary, chain.exit_pi
     b = X.values.min(axis=0)
     core_weights = pi.probs + (np.eye(P.n) - P.probs).T @ b
-    core = _as_distribution(core_weights, "pi-core")
+    core = _as_distribution(core_weights, "core_negative_mass")
     shifted = X.values - b[None, :]
     core_exit = ExitFrequencyMatrix(shifted, target=core, access=shifted.sum(axis=1))
 
     rev = chain.reverse
     acc_rev = access_times(rev.hitting, forget_distribution(rev))
     formula = _forget_weights(pi, rev.transition.probs, acc_rev)
-    gap = float(np.abs(formula - core_weights).max())
-    if gap > TIME_TOL * time_scale(chain.hitting.values):
-        raise IntegrityError(f"pi-core routes disagree by {gap:.3e}", residual=gap)
+    require("core_routes", np.abs(formula - core_weights).max(), TIME_TOL * chain.time_scale)
     return core, core_exit
 
 

@@ -1,10 +1,28 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one predicate that decides a residual check."""
 
 from __future__ import annotations
 
+Check = tuple[str, float, float]  # (name, residual, limit)
+
+
+def failed(check: Check) -> bool:
+    """Whether a check fails: its residual is not at most its limit, so a NaN residual fails."""
+    _, residual, limit = check
+    return not residual <= limit
+
+
+def describe(check: Check) -> str:
+    """A failed check as ``name: residual R exceeds L``, the text after ``FAIL`` on stderr."""
+    name, residual, limit = check
+    return f"{name}: residual {residual:.6e} exceeds {limit:.6e}"
+
 
 class GreenWalkError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; ``check`` is the residual check that failed, if one did."""
+
+    def __init__(self, message: str, check: Check | None = None):
+        super().__init__(message)
+        self.check = check
 
 
 class ParseError(GreenWalkError):
@@ -18,10 +36,6 @@ class ValidationError(GreenWalkError):
 class IntegrityError(GreenWalkError):
     """A computed object failed one of its defining residual checks."""
 
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class NumericalError(GreenWalkError):
     """Linear algebra did not reach the required accuracy."""
@@ -29,3 +43,10 @@ class NumericalError(GreenWalkError):
 
 class RunawayError(GreenWalkError):
     """A simulated walk exceeded its step cap."""
+
+
+def require(name: str, residual, limit, error: type[GreenWalkError] = IntegrityError) -> None:
+    """Raise ``error`` carrying the check (name, residual, limit) when it fails."""
+    check = (name, float(residual), float(limit))
+    if failed(check):
+        raise error(describe(check), check)

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import pipeline
-from .errors import IntegrityError, ValidationError
+from .errors import IntegrityError, ValidationError, require
 from .graph import WeightedDigraph, strongly_connected
 from .hitting import time_scale
 
@@ -140,14 +140,8 @@ def _verify(report: OracleReport) -> OracleReport:
         report.hitting if report.hitting is not None else 0.0,
         list(report.measures.values()),
     )
-    worst = max(residuals.values())
-    if worst > ORACLE_TOL * scale:
-        bad = max(residuals, key=residuals.get)
-        raise IntegrityError(
-            f"{report.family}{report.params} oracle disagrees with the solver on "
-            f"{bad} by {residuals[bad]:.3e}",
-            residual=worst,
-        )
+    for key, value in residuals.items():
+        require(f"oracle_{key}", value, ORACLE_TOL * scale)
     return replace(report, solver_residuals=residuals)
 
 
@@ -234,8 +228,7 @@ def cycle_oracle(n: int) -> OracleReport:
     k = np.arange(1, n, dtype=float)
     trig = np.cos(2.0 * np.pi * np.outer(j, k) / n) @ (1.0 / (1.0 - np.cos(2.0 * np.pi * k / n))) / n
     gap = float(np.abs(poly - trig).max())
-    if gap > ORACLE_TOL * time_scale(row_H):
-        raise IntegrityError(f"cycle polynomial and trigonometric forms differ by {gap:.3e}", residual=gap)
+    require("cycle_poly_vs_trig", gap, ORACLE_TOL * time_scale(row_H))
     shift = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
     H = row_H[shift]
     G = poly[shift]

@@ -15,7 +15,7 @@ import scipy.linalg
 import scipy.sparse as sparse
 from scipy.sparse.csgraph import connected_components
 
-from .errors import NumericalError, ParseError, ValidationError
+from .errors import NumericalError, ParseError, ValidationError, require
 
 ROW_SUM_TOL = 1e-12
 DISTRIBUTION_TOL = 1e-12
@@ -151,6 +151,8 @@ class TransitionMatrix:
         probs = np.array(self.probs, dtype=float)
         if probs.ndim != 2 or probs.shape[0] != probs.shape[1]:
             raise ValidationError("transition matrix must be square")
+        if not np.isfinite(probs).all():
+            raise ValidationError("transition probabilities must be finite")
         if probs.size and probs.min() < 0:
             raise ValidationError("transition probabilities must be nonnegative")
         residual = float(np.abs(probs.sum(axis=1) - 1.0).max())
@@ -181,6 +183,8 @@ class Distribution:
         p = np.array(self.probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValidationError("distribution must be a nonempty vector")
+        if not np.isfinite(p).all():
+            raise ValidationError("probabilities must be finite")
         if p.min() < -DISTRIBUTION_TOL:
             raise ValidationError(f"negative probability {p.min():.3e}")
         p = np.maximum(p, 0.0)
@@ -474,7 +478,5 @@ def stationary_distribution(P: TransitionMatrix) -> Distribution:
     if x.min() <= 0:
         raise NumericalError("solved stationary vector is not strictly positive")
     x = x / x.sum()
-    residual = float(np.abs(x @ P.probs - x).max())
-    if residual > STATIONARY_TOL:
-        raise NumericalError(f"stationary residual {residual:.3e} exceeds {STATIONARY_TOL:g}")
+    require("stationary", np.abs(x @ P.probs - x).max(), STATIONARY_TOL, NumericalError)
     return Distribution(x)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrityError, ValidationError
+from .errors import Check, require
 from .graph import Distribution, TransitionMatrix
 from .hitting import TIME_TOL, HittingTimeMatrix, hit_time, time_scale
 
@@ -14,8 +14,6 @@ ROW_SUM_TOL = 1e-10
 CONSTRAINT_TOL = 1e-9  # scaled by n
 HALTING_TOL = 1e-10
 NEGATIVE_TOL = 1e-10
-
-Check = tuple[str, float, float]  # (name, residual, limit); the check fails when residual > limit
 
 
 @dataclass(frozen=True)
@@ -54,15 +52,9 @@ class ExitFrequencyMatrix:
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
-        worst = float(values.min()) if values.size else 0.0
-        if worst < -NEGATIVE_TOL:
-            raise IntegrityError(
-                f"exit frequency {worst:.3e} is negative beyond tolerance", residual=-worst
-            )
+        require("exit_negative", -values.min() if values.size else 0.0, NEGATIVE_TOL)
         values = np.maximum(values, 0.0)
-        row_min = float(values.min(axis=1).max()) if values.size else 0.0
-        if row_min > HALTING_TOL:
-            raise IntegrityError(f"a row has no halting state (min {row_min:.3e})", residual=row_min)
+        require("exit_row_min", values.min(axis=1).max() if values.size else 0.0, HALTING_TOL)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         access = np.array(self.access, dtype=float)
@@ -102,9 +94,7 @@ def greens_general(H: HittingTimeMatrix, pi: Distribution, tau: Distribution) ->
     """
     from_tau = tau.probs @ H.values
     values = pi.probs[None, :] * (from_tau[None, :] - H.values)
-    residual = float(np.abs(values.sum(axis=1)).max())
-    if residual > ROW_SUM_TOL:
-        raise IntegrityError(f"Green matrix rows sum to {residual:.3e}, not 0", residual=residual)
+    require("greens_row_sum", np.abs(values.sum(axis=1)).max(), ROW_SUM_TOL)
     return GreensMatrix(values, target=tau)
 
 
@@ -126,9 +116,7 @@ def exit_frequency_matrix(
     h = (H.values - from_tau[None, :]).max(axis=1)
     values = pi.probs[None, :] * (h[:, None] + from_tau[None, :] - H.values)
     X = ExitFrequencyMatrix(values, target=tau, access=h)
-    residual = float(np.abs(X.values.sum(axis=1) - h).max())
-    if residual > TIME_TOL * time_scale(h):
-        raise IntegrityError(f"row sums disagree with access times by {residual:.3e}", residual=residual)
+    require("exit_row_sums", np.abs(X.values.sum(axis=1) - h).max(), TIME_TOL * time_scale(h))
     return X
 
 
@@ -175,6 +163,7 @@ def mixing_report(
     M: GreensMatrix,
     pi: Distribution,
     undirected: bool = False,
+    exit_pi: ExitFrequencyMatrix | None = None,
 ) -> MixingReport:
     """Assemble T_mix, T_reset, T_hit, pessimal vertices, and halting states.
 
@@ -182,33 +171,27 @@ def mixing_report(
     trace of G and must match the stationary-pair hitting time. With
     ``undirected`` set, both pessimal-vertex formulas
     H(i, pi) = H(i', i) - H(pi, i) = H(i, i') - H(pi, i') are cross-checked
-    and a failure raises IntegrityError naming the vertex.
+    and a failure raises IntegrityError naming the vertex. The halting
+    states are read off ``exit_pi`` (X_pi), which is built when not given.
     """
     Hv = H.values
     mix = (-M.values / pi.probs[None, :]).max(axis=1)
     t_mix = float(mix.max())
     t_reset = float(pi.probs @ mix)
     t_hit, _ = hit_time(H, pi)
-    scale = time_scale(Hv)
-    trace = float(np.trace(M.values))
-    if abs(trace - t_hit) > TIME_TOL * scale:
-        raise IntegrityError(
-            f"trace of Green's function {trace!r} disagrees with hit time {t_hit!r}",
-            residual=abs(trace - t_hit),
-        )
+    limit = TIME_TOL * time_scale(Hv)
+    require("trace_vs_hit", abs(float(np.trace(M.values)) - t_hit), limit)
     pess = Hv.argmax(axis=0)
     if undirected:
         hpi = pi.probs @ Hv
-        for i in range(H.n):
-            ip = int(pess[i])
-            first = Hv[ip, i] - hpi[i]
-            second = Hv[i, ip] - hpi[ip]
-            worst = max(abs(mix[i] - first), abs(mix[i] - second))
-            if worst > TIME_TOL * scale:
-                raise IntegrityError(
-                    f"pessimal-vertex mixing formulas disagree at vertex {i}", residual=worst
-                )
-    X = exit_frequency_matrix(H, pi, pi)
-    halting = tuple(tuple(np.flatnonzero(row <= HALTING_TOL).tolist()) for row in X.values)
-    mixing_pess = tuple(np.flatnonzero(mix >= t_mix - TIME_TOL * scale).tolist())
+        vertices = np.arange(H.n)
+        first = Hv[pess, vertices] - hpi
+        second = Hv[vertices, pess] - hpi[pess]
+        gaps = np.maximum(np.abs(mix - first), np.abs(mix - second))
+        i = int(np.argmin(gaps <= limit))  # the first vertex that fails (NaN fails), or 0 when none does
+        require(f"pessimal_formulas_{i}", gaps[i], limit)
+    if exit_pi is None:
+        exit_pi = exit_frequency_matrix(H, pi, pi)
+    halting = tuple(tuple(np.flatnonzero(row <= HALTING_TOL).tolist()) for row in exit_pi.values)
+    mixing_pess = tuple(np.flatnonzero(mix >= t_mix - limit).tolist())
     return MixingReport(mix, t_mix, t_reset, t_hit, pess, halting, mixing_pess)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, require
 from .graph import Distribution, TransitionMatrix
 
 FUNDAMENTAL_TOL = 1e-9  # scaled by n
@@ -37,9 +37,14 @@ class FundamentalMatrix:
 
 @dataclass(frozen=True)
 class HittingTimeMatrix:
-    """All pairwise expected first-arrival times, zero on the diagonal."""
+    """All pairwise expected first-arrival times, zero on the diagonal.
+
+    ``first_step`` is the residual of the first-step equations when
+    ``hitting_times`` built the matrix, and None otherwise.
+    """
 
     values: np.ndarray
+    first_step: float | None = None
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
@@ -70,9 +75,7 @@ def fundamental_matrix(P: TransitionMatrix, pi: Distribution) -> FundamentalMatr
         Z = scipy.linalg.solve(A, np.eye(n))
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(f"fundamental matrix solve failed: {exc}") from None
-    residual = float(np.abs(Z @ A - np.eye(n)).max())
-    if residual > FUNDAMENTAL_TOL * n:
-        raise NumericalError(f"fundamental matrix residual {residual:.3e} exceeds {FUNDAMENTAL_TOL * n:.3e}")
+    require("fundamental", np.abs(Z @ A - np.eye(n)).max(), FUNDAMENTAL_TOL * n, NumericalError)
     return FundamentalMatrix(Z)
 
 
@@ -98,9 +101,8 @@ def hitting_times(P: TransitionMatrix, pi: Distribution) -> HittingTimeMatrix:
     R = H - 1.0 - P.probs @ H
     np.fill_diagonal(R, 0.0)
     residual = float(np.abs(R).max())
-    if residual > TIME_TOL * time_scale(H):
-        raise NumericalError(f"first-step residual {residual:.3e} too large")
-    return HittingTimeMatrix(H)
+    require("first_step", residual, TIME_TOL * time_scale(H), NumericalError)
+    return HittingTimeMatrix(H, residual)
 
 
 def access_to_vertex(H: HittingTimeMatrix, sigma: Distribution, j: int) -> float:

@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, require
 from .graph import Distribution, WeightedDigraph, validate_out_degrees
 from .greens import GreensMatrix
 from .hitting import HittingTimeMatrix
@@ -17,6 +17,7 @@ ZERO_MODE_TOL = 1e-10
 ORTHO_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-9
 SYMMETRY_TOL = 1e-12
+ZERO_MODE_DRIFT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -52,9 +53,7 @@ def normalized_laplacian(g: WeightedDigraph) -> np.ndarray:
     validate_out_degrees(g)
     d = g.degrees
     L = np.eye(g.n) - g.weights / np.sqrt(np.outer(d, d))
-    asym = float(np.abs(L - L.T).max())
-    if asym > SYMMETRY_TOL:
-        raise NumericalError(f"normalized Laplacian asymmetry {asym:.3e}")
+    require("laplacian_symmetry", np.abs(L - L.T).max(), SYMMETRY_TOL, NumericalError)
     return (L + L.T) / 2.0
 
 
@@ -80,18 +79,13 @@ def eigensystem(matrix: np.ndarray, degrees: np.ndarray, volume: float) -> Spect
     if zero_modes > 1:
         raise NumericalError("graph disconnected: repeated zero eigenvalue")
     n = lam.size
-    ortho = float(np.abs(phi.T @ phi - np.eye(n)).max())
-    if ortho > ORTHO_TOL:
-        raise NumericalError(f"eigenbasis orthonormality residual {ortho:.3e}")
-    recon = float(np.abs((phi * lam[None, :]) @ phi.T - M).max())
-    if recon > RECONSTRUCTION_TOL:
-        raise NumericalError(f"eigenbasis reconstruction residual {recon:.3e}")
+    require("eigen_orthonormality", np.abs(phi.T @ phi - np.eye(n)).max(), ORTHO_TOL, NumericalError)
+    require("eigen_reconstruction", np.abs((phi * lam[None, :]) @ phi.T - M).max(), RECONSTRUCTION_TOL, NumericalError)
     d = np.asarray(degrees, dtype=float)
     root = np.sqrt(d)
     root /= np.linalg.norm(root)
     drift = min(float(np.abs(phi[:, 0] - root).max()), float(np.abs(phi[:, 0] + root).max()))
-    if drift > 1e-8:
-        raise NumericalError(f"zero mode is not proportional to sqrt(deg), drift {drift:.3e}")
+    require("zero_mode_drift", drift, ZERO_MODE_DRIFT_TOL, NumericalError)
     return SpectralDecomposition(lam, phi, d, float(volume))
 
 

@@ -8,10 +8,16 @@ import numpy as np
 import pytest
 
 import greenwalk.cli
+import greenwalk.duality
+import greenwalk.errors
+import greenwalk.families
+import greenwalk.graph
 import greenwalk.greens
 import greenwalk.hitting
 import greenwalk.pipeline
+import greenwalk.spectral
 from greenwalk.cli import main
+from greenwalk.graph import Distribution
 from greenwalk.hitting import HittingTimeMatrix
 from greenwalk.montecarlo import empirical_hitting
 
@@ -137,6 +143,20 @@ class TestExitCodes:
         assert code == 2
         assert "file_greens" in err
 
+    @pytest.mark.parametrize("field", ["rows", "target"])
+    def test_non_finite_green_matrix_is_one(self, capsys, k3_file, tmp_path, field):
+        _, out, _ = run(capsys, "green", "--input", k3_file)
+        green = json.loads(out)
+        if field == "rows":
+            green["rows"][1][2] = float("nan")
+        else:
+            green["target"][0] = float("nan")
+        green_path = tmp_path / "green.json"
+        green_path.write_text(json.dumps(green))  # json writes NaN, and json.loads reads it back
+        code, out, err = run(capsys, "verify", "--input", k3_file, "--green", str(green_path))
+        assert code == 1 and out == ""
+        assert err == "error: bad Green matrix file: entries must be finite\n"
+
     @pytest.mark.parametrize(
         "green",
         [
@@ -171,6 +191,10 @@ def _first_constraint_is_one(real):
     return lambda M, P: (1.0, real(M, P)[1])
 
 
+def _first_constraint_is_nan(real):
+    return lambda M, P: (float("nan"), real(M, P)[1])
+
+
 def _zero_spectral_hitting(dec):
     return HittingTimeMatrix(np.zeros((dec.n, dec.n)))
 
@@ -199,6 +223,10 @@ class TestCheckFailures:
                 "constraint", 1.0, "greens_constraint", id="green",
             ),
             pytest.param(
+                "green-directed", greenwalk.greens, "verify_green_constraints", _first_constraint_is_nan,
+                "constraint", float("nan"), "greens_constraint", id="green-nan",
+            ),
+            pytest.param(
                 "exitfreq-directed", greenwalk.pipeline, "verify_green_constraints", _first_constraint_is_one,
                 "conservation", 1.0, "exit_conservation", id="exitfreq",
             ),
@@ -221,6 +249,77 @@ class TestCheckFailures:
         assert code == 2
         assert count == 1 and out == expected
         assert re.fullmatch(re.escape(f"FAIL {check}: residual {residual:.6e} exceeds ") + r"[0-9.e+-]+\n", err)
+
+
+def _lower_limit(monkeypatch, target):
+    """Drop the limit of the check named ``target`` below zero wherever the library calls require."""
+    real = greenwalk.errors.require
+
+    def require(name, residual, limit, *error):
+        real(name, residual, -1.0 if name == target else limit, *error)
+
+    for module in (
+        greenwalk.graph, greenwalk.hitting, greenwalk.greens, greenwalk.duality, greenwalk.spectral, greenwalk.families
+    ):
+        monkeypatch.setattr(module, "require", require)
+
+
+class TestRaisedChecks:
+    """A check the library raises while computing exits 2 with no output, and
+    stderr names it as it names a returned check."""
+
+    @pytest.mark.parametrize(
+        "check, argv",
+        [
+            ("stationary", ["hitting", "--input", "DIRECTED"]),
+            ("fundamental", ["hitting", "--input", "DIRECTED"]),
+            ("first_step", ["hitting", "--input", "DIRECTED"]),
+            ("exit_negative", ["exitfreq", "--input", "DIRECTED"]),
+            ("exit_row_min", ["exitfreq", "--input", "DIRECTED"]),
+            ("exit_row_sums", ["exitfreq", "--input", "DIRECTED"]),
+            ("greens_row_sum", ["green", "--input", "DIRECTED"]),
+            ("trace_vs_hit", ["mixing", "--input", "DIRECTED"]),
+            ("pessimal_formulas_0", ["mixing", "--input", "UNDIRECTED"]),
+            ("reverse_row_sum", ["dual", "--input", "DIRECTED"]),
+            ("forget_negative_mass", ["dual", "--input", "DIRECTED"]),
+            ("core_negative_mass", ["dual", "--input", "DIRECTED"]),
+            ("core_routes", ["dual", "--input", "DIRECTED"]),
+            ("laplacian_symmetry", ["spectral", "--input", "UNDIRECTED"]),
+            ("eigen_orthonormality", ["spectral", "--input", "UNDIRECTED"]),
+            ("eigen_reconstruction", ["spectral", "--input", "UNDIRECTED"]),
+            ("zero_mode_drift", ["spectral", "--input", "UNDIRECTED"]),
+            ("oracle_hitting", ["family", "complete", "4"]),
+            ("cycle_poly_vs_trig", ["family", "cycle", "5"]),
+        ],
+    )
+    def test_guard_exits_two(self, capsys, monkeypatch, check, argv):
+        _lower_limit(monkeypatch, check)
+        graphs = {"DIRECTED": str(GOLDEN / "directed.edges"), "UNDIRECTED": str(GOLDEN / "undirected.edges")}
+        code, out, err = run(capsys, *[graphs.get(a, a) for a in argv])
+        assert code == 2 and out == ""
+        assert re.fullmatch(re.escape(f"FAIL {check}: residual ") + r"[0-9.e+-]+ exceeds -1\.000000e\+00\n", err)
+
+    def test_verify_reports_the_raised_mixing_residual(self, capsys, monkeypatch):
+        # verify turns a raised mixing check into its mixing_formulas check, at verify's own limit
+        _lower_limit(monkeypatch, "trace_vs_hit")
+        code, out, err = run(capsys, "verify", "--input", str(GOLDEN / "directed.edges"))
+        checks = json.loads(out)["checks"]
+        assert code == 0 and err == ""
+        assert checks["mixing_formulas"] == checks["trace_vs_hit"]
+
+    def test_pi_off_stationary_is_two(self, capsys, monkeypatch):
+        real = greenwalk.pipeline.stationary_distribution
+
+        def perturbed(P):
+            probs = real(P).probs.copy()
+            probs[0] += 1e-9
+            probs[1] -= 1e-9
+            return Distribution(probs)
+
+        monkeypatch.setattr(greenwalk.pipeline, "stationary_distribution", perturbed)
+        code, out, err = run(capsys, "dual", "--input", str(GOLDEN / "directed.edges"))
+        assert code == 2 and out == ""
+        assert re.fullmatch(r"FAIL reverse_row_sum: residual [0-9.e+-]+ exceeds 1\.000000e-12\n", err)
 
 
 def test_cli_binds_no_tolerance():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenwalk import families, pipeline
+from greenwalk import duality, families, pipeline
 from greenwalk.duality import (
     duality_checks,
     forget_distribution,
@@ -15,7 +15,8 @@ from greenwalk.duality import (
     reverse_chain,
 )
 from greenwalk.generators import random_connected_graph, random_strongly_connected_digraph
-from greenwalk.graph import WeightedDigraph, stationary_distribution, transition_matrix
+from greenwalk.errors import IntegrityError
+from greenwalk.graph import ROW_SUM_TOL, Distribution, WeightedDigraph, stationary_distribution, transition_matrix
 from greenwalk.greens import access_times, exit_frequency_matrix
 from greenwalk.hitting import hitting_times
 from greenwalk.pipeline import ChainAnalysis
@@ -53,6 +54,19 @@ class TestReverseChain:
         P, pi = digraph_chain(n, seed)
         rev = reverse_chain(P, pi)
         assert np.abs(pi.probs @ rev.probs - pi.probs).max() <= 1e-10
+
+
+    def test_pi_off_stationary_fails_row_sum_check(self):
+        # rounding-sized drift in pi is a failed check (exit 2), not bad input (exit 1)
+        P, pi = digraph_chain(6, seed=3)
+        probs = pi.probs.copy()
+        probs[0] += 1e-9
+        probs[1] -= 1e-9
+        with pytest.raises(IntegrityError) as info:
+            reverse_chain(P, Distribution(probs))
+        name, residual, limit = info.value.check
+        assert name == "reverse_row_sum" and limit == ROW_SUM_TOL
+        assert 1e-10 < residual < 1e-6
 
 
 class TestChainReverse:
@@ -108,6 +122,13 @@ class TestForgetTime:
         reset_rev = float(pi.probs @ mix_rev)
         scale = max(1.0, reset_rev)
         assert abs(forget_time(ChainAnalysis(P, pi)) - reset_rev) <= 1e-8 * scale
+
+    def test_disagreement_is_the_dual_check(self, monkeypatch):
+        monkeypatch.setattr(duality, "TIME_TOL", -1.0)
+        with pytest.raises(IntegrityError) as info:
+            forget_time(ChainAnalysis(*digraph_chain(5, seed=2)))
+        name, residual, limit = info.value.check
+        assert name == "dual_forget_equals_reverse_reset" and 0.0 <= residual < 1e-9 and limit < 0.0
 
 
 class TestPiCore:

@@ -162,6 +162,13 @@ class TestTransitionMatrix:
         with pytest.raises(ValidationError, match="sum to 1"):
             TransitionMatrix(np.array([[0.5, 0.4], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValidationError, match="must be finite"):
+            TransitionMatrix(np.full((2, 2), bad))
+        with pytest.raises(ValidationError, match="must be finite"):
+            TransitionMatrix(np.array([[0.5, 0.5], [bad, 0.5]]))
+
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(2, 20), seed=st.integers(0, 10**6), beta=st.floats(0.0, 0.9))
     def test_rows_stochastic(self, n, seed, beta):
@@ -239,6 +246,11 @@ class TestDistribution:
     def test_bad_sum_rejected(self):
         with pytest.raises(ValidationError):
             Distribution(np.array([0.5, 0.4]))
+
+    @pytest.mark.parametrize("probs", [[np.nan, 0.5], [np.nan, np.nan], [np.inf, 0.0]])
+    def test_non_finite_rejected(self, probs):
+        with pytest.raises(ValidationError, match="must be finite"):
+            Distribution(np.array(probs))
 
     def test_graph_rejects_bad_index(self):
         with pytest.raises(ValidationError, match="out of range"):
