@@ -282,7 +282,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="greenwalk", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, help, chain=True, tol=False, matrix=False):
+    def command(name, run, help, chain=True, matrix=False):
         # each command takes only the options it reads; a chain command reads a graph and its laziness
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
@@ -290,8 +290,6 @@ def _build_parser() -> _Parser:
             p.add_argument("--input", required=True, help="graph file, or '-' for stdin")
             p.add_argument("--input-format", choices=["edgelist", "json"], default=None)
             p.add_argument("--lazy", type=float, default=0.0, metavar="BETA", help="laziness in [0, 1)")
-        if tol:
-            p.add_argument("--tol", type=float, default=1e-8, help="tolerance for time-valued checks")
         if matrix:
             p.add_argument("--format", choices=["json", "csv"], default="json")
         return p
@@ -305,8 +303,8 @@ def _build_parser() -> _Parser:
             help="target distribution: 'pi', 'uniform', or a vertex index",
         )
     command("mixing", _cmd_mixing, "mixing times, pessimal vertices, halting states")
-    command("spectral", _cmd_spectral, "spectral route for undirected graphs", tol=True)
-    command("dual", _cmd_dual, "reverse-chain duality report", tol=True)
+    command("spectral", _cmd_spectral, "spectral route for undirected graphs")
+    command("dual", _cmd_dual, "reverse-chain duality report")
 
     fam = command("family", _cmd_family, "closed-form family oracle", chain=False)
     fam.add_argument("name", choices=[*_FAMILIES, "toric", "tree"])
@@ -321,7 +319,7 @@ def _build_parser() -> _Parser:
     sim.add_argument("--trials", type=int, default=10000)
     sim.add_argument("--seed", type=int, default=0)
 
-    ver = command("verify", _cmd_verify, "run every invariant suite on a graph", tol=True)
+    ver = command("verify", _cmd_verify, "run every invariant suite on a graph")
     ver.add_argument("--green", default=None, metavar="FILE", help="also check a serialized Green matrix")
     return parser
 
@@ -355,7 +353,7 @@ def _cmd_hitting(args, chain):
 def _cmd_green(args, chain):
     tau = _target_distribution(args.target, chain.stationary)
     G = greens_general(chain.hitting, chain.stationary, tau)
-    checks = green_checks(G, chain.transition)
+    checks = green_checks(G, chain.transition, chain.entry_scale)
     return _matrix(args, tau.probs, G.values, _residuals(("constraint", "row_sum"), checks)), checks
 
 
@@ -384,7 +382,7 @@ def _cmd_mixing(args, chain):
 
 def _cmd_spectral(args, chain):
     dec = decompose(chain.graph)
-    (t_mix, t_reset, t_hit), checks = spectral_routes(chain, dec, args.tol)
+    (t_mix, t_reset, t_hit), checks = spectral_routes(chain, dec, chain.mixing)
     payload = {
         "n": chain.graph.n,
         "eigenvalues": dec.eigenvalues,
@@ -397,7 +395,7 @@ def _cmd_spectral(args, chain):
 
 
 def _cmd_dual(args, chain):
-    rep, checks = dual_checks(chain, args.tol)
+    rep, checks = dual_checks(chain)
     payload = {
         "n": chain.graph.n,
         "t_forget": rep.t_forget,
@@ -506,9 +504,10 @@ def _read_green_file(path: str, n: int) -> GreensMatrix:
 
 
 def _cmd_verify(args, chain):
-    checks = verify_checks(chain, args.tol)
+    checks = verify_checks(chain)
     if args.green is not None:
-        checks += green_checks(_read_green_file(args.green, chain.graph.n), chain.transition, "file_greens")
+        M = _read_green_file(args.green, chain.graph.n)
+        checks += green_checks(M, chain.transition, chain.entry_scale, "file_greens")
     payload = {
         "n": chain.graph.n,
         "checks": {

@@ -7,17 +7,16 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import tolerance
 from .errors import require
-from .graph import ROW_SUM_TOL, Distribution, TransitionMatrix
+from .graph import Distribution, TransitionMatrix
 from .greens import (
-    NEGATIVE_TOL,
     access_time,
     access_times,
     exit_frequency_matrix,
     greens_general,
     ExitFrequencyMatrix,
 )
-from .hitting import TIME_TOL
 
 if TYPE_CHECKING:
     from .pipeline import ChainAnalysis
@@ -40,11 +39,16 @@ def reverse_chain(P: TransitionMatrix, pi: Distribution) -> TransitionMatrix:
     """The dual chain with entries pi_j p_ji / pi_i; pi stays stationary.
 
     Reversible chains come back unchanged, and reversing twice is the
-    identity. Rows that drift from summing to 1, which a pi off stationary
-    causes, fail the check ``reverse_row_sum``.
+    identity. Row i sums to (pi P)_i / pi_i, so a pi off stationary fails
+    the check ``reverse_row_sum`` on pi_i times the drift, which is
+    |(pi P)_i - pi_i| up to rounding and shares the scale of pi. Drift
+    within the limit is divided out.
     """
-    probs = P.probs.T * pi.probs[None, :] / pi.probs[:, None]
-    require("reverse_row_sum", np.abs(probs.sum(axis=1) - 1.0).max(), ROW_SUM_TOL)
+    p = pi.probs
+    probs = P.probs.T * p[None, :] / p[:, None]
+    sums = probs.sum(axis=1)
+    require("reverse_row_sum", np.abs(p * (sums - 1.0)).max(), tolerance.bound(P.n, 1.0, tolerance.RESIDUAL))
+    probs /= sums[:, None]
     graph = P.graph if (P.graph is not None and P.graph.undirected) else None
     return TransitionMatrix(probs, beta=P.beta, graph=graph)
 
@@ -53,8 +57,8 @@ def _forget_weights(pi: Distribution, probs: np.ndarray, mix: np.ndarray) -> np.
     return pi.probs * (1.0 + probs @ mix - mix)
 
 
-def _as_distribution(weights: np.ndarray, name: str) -> Distribution:
-    require(name, -weights.min(), NEGATIVE_TOL)
+def _as_distribution(weights: np.ndarray, name: str, scale: float) -> Distribution:
+    require(name, -weights.min(), tolerance.bound(weights.size, scale, tolerance.RESIDUAL))
     w = np.maximum(weights, 0.0)
     return Distribution(w / w.sum())
 
@@ -68,15 +72,15 @@ def forget_distribution(chain: ChainAnalysis) -> Distribution:
     """
     pi, rev = chain.stationary, chain.reverse
     mix_rev = access_times(rev.hitting, pi)
-    return _as_distribution(_forget_weights(pi, rev.transition.probs, mix_rev), "forget_negative_mass")
+    return _as_distribution(_forget_weights(pi, rev.transition.probs, mix_rev), "forget_negative_mass", rev.entry_scale)
 
 
 def forget_time(chain: ChainAnalysis) -> float:
     """min over targets tau of max_i H(i, tau), cross-checked against the dual reset time."""
     H, pi = chain.hitting, chain.stationary
     value = float(access_times(H, forget_distribution(chain)).max())
-    reset_rev = float(pi.probs @ access_times(chain.reverse.hitting, pi))
-    require("dual_forget_equals_reverse_reset", abs(value - reset_rev), TIME_TOL * chain.time_scale)
+    gap = abs(value - float(pi.probs @ access_times(chain.reverse.hitting, pi)))  # the reverse reset time
+    require("dual_forget_equals_reverse_reset", gap, tolerance.bound(H.n, H.time_scale, tolerance.ROUTE))
     return value
 
 
@@ -92,14 +96,15 @@ def pi_core(chain: ChainAnalysis) -> tuple[Distribution, ExitFrequencyMatrix]:
     P, pi, X = chain.transition, chain.stationary, chain.exit_pi
     b = X.values.min(axis=0)
     core_weights = pi.probs + (np.eye(P.n) - P.probs).T @ b
-    core = _as_distribution(core_weights, "core_negative_mass")
+    core = _as_distribution(core_weights, "core_negative_mass", chain.entry_scale)
     shifted = X.values - b[None, :]
     core_exit = ExitFrequencyMatrix(shifted, target=core, access=shifted.sum(axis=1))
 
     rev = chain.reverse
     acc_rev = access_times(rev.hitting, forget_distribution(rev))
     formula = _forget_weights(pi, rev.transition.probs, acc_rev)
-    require("core_routes", np.abs(formula - core_weights).max(), TIME_TOL * chain.time_scale)
+    limit = tolerance.bound(P.n, chain.entry_scale, tolerance.ROUTE)
+    require("core_routes", np.abs(formula - core_weights).max(), limit)
     return core, core_exit
 
 

@@ -15,12 +15,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import pipeline
+from . import pipeline, tolerance
 from .errors import IntegrityError, ValidationError, require
 from .graph import WeightedDigraph, strongly_connected
-from .hitting import time_scale
-
-ORACLE_TOL = 1e-8
+from .hitting import access_to_vertex
 
 
 # ---------------------------------------------------------------------------
@@ -108,40 +106,36 @@ class OracleReport:
     solver_residuals: dict[str, float] = field(default_factory=dict)
 
 
+# measure key -> the solver's value, a function of (chain, report)
+_SOLVED = {
+    "t_hit": lambda chain, report: chain.mixing.t_hit,
+    "t_mix": lambda chain, report: chain.mixing.t_mix,
+    "t_reset": lambda chain, report: chain.mixing.t_reset,
+    "h_one_zero": lambda chain, report: float(chain.hitting.values[report.graph.n - 1, 0]),
+    "access_left": lambda chain, report: access_to_vertex(chain.hitting, chain.stationary, 0),
+    "access_right": lambda chain, report: access_to_vertex(chain.hitting, chain.stationary, report.params[0]),
+    "access_zero": lambda chain, report: access_to_vertex(chain.hitting, chain.stationary, 0),
+}
+
+
 def compare_with_pipeline(report: OracleReport) -> dict[str, float]:
     """Residuals of every closed form against the generic solver."""
-    sol = pipeline.analyze(report.graph)
+    chain = pipeline.analyze(report.graph)
     residuals: dict[str, float] = {}
     if report.hitting is not None:
-        residuals["hitting"] = float(np.abs(report.hitting - sol.hitting.values).max())
+        residuals["hitting"] = float(np.abs(report.hitting - chain.hitting.values).max())
     if report.greens is not None:
-        residuals["greens"] = float(np.abs(report.greens - sol.greens.values).max())
-    rep = sol.mixing
-    hpi = sol.stationary.probs @ sol.hitting.values
-    solved = {
-        "t_hit": rep.t_hit,
-        "t_mix": rep.t_mix,
-        "t_reset": rep.t_reset,
-        "h_one_zero": float(sol.hitting.values[report.graph.n - 1, 0]),
-        "access_left": float(hpi[0]),
-        "access_right": float(hpi[report.params[0]]) if report.family == "bipartite" else None,
-        "access_zero": float(hpi[0]),
-    }
+        residuals["greens"] = float(np.abs(report.greens - chain.greens.values).max())
     for key, value in report.measures.items():
-        other = solved.get(key)
-        if other is not None:
-            residuals[key] = abs(value - other)
+        residuals[key] = abs(value - _SOLVED[key](chain, report))
     return residuals
 
 
 def _verify(report: OracleReport) -> OracleReport:
     residuals = compare_with_pipeline(report)
-    scale = time_scale(
-        report.hitting if report.hitting is not None else 0.0,
-        list(report.measures.values()),
-    )
+    T = tolerance.time_scale(report.hitting if report.hitting is not None else 0.0, list(report.measures.values()))
     for key, value in residuals.items():
-        require(f"oracle_{key}", value, ORACLE_TOL * scale)
+        require(f"oracle_{key}", value, tolerance.bound(report.graph.n, T, tolerance.ROUTE))
     return replace(report, solver_residuals=residuals)
 
 
@@ -228,7 +222,7 @@ def cycle_oracle(n: int) -> OracleReport:
     k = np.arange(1, n, dtype=float)
     trig = np.cos(2.0 * np.pi * np.outer(j, k) / n) @ (1.0 / (1.0 - np.cos(2.0 * np.pi * k / n))) / n
     gap = float(np.abs(poly - trig).max())
-    require("cycle_poly_vs_trig", gap, ORACLE_TOL * time_scale(row_H))
+    require("cycle_poly_vs_trig", gap, tolerance.bound(n, tolerance.time_scale(row_H), tolerance.ROUTE))
     shift = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
     H = row_H[shift]
     G = poly[shift]
@@ -475,8 +469,8 @@ def toric_oracle(dims: tuple[int, ...]) -> OracleReport:
     pess = int(row_H.argmax())
     halfway = tuple((m + 1) // 2 for m in dims)
     halfway_flat = int(np.ravel_multi_index(halfway, dims))
-    scale = time_scale(row_H)
-    halfway_matches = bool(row_H[halfway_flat] >= row_H[pess] - ORACLE_TOL * scale)
+    tie = tolerance.bound(n, tolerance.time_scale(row_H), tolerance.ROUTE)
+    halfway_matches = bool(row_H[halfway_flat] >= row_H[pess] - tie)
     t_mix = float(row_H[pess] - t_hit)
     hitting = greens = None
     if n <= 1024:

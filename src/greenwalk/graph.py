@@ -15,11 +15,8 @@ import scipy.linalg
 import scipy.sparse as sparse
 from scipy.sparse.csgraph import connected_components
 
+from . import tolerance
 from .errors import NumericalError, ParseError, ValidationError, require
-
-ROW_SUM_TOL = 1e-12
-DISTRIBUTION_TOL = 1e-12
-STATIONARY_TOL = 1e-10
 
 
 def _index_column(values) -> np.ndarray:
@@ -156,7 +153,7 @@ class TransitionMatrix:
         if probs.size and probs.min() < 0:
             raise ValidationError("transition probabilities must be nonnegative")
         residual = float(np.abs(probs.sum(axis=1) - 1.0).max())
-        if residual > ROW_SUM_TOL:
+        if residual > tolerance.bound(len(probs), 1.0, tolerance.RESIDUAL):
             raise ValidationError(f"rows must sum to 1, worst residual {residual:.3e}")
         if not 0.0 <= self.beta < 1.0:
             raise ValidationError("laziness beta must lie in [0, 1)")
@@ -185,11 +182,12 @@ class Distribution:
             raise ValidationError("distribution must be a nonempty vector")
         if not np.isfinite(p).all():
             raise ValidationError("probabilities must be finite")
-        if p.min() < -DISTRIBUTION_TOL:
+        limit = tolerance.bound(p.size, 1.0, tolerance.RESIDUAL)
+        if p.min() < -limit:
             raise ValidationError(f"negative probability {p.min():.3e}")
         p = np.maximum(p, 0.0)
         total = float(p.sum())
-        if abs(total - 1.0) > DISTRIBUTION_TOL:
+        if abs(total - 1.0) > limit:
             raise ValidationError(f"probabilities sum to {total!r}, not 1")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
@@ -478,5 +476,5 @@ def stationary_distribution(P: TransitionMatrix) -> Distribution:
     if x.min() <= 0:
         raise NumericalError("solved stationary vector is not strictly positive")
     x = x / x.sum()
-    require("stationary", np.abs(x @ P.probs - x).max(), STATIONARY_TOL, NumericalError)
+    require("stationary", np.abs(x @ P.probs - x).max(), tolerance.bound(n, 1.0, tolerance.RESIDUAL), NumericalError)
     return Distribution(x)

@@ -6,14 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tolerance
 from .errors import Check, require
 from .graph import Distribution, TransitionMatrix
-from .hitting import TIME_TOL, HittingTimeMatrix, hit_time, time_scale
-
-ROW_SUM_TOL = 1e-10
-CONSTRAINT_TOL = 1e-9  # scaled by n
-HALTING_TOL = 1e-10
-NEGATIVE_TOL = 1e-10
+from .hitting import HittingTimeMatrix, hit_time
 
 
 @dataclass(frozen=True)
@@ -51,15 +47,10 @@ class ExitFrequencyMatrix:
     access: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        require("exit_negative", -values.min() if values.size else 0.0, NEGATIVE_TOL)
-        values = np.maximum(values, 0.0)
-        require("exit_row_min", values.min(axis=1).max() if values.size else 0.0, HALTING_TOL)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        access = np.array(self.access, dtype=float)
-        access.setflags(write=False)
-        object.__setattr__(self, "access", access)
+        for name in ("values", "access"):
+            array = np.array(getattr(self, name), dtype=float)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def n(self) -> int:
@@ -67,6 +58,11 @@ class ExitFrequencyMatrix:
 
     def __getitem__(self, idx) -> float:
         return float(self.values[idx])
+
+
+def entry_scale(H: HittingTimeMatrix, pi: Distribution) -> float:
+    """pi_max · T, the magnitude of the entries of G, X and Z."""
+    return float(pi.probs.max()) * H.time_scale
 
 
 def access_times(H: HittingTimeMatrix, tau: Distribution) -> np.ndarray:
@@ -94,7 +90,8 @@ def greens_general(H: HittingTimeMatrix, pi: Distribution, tau: Distribution) ->
     """
     from_tau = tau.probs @ H.values
     values = pi.probs[None, :] * (from_tau[None, :] - H.values)
-    require("greens_row_sum", np.abs(values.sum(axis=1)).max(), ROW_SUM_TOL)
+    limit = tolerance.bound(H.n, entry_scale(H, pi), tolerance.RESIDUAL)
+    require("greens_row_sum", np.abs(values.sum(axis=1)).max(), limit)
     return GreensMatrix(values, target=tau)
 
 
@@ -110,14 +107,19 @@ def exit_frequency_matrix(
 
     Entry (i, j) is pi_j (H(i, tau) + H(tau, j) - H(i, j)). Entries are
     nonnegative with at least one zero per row; row i sums to H(i, tau).
-    A violation signals a wrong access time and raises IntegrityError.
+    A violation signals a wrong access time and raises IntegrityError;
+    entries below zero by no more than the limit are rounding, set to zero.
     """
     from_tau = tau.probs @ H.values
     h = (H.values - from_tau[None, :]).max(axis=1)
     values = pi.probs[None, :] * (h[:, None] + from_tau[None, :] - H.values)
-    X = ExitFrequencyMatrix(values, target=tau, access=h)
-    require("exit_row_sums", np.abs(X.values.sum(axis=1) - h).max(), TIME_TOL * time_scale(h))
-    return X
+    limit = tolerance.bound(H.n, entry_scale(H, pi), tolerance.RESIDUAL)
+    require("exit_negative", -values.min(), limit)
+    values = np.maximum(values, 0.0)
+    require("exit_row_min", values.min(axis=1).max(), limit)
+    row_sums = np.abs(values.sum(axis=1) - h).max()
+    require("exit_row_sums", row_sums, tolerance.bound(H.n, H.time_scale, tolerance.RESIDUAL))
+    return ExitFrequencyMatrix(values, target=tau, access=h)
 
 
 def verify_green_constraints(M: GreensMatrix | ExitFrequencyMatrix, P: TransitionMatrix) -> tuple[float, float]:
@@ -133,10 +135,11 @@ def verify_green_constraints(M: GreensMatrix | ExitFrequencyMatrix, P: Transitio
     return float(np.abs(lhs).max()), float(np.abs(M.values.sum(axis=1)).max())
 
 
-def green_checks(M: GreensMatrix, P: TransitionMatrix, name: str = "greens") -> list[Check]:
-    """The two defining constraints of a Green matrix for P, as ``name``_constraint and ``name``_row_sum."""
+def green_checks(M: GreensMatrix, P: TransitionMatrix, scale: float, name: str = "greens") -> list[Check]:
+    """The checks ``name``_constraint and ``name``_row_sum of a Green matrix for P with entries of size ``scale``."""
     constraint, row_sum = verify_green_constraints(M, P)
-    return [(f"{name}_constraint", constraint, CONSTRAINT_TOL * P.n), (f"{name}_row_sum", row_sum, ROW_SUM_TOL)]
+    limit = tolerance.bound(P.n, scale, tolerance.RESIDUAL)
+    return [(f"{name}_constraint", constraint, limit), (f"{name}_row_sum", row_sum, limit)]
 
 
 def hitting_from_greens(M: GreensMatrix, pi: Distribution) -> HittingTimeMatrix:
@@ -179,7 +182,7 @@ def mixing_report(
     t_mix = float(mix.max())
     t_reset = float(pi.probs @ mix)
     t_hit, _ = hit_time(H, pi)
-    limit = TIME_TOL * time_scale(Hv)
+    limit = tolerance.bound(H.n, H.time_scale, tolerance.RESIDUAL)
     require("trace_vs_hit", abs(float(np.trace(M.values)) - t_hit), limit)
     pess = Hv.argmax(axis=0)
     if undirected:
@@ -188,10 +191,13 @@ def mixing_report(
         first = Hv[pess, vertices] - hpi
         second = Hv[vertices, pess] - hpi[pess]
         gaps = np.maximum(np.abs(mix - first), np.abs(mix - second))
-        i = int(np.argmin(gaps <= limit))  # the first vertex that fails (NaN fails), or 0 when none does
-        require(f"pessimal_formulas_{i}", gaps[i], limit)
+        # both formulas hold only for the exact H of a reversible chain: they carry the solve's conditioning
+        route = tolerance.bound(H.n, H.time_scale, tolerance.ROUTE)
+        i = int(np.argmin(gaps <= route))  # the first vertex that fails (NaN fails), or 0 when none does
+        require(f"pessimal_formulas_{i}", gaps[i], route)
     if exit_pi is None:
         exit_pi = exit_frequency_matrix(H, pi, pi)
-    halting = tuple(tuple(np.flatnonzero(row <= HALTING_TOL).tolist()) for row in exit_pi.values)
+    zero = tolerance.bound(H.n, entry_scale(H, pi), tolerance.RESIDUAL)  # exit_row_min's limit
+    halting = tuple(tuple(np.flatnonzero(row <= zero).tolist()) for row in exit_pi.values)
     mixing_pess = tuple(np.flatnonzero(mix >= t_mix - limit).tolist())
     return MixingReport(mix, t_mix, t_reset, t_hit, pess, halting, mixing_pess)

@@ -3,25 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
+from . import tolerance
 from .errors import NumericalError, ValidationError, require
 from .graph import Distribution, TransitionMatrix
-
-FUNDAMENTAL_TOL = 1e-9  # scaled by n
-TIME_TOL = 1e-8         # scaled by max(1, largest expected-step value in play)
-
-
-def time_scale(*values) -> float:
-    """Scale factor for comparing expected-step quantities."""
-    top = 1.0
-    for v in values:
-        arr = np.asarray(v, dtype=float)
-        if arr.size:
-            top = max(top, float(np.abs(arr).max()))
-    return top
 
 
 @dataclass(frozen=True)
@@ -53,15 +42,20 @@ class HittingTimeMatrix:
         if not np.all(np.isfinite(values)):
             raise ValidationError("hitting times must be finite")
         diag = float(np.abs(np.diag(values)).max()) if values.size else 0.0
-        if diag > TIME_TOL * time_scale(values):
-            raise ValidationError(f"diagonal must be zero, found {diag:.3e}")
         np.fill_diagonal(values, 0.0)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+        if diag > tolerance.bound(self.n, self.time_scale, tolerance.RESIDUAL):
+            raise ValidationError(f"diagonal must be zero, found {diag:.3e}")
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
+
+    @cached_property
+    def time_scale(self) -> float:
+        """T, the largest hitting time (at least 1): the scale of every expected-step limit."""
+        return tolerance.time_scale(self.values)
 
     def __getitem__(self, idx) -> float:
         return float(self.values[idx])
@@ -75,7 +69,8 @@ def fundamental_matrix(P: TransitionMatrix, pi: Distribution) -> FundamentalMatr
         Z = scipy.linalg.solve(A, np.eye(n))
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(f"fundamental matrix solve failed: {exc}") from None
-    require("fundamental", np.abs(Z @ A - np.eye(n)).max(), FUNDAMENTAL_TOL * n, NumericalError)
+    limit = tolerance.bound(n, np.abs(Z).max(), tolerance.RESIDUAL)
+    require("fundamental", np.abs(Z @ A - np.eye(n)).max(), limit, NumericalError)
     return FundamentalMatrix(Z)
 
 
@@ -101,8 +96,9 @@ def hitting_times(P: TransitionMatrix, pi: Distribution) -> HittingTimeMatrix:
     R = H - 1.0 - P.probs @ H
     np.fill_diagonal(R, 0.0)
     residual = float(np.abs(R).max())
-    require("first_step", residual, TIME_TOL * time_scale(H), NumericalError)
-    return HittingTimeMatrix(H, residual)
+    hits = HittingTimeMatrix(H, residual)
+    require("first_step", residual, tolerance.bound(P.n, hits.time_scale, tolerance.ROUTE), NumericalError)
+    return hits
 
 
 def access_to_vertex(H: HittingTimeMatrix, sigma: Distribution, j: int) -> float:

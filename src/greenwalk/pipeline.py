@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import graph
+from . import tolerance
 from .duality import DualityReport, duality_checks, reverse_chain
 from .errors import Check, IntegrityError
 from .graph import (
@@ -23,12 +23,10 @@ from .graph import (
     transition_matrix,
 )
 from .greens import (
-    CONSTRAINT_TOL,
-    HALTING_TOL,
-    ROW_SUM_TOL,
     ExitFrequencyMatrix,
     GreensMatrix,
     MixingReport,
+    entry_scale,
     exit_frequency_matrix,
     green_checks,
     greens_function,
@@ -37,10 +35,8 @@ from .greens import (
     mixing_report,
     verify_green_constraints,
 )
-from .hitting import TIME_TOL, HittingTimeMatrix, check_cycle_identities, hit_time, hitting_times, time_scale
+from .hitting import HittingTimeMatrix, check_cycle_identities, hit_time, hitting_times
 from .spectral import SpectralDecomposition, decompose, spectral_greens, spectral_hitting, spectral_mixing
-
-EXIT_ROUTE_TOL = 1e-9  # scaled by time_scale: G read off X_pi against G from H
 
 
 @dataclass(frozen=True)
@@ -66,9 +62,9 @@ class ChainAnalysis:
         return hitting_times(self.transition, self.stationary)
 
     @cached_property
-    def time_scale(self) -> float:
-        """max(1, largest hitting time): limits on expected-step residuals are multiples of it."""
-        return time_scale(self.hitting.values)
+    def entry_scale(self) -> float:
+        """pi_max · T, the magnitude of the entries of G, X and Z."""
+        return entry_scale(self.hitting, self.stationary)
 
     @cached_property
     def greens(self) -> GreensMatrix:
@@ -104,80 +100,103 @@ def analyze(g: WeightedDigraph, beta: float = 0.0) -> ChainAnalysis:
     return ChainAnalysis(P, stationary_distribution(P))
 
 
-def exit_checks(chain: ChainAnalysis, X: ExitFrequencyMatrix, tol: float = TIME_TOL) -> list[Check]:
+def exit_checks(chain: ChainAnalysis, X: ExitFrequencyMatrix) -> list[Check]:
     """An exit-frequency matrix of the chain: its conservation law, a zero in every row, and row sums H(i, tau)."""
     conservation, _ = verify_green_constraints(X, chain.transition)
+    entries = tolerance.bound(X.n, chain.entry_scale, tolerance.RESIDUAL)
+    row_sums = float(np.abs(X.values.sum(axis=1) - X.access).max())
     return [
-        ("exit_conservation", conservation, CONSTRAINT_TOL * X.n),
-        ("exit_row_min", float(X.values.min(axis=1).max()), HALTING_TOL),
-        ("exit_row_sums", float(np.abs(X.values.sum(axis=1) - X.access).max()), tol * chain.time_scale),
+        ("exit_conservation", conservation, entries),
+        ("exit_row_min", float(X.values.min(axis=1).max()), entries),
+        ("exit_row_sums", row_sums, tolerance.bound(X.n, chain.hitting.time_scale, tolerance.RESIDUAL)),
     ]
 
 
 def spectral_routes(
-    chain: ChainAnalysis, dec: SpectralDecomposition, tol: float = TIME_TOL
-) -> tuple[tuple[float, float, float], list[Check]]:
-    """The spectral (T_mix, T_reset, T_hit) of a chain, and the gap of each spectral route to the solved one."""
-    rep = chain.mixing
+    chain: ChainAnalysis, dec: SpectralDecomposition, rep: MixingReport | None
+) -> tuple[tuple[float, float, float] | None, list[Check]]:
+    """The spectral (T_mix, T_reset, T_hit) of a chain, and the gap of each spectral route to the solved one.
+
+    The mixing measures need the chain's mixing report ``rep``; without it they are None and go unchecked.
+    """
+    n, H, G = chain.transition.n, chain.hitting, chain.greens
     factor = 1.0 / (1.0 - chain.transition.beta)  # laziness rescales every expected time
-    times = tuple(v * factor for v in spectral_mixing(dec, rep.pessimal))
-    gaps = {
-        "hitting": float(np.abs(spectral_hitting(dec).values * factor - chain.hitting.values).max()),
-        "greens": float(np.abs(spectral_greens(dec).values * factor - chain.greens.values).max()),
-    }
-    for key, value, solved in zip(("t_mix", "t_reset", "t_hit"), times, (rep.t_mix, rep.t_reset, rep.t_hit)):
-        gaps[key] = abs(value - solved)
-    limit = tol * chain.time_scale
-    return times, [(f"spectral_{key}", gap, limit) for key, gap in gaps.items()]
+    times = tolerance.bound(n, H.time_scale, tolerance.ROUTE)
+    gap_h = float(np.abs(spectral_hitting(dec).values * factor - H.values).max())
+    gap_g = float(np.abs(spectral_greens(dec).values * factor - G.values).max())
+    entries = tolerance.bound(n, chain.entry_scale, tolerance.ROUTE)
+    checks = [("spectral_hitting", gap_h, times), ("spectral_greens", gap_g, entries)]
+    if rep is None:
+        return None, checks
+    spectral = tuple(v * factor for v in spectral_mixing(dec, rep.pessimal))
+    for key, value, solved in zip(("t_mix", "t_reset", "t_hit"), spectral, (rep.t_mix, rep.t_reset, rep.t_hit)):
+        checks.append((f"spectral_{key}", abs(value - solved), times))
+    return spectral, checks
 
 
-def dual_checks(chain: ChainAnalysis, tol: float = TIME_TOL) -> tuple[DualityReport, list[Check]]:
-    """The chain's duality report, and each forward/reverse identity's residual as a check."""
+_DUAL_TIMES = ("reset_equals_reverse_forget", "forget_equals_reverse_reset", "core_decomposition")
+
+
+def dual_checks(chain: ChainAnalysis) -> tuple[DualityReport, list[Check]]:
+    """The chain's duality report, and each forward/reverse identity's residual as a check.
+
+    The reverse chain's rows and stationarity are residuals on probabilities; the rest
+    compare forward and reverse solves, of expected times or of entries of G and X.
+    """
     rep = duality_checks(chain)
-    limit = tol * chain.time_scale
-    return rep, [(f"dual_{key}", value, limit) for key, value in rep.residuals.items()]
+    n = chain.transition.n
+    probs = tolerance.bound(n, 1.0, tolerance.RESIDUAL)
+    times = tolerance.bound(n, chain.hitting.time_scale, tolerance.ROUTE)
+    entries = tolerance.bound(n, chain.entry_scale, tolerance.ROUTE)
+    checks = []
+    for key, value in rep.residuals.items():
+        limit = probs if key.startswith("reverse_") else times if key in _DUAL_TIMES else entries
+        checks.append((f"dual_{key}", value, limit))
+    return rep, checks
 
 
-def verify_checks(chain: ChainAnalysis, tol: float = TIME_TOL) -> list[Check]:
-    """Every invariant suite on the chain of a graph; ``tol`` scales the limits on expected times."""
+def verify_checks(chain: ChainAnalysis) -> list[Check]:
+    """Every invariant suite on the chain of a graph."""
     g, P, pi, H, G, X = chain.graph, chain.transition, chain.stationary, chain.hitting, chain.greens, chain.exit_pi
-    limit = tol * chain.time_scale
+    n, T, E = P.n, H.time_scale, chain.entry_scale
+    probs = tolerance.bound(n, 1.0, tolerance.RESIDUAL)
+    times = tolerance.bound(n, T, tolerance.RESIDUAL)
+    entries = tolerance.bound(n, E, tolerance.RESIDUAL)
+    routes = tolerance.bound(n, T, tolerance.ROUTE)
     t_hit, random_target = hit_time(H, pi)
     checks = [
-        ("row_stochastic", float(np.abs(P.probs.sum(axis=1) - 1.0).max()), graph.ROW_SUM_TOL),
-        ("stationary", float(np.abs(pi.probs @ P.probs - pi.probs).max()), graph.STATIONARY_TOL),
-        ("first_step", H.first_step, limit),
-        ("random_target", random_target, limit),
-        *green_checks(G, P),
-        ("trace_vs_hit", abs(float(np.trace(G.values)) - t_hit), limit),
-        ("hitting_roundtrip", float(np.abs(hitting_from_greens(G, pi).values - H.values).max()), limit),
-        *exit_checks(chain, X, tol),
-        (
-            "greens_from_exit",
-            float(np.abs(X.values - np.outer(X.access, pi.probs) - G.values).max()),
-            EXIT_ROUTE_TOL * chain.time_scale,
-        ),
+        ("row_stochastic", float(np.abs(P.probs.sum(axis=1) - 1.0).max()), probs),
+        ("stationary", float(np.abs(pi.probs @ P.probs - pi.probs).max()), probs),
+        ("first_step", H.first_step, routes),
+        ("random_target", random_target, times),
+        *green_checks(G, P, E),
+        ("trace_vs_hit", abs(float(np.trace(G.values)) - t_hit), times),
+        ("hitting_roundtrip", float(np.abs(hitting_from_greens(G, pi).values - H.values).max()), times),
+        *exit_checks(chain, X),
+        ("greens_from_exit", float(np.abs(X.values - np.outer(X.access, pi.probs) - G.values).max()), entries),
     ]
     for tag, tau in (("uniform", Distribution.uniform(g.n)), ("vertex", Distribution.point_mass(g.n, 0))):
-        checks += green_checks(greens_general(H, pi, tau), P, f"greens_{tag}")
+        checks += green_checks(greens_general(H, pi, tau), P, E, f"greens_{tag}")
 
     try:
-        chain.mixing
+        mixing = chain.mixing
         checks.append(("mixing_formulas", 0.0, 1.0))
     except IntegrityError as exc:
-        checks.append(("mixing_formulas", exc.check[1], limit))
+        mixing = None
+        checks.append(("mixing_formulas", exc.check[1], times))
 
     if P.beta == 0.0:
-        lazy = analyze(g, 0.5)
-        checks.append(("laziness_scaling", float(np.abs(lazy.hitting.values * 0.5 - H.values).max()), limit))
+        # laziness never moves pi, so the lazy chain reuses it; its hitting times are solved anew
+        lazy = ChainAnalysis(transition_matrix(g, 0.5), pi)
+        checks.append(("laziness_scaling", float(np.abs(lazy.hitting.values * 0.5 - H.values).max()), routes))
 
     if g.undirected:
         triple, pair = check_cycle_identities(H, pi)
         weighted = pi.probs[:, None] * G.values
         checks += [
-            ("cycle_triple", triple, limit),
-            ("cycle_pair", pair, limit),
-            ("greens_symmetry", float(np.abs(weighted - weighted.T).max()), ROW_SUM_TOL),
-            *spectral_routes(chain, decompose(g), tol)[1],
+            ("cycle_triple", triple, routes),
+            ("cycle_pair", pair, routes),
+            ("greens_symmetry", float(np.abs(weighted - weighted.T).max()), entries),
+            *spectral_routes(chain, decompose(g), mixing)[1],
         ]
-    return checks + dual_checks(chain, tol)[1]
+    return checks + dual_checks(chain)[1]

@@ -8,16 +8,11 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
+from . import tolerance
 from .errors import NumericalError, ValidationError, require
 from .graph import Distribution, WeightedDigraph, validate_out_degrees
 from .greens import GreensMatrix
 from .hitting import HittingTimeMatrix
-
-ZERO_MODE_TOL = 1e-10
-ORTHO_TOL = 1e-10
-RECONSTRUCTION_TOL = 1e-9
-SYMMETRY_TOL = 1e-12
-ZERO_MODE_DRIFT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -53,7 +48,7 @@ def normalized_laplacian(g: WeightedDigraph) -> np.ndarray:
     validate_out_degrees(g)
     d = g.degrees
     L = np.eye(g.n) - g.weights / np.sqrt(np.outer(d, d))
-    require("laplacian_symmetry", np.abs(L - L.T).max(), SYMMETRY_TOL, NumericalError)
+    require("laplacian_symmetry", np.abs(L - L.T).max(), tolerance.bound(g.n, 1.0, tolerance.RESIDUAL), NumericalError)
     return (L + L.T) / 2.0
 
 
@@ -67,25 +62,29 @@ def eigensystem(matrix: np.ndarray, degrees: np.ndarray, volume: float) -> Spect
     M = np.asarray(matrix, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValidationError("matrix must be square")
-    if float(np.abs(M - M.T).max()) > SYMMETRY_TOL:
+    n = M.shape[0]
+    limit = tolerance.bound(n, 1.0, tolerance.RESIDUAL)
+    if float(np.abs(M - M.T).max()) > limit:
         raise ValidationError("matrix must be symmetric")
     try:
         lam, phi = scipy.linalg.eigh(M)
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from None
-    zero_modes = int(np.count_nonzero(lam < ZERO_MODE_TOL))
+    zero_modes = int(np.count_nonzero(lam < limit))
     if zero_modes == 0:
         raise NumericalError(f"no zero eigenvalue found (smallest {lam[0]:.3e})")
     if zero_modes > 1:
         raise NumericalError("graph disconnected: repeated zero eigenvalue")
-    n = lam.size
-    require("eigen_orthonormality", np.abs(phi.T @ phi - np.eye(n)).max(), ORTHO_TOL, NumericalError)
-    require("eigen_reconstruction", np.abs((phi * lam[None, :]) @ phi.T - M).max(), RECONSTRUCTION_TOL, NumericalError)
+    # the eigenvectors' orthogonality degrades with clustered eigenvalues: it carries their conditioning
+    orthonormality = np.abs(phi.T @ phi - np.eye(n)).max()
+    require("eigen_orthonormality", orthonormality, tolerance.bound(n, 1.0, tolerance.ROUTE), NumericalError)
+    require("eigen_reconstruction", np.abs((phi * lam[None, :]) @ phi.T - M).max(), limit, NumericalError)
     d = np.asarray(degrees, dtype=float)
     root = np.sqrt(d)
     root /= np.linalg.norm(root)
     drift = min(float(np.abs(phi[:, 0] - root).max()), float(np.abs(phi[:, 0] + root).max()))
-    require("zero_mode_drift", drift, ZERO_MODE_DRIFT_TOL, NumericalError)
+    gap = lam[1] if n > 1 else 1.0  # an eigenvector's error grows as 1 / (distance to the next eigenvalue)
+    require("zero_mode_drift", drift, tolerance.bound(n, 1.0 / gap, tolerance.RESIDUAL), NumericalError)
     return SpectralDecomposition(lam, phi, d, float(volume))
 
 

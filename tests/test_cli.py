@@ -16,6 +16,7 @@ import greenwalk.greens
 import greenwalk.hitting
 import greenwalk.pipeline
 import greenwalk.spectral
+import greenwalk.tolerance
 from greenwalk.cli import main
 from greenwalk.graph import Distribution
 from greenwalk.hitting import HittingTimeMatrix
@@ -179,6 +180,7 @@ class TestExitCodes:
             ["mixing", "--input", "K3", "--format", "csv"],
             ["hitting", "--input", "K3", "--tol", "1"],
             ["family", "path", "5", "--lazy", "0.5"],
+            ["verify", "--input", "K3", "--tol", "1e-8"],
         ],
     )
     def test_option_the_command_does_not_read_is_one(self, capsys, k3_file, argv):
@@ -307,24 +309,33 @@ class TestRaisedChecks:
         assert code == 0 and err == ""
         assert checks["mixing_formulas"] == checks["trace_vs_hit"]
 
+    def test_verify_skips_spectral_mixing_after_a_raised_mixing_check(self, capsys, monkeypatch):
+        # on an undirected graph the spectral routes need the mixing report: without one, only
+        # their hitting-time and Green gaps are checked, and verify still prints its report
+        _lower_limit(monkeypatch, "trace_vs_hit")
+        code, out, err = run(capsys, "verify", "--input", str(GOLDEN / "undirected.edges"))
+        assert code == 0 and err == ""
+        checks = json.loads(out)["checks"]
+        assert checks["mixing_formulas"] == checks["trace_vs_hit"]
+        assert "spectral_hitting" in checks and "spectral_greens" in checks
+        assert not {"spectral_t_mix", "spectral_t_reset", "spectral_t_hit"} & set(checks)
+
     def test_pi_off_stationary_is_two(self, capsys, monkeypatch):
         real = greenwalk.pipeline.stationary_distribution
 
         def perturbed(P):
             probs = real(P).probs.copy()
-            probs[0] += 1e-9
-            probs[1] -= 1e-9
+            # small enough for the forward solve's first_step check to pass
+            probs[0] += 1e-12
+            probs[1] -= 1e-12
             return Distribution(probs)
 
         monkeypatch.setattr(greenwalk.pipeline, "stationary_distribution", perturbed)
         code, out, err = run(capsys, "dual", "--input", str(GOLDEN / "directed.edges"))
+        n = greenwalk.graph.load_graph(str(GOLDEN / "directed.edges")).n
+        limit = greenwalk.tolerance.bound(n, 1.0, greenwalk.tolerance.RESIDUAL)
         assert code == 2 and out == ""
-        assert re.fullmatch(r"FAIL reverse_row_sum: residual [0-9.e+-]+ exceeds 1\.000000e-12\n", err)
-
-
-def test_cli_binds_no_tolerance():
-    """Every limit comes with its check from the library; the CLI holds none of its own."""
-    assert [name for name in vars(greenwalk.cli) if name.endswith("_TOL") or name == "time_scale"] == []
+        assert re.fullmatch(r"FAIL reverse_row_sum: residual [0-9.e+-]+ exceeds " + re.escape(f"{limit:.6e}\n"), err)
 
 
 class TestVerify:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenwalk import duality, families, pipeline
+from greenwalk import families, pipeline, tolerance
 from greenwalk.duality import (
     duality_checks,
     forget_distribution,
@@ -16,7 +16,7 @@ from greenwalk.duality import (
 )
 from greenwalk.generators import random_connected_graph, random_strongly_connected_digraph
 from greenwalk.errors import IntegrityError
-from greenwalk.graph import ROW_SUM_TOL, Distribution, WeightedDigraph, stationary_distribution, transition_matrix
+from greenwalk.graph import Distribution, WeightedDigraph, stationary_distribution, transition_matrix
 from greenwalk.greens import access_times, exit_frequency_matrix
 from greenwalk.hitting import hitting_times
 from greenwalk.pipeline import ChainAnalysis
@@ -65,7 +65,7 @@ class TestReverseChain:
         with pytest.raises(IntegrityError) as info:
             reverse_chain(P, Distribution(probs))
         name, residual, limit = info.value.check
-        assert name == "reverse_row_sum" and limit == ROW_SUM_TOL
+        assert name == "reverse_row_sum" and limit == tolerance.bound(6, 1.0, tolerance.RESIDUAL)
         assert 1e-10 < residual < 1e-6
 
 
@@ -124,9 +124,11 @@ class TestForgetTime:
         assert abs(forget_time(ChainAnalysis(P, pi)) - reset_rev) <= 1e-8 * scale
 
     def test_disagreement_is_the_dual_check(self, monkeypatch):
-        monkeypatch.setattr(duality, "TIME_TOL", -1.0)
+        sol = ChainAnalysis(*digraph_chain(5, seed=2))
+        sol.hitting, sol.reverse.hitting  # both solves pass their own route checks before the limit drops
+        monkeypatch.setattr(tolerance, "ROUTE", -1.0)
         with pytest.raises(IntegrityError) as info:
-            forget_time(ChainAnalysis(*digraph_chain(5, seed=2)))
+            forget_time(sol)
         name, residual, limit = info.value.check
         assert name == "dual_forget_equals_reverse_reset" and 0.0 <= residual < 1e-9 and limit < 0.0
 
