@@ -1,13 +1,6 @@
 """Green's functions, hitting times, exit frequencies, and exact mixing measures for random walks on weighted digraphs."""
 
-from .duality import (
-    DualityReport,
-    duality_checks,
-    forget_distribution,
-    forget_time,
-    pi_core,
-    reverse_chain,
-)
+from .duality import DualityReport, duality_checks, forget_distribution, pi_core, reverse_chain
 from .errors import (
     GreenWalkError,
     IntegrityError,
@@ -40,7 +33,6 @@ from .greens import (
     verify_green_constraints,
 )
 from .hitting import (
-    FundamentalMatrix,
     HittingTimeMatrix,
     access_to_vertex,
     check_cycle_identities,

@@ -18,12 +18,13 @@ import sys
 import numpy as np
 
 from . import families
+from .duality import duality_checks
 from .errors import GreenWalkError, ParseError, ValidationError, describe, failed
 from .graph import Distribution, load_graph, read_text
 from .greens import GreensMatrix, exit_frequency_matrix, green_checks, greens_general
 from .hitting import hit_time
 from .montecarlo import empirical_hitting, empirical_random_target
-from .pipeline import analyze, dual_checks, exit_checks, spectral_routes, verify_checks
+from .pipeline import analyze, exit_checks, spectral_routes, verify_checks
 from .spectral import decompose
 
 
@@ -395,7 +396,7 @@ def _cmd_spectral(args, chain):
 
 
 def _cmd_dual(args, chain):
-    rep, checks = dual_checks(chain)
+    rep = duality_checks(chain)
     payload = {
         "n": chain.graph.n,
         "t_forget": rep.t_forget,
@@ -408,7 +409,7 @@ def _cmd_dual(args, chain):
         "core_exit_rows": rep.core_exit.values,
         "residuals": rep.residuals,
     }
-    return payload, checks
+    return payload, rep.checks
 
 
 _MEASURE_ALIASES = {"tmix": "t_mix", "treset": "t_reset", "thit": "t_hit", "h10": "h_one_zero"}

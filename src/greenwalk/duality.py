@@ -8,15 +8,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import tolerance
-from .errors import require
+from .errors import Check, require
 from .graph import Distribution, TransitionMatrix
-from .greens import (
-    access_time,
-    access_times,
-    exit_frequency_matrix,
-    greens_general,
-    ExitFrequencyMatrix,
-)
+from .greens import ExitFrequencyMatrix, access_time, access_times, exit_frequency_matrix, greens_general
 
 if TYPE_CHECKING:
     from .pipeline import ChainAnalysis
@@ -24,7 +18,11 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class DualityReport:
-    """Everything the reverse chain says about the forward one."""
+    """Everything the reverse chain says about the forward one.
+
+    ``checks`` holds each identity as a ``dual_<key>`` (name, residual, limit)
+    triple; ``residuals`` reads them by key.
+    """
 
     forget: Distribution          # forget distribution of the forward chain
     reverse_forget: Distribution  # forget distribution of the reverse chain
@@ -32,7 +30,11 @@ class DualityReport:
     core: Distribution            # the pi-core
     core_exit: ExitFrequencyMatrix
     t_forget: float
-    residuals: dict[str, float]
+    checks: list[Check]
+
+    @property
+    def residuals(self) -> dict[str, float]:
+        return {name.removeprefix("dual_"): residual for name, residual, _ in self.checks}
 
 
 def reverse_chain(P: TransitionMatrix, pi: Distribution) -> TransitionMatrix:
@@ -75,15 +77,6 @@ def forget_distribution(chain: ChainAnalysis) -> Distribution:
     return _as_distribution(_forget_weights(pi, rev.transition.probs, mix_rev), "forget_negative_mass", rev.entry_scale)
 
 
-def forget_time(chain: ChainAnalysis) -> float:
-    """min over targets tau of max_i H(i, tau), cross-checked against the dual reset time."""
-    H, pi = chain.hitting, chain.stationary
-    value = float(access_times(H, forget_distribution(chain)).max())
-    gap = abs(value - float(pi.probs @ access_times(chain.reverse.hitting, pi)))  # the reverse reset time
-    require("dual_forget_equals_reverse_reset", gap, tolerance.bound(H.n, H.time_scale, tolerance.ROUTE))
-    return value
-
-
 def pi_core(chain: ChainAnalysis) -> tuple[Distribution, ExitFrequencyMatrix]:
     """The distribution whose exit matrix is X_pi shifted down by its column minima.
 
@@ -101,7 +94,7 @@ def pi_core(chain: ChainAnalysis) -> tuple[Distribution, ExitFrequencyMatrix]:
     core_exit = ExitFrequencyMatrix(shifted, target=core, access=shifted.sum(axis=1))
 
     rev = chain.reverse
-    acc_rev = access_times(rev.hitting, forget_distribution(rev))
+    acc_rev = access_times(rev.hitting, rev.forget)
     formula = _forget_weights(pi, rev.transition.probs, acc_rev)
     limit = tolerance.bound(P.n, chain.entry_scale, tolerance.ROUTE)
     require("core_routes", np.abs(formula - core_weights).max(), limit)
@@ -109,69 +102,63 @@ def pi_core(chain: ChainAnalysis) -> tuple[Distribution, ExitFrequencyMatrix]:
 
 
 def duality_checks(chain: ChainAnalysis) -> DualityReport:
-    """Evaluate every forward/reverse identity and record its residual.
+    """Every forward/reverse identity, computed once, as a (name, residual, limit) check.
 
-    Nothing is asserted here; the report is diagnostic. Residuals cover the
-    exit-frequency conjugation, both Green's function duals, the core
-    decomposition of the mixing time, the reset/forget exchange, and the
-    optimality (zero row minimum) of the conjugated exit matrix.
+    Each limit is ``tolerance.bound`` at size n on one of three scales.
+    Probabilities (1, RESIDUAL): the reverse chain's involution and
+    stationarity. Expected times (the forward T, ROUTE): the reset/forget
+    exchange both ways and the core decomposition. Entries of G and X
+    (``entry_scale``, ROUTE): the exit conjugation, its image's conservation
+    and zero row minima, and both Green's function duals. Nothing is raised
+    here; ``errors.failed`` decides the checks.
     """
     P, pi = chain.transition, chain.stationary
     n = P.n
     p = pi.probs
     H, G, X = chain.hitting, chain.greens, chain.exit_pi
-    mix = X.access
-    t_reset = float(p @ mix)
-
     rev = chain.reverse
     Hrev, Grev = rev.hitting, rev.greens
-    mix_rev = access_times(Hrev, pi)
-    t_reset_rev = float(p @ mix_rev)
+    mu, mu_hat = chain.forget, rev.forget
+    probs = tolerance.bound(n, 1.0, tolerance.RESIDUAL)
+    times = tolerance.bound(n, H.time_scale, tolerance.ROUTE)
+    entries = tolerance.bound(n, chain.entry_scale, tolerance.ROUTE)
 
-    mu_hat = forget_distribution(rev)
-    mu = forget_distribution(chain)
+    mix = X.access  # H(i, pi)
+    t_reset = float(p @ mix)
+    t_reset_rev = float(p @ access_times(Hrev, pi))
     t_forget = float(access_times(H, mu).max())
-    t_forget_rev = float(access_times(Hrev, mu_hat).max())
+    X_rev_mu = exit_frequency_matrix(Hrev, pi, mu_hat)
+    acc_rev_mu = X_rev_mu.access  # Hrev(i, mu_hat)
 
     core, core_exit = pi_core(chain)
-    b = X.values.min(axis=0)
-
     ratio = p[None, :] / p[:, None]
     dual_image = core_exit.values.T * ratio
-    X_rev_mu = exit_frequency_matrix(Hrev, pi, mu_hat)
     eye = np.eye(n)
-
-    acc_rev_mu = access_times(Hrev, mu_hat)
     G_rev_mu = greens_general(Hrev, pi, mu_hat).values
     G_core = greens_general(H, pi, core).values
     forget_rhs = G.values.T * ratio + p[None, :] * (mix[None, :] - t_reset)
-    core_rhs = Grev.values.T * ratio + p[None, :] * (
-        acc_rev_mu[None, :] - float(p @ acc_rev_mu)
-    )
+    core_rhs = Grev.values.T * ratio + p[None, :] * (acc_rev_mu[None, :] - float(p @ acc_rev_mu))
+    core_mix = access_times(H, core) + access_time(H, core, pi)
+    conservation = dual_image @ (eye - rev.transition.probs) - (eye - np.outer(np.ones(n), mu_hat.probs))
 
-    acc_core = access_times(H, core)
-    core_to_pi = access_time(H, core, pi)
-
-    residuals = {
-        "reverse_involution": float(np.abs(reverse_chain(rev.transition, pi).probs - P.probs).max()),
-        "reverse_stationary": float(np.abs(p @ rev.transition.probs - p).max()),
-        "reset_equals_reverse_forget": abs(t_reset - t_forget_rev),
-        "forget_equals_reverse_reset": abs(t_forget - t_reset_rev),
-        "exit_conjugation": float(np.abs(X_rev_mu.values - dual_image).max()),
-        "dual_image_conservation": float(
-            np.abs(dual_image @ (eye - rev.transition.probs) - (eye - np.outer(np.ones(n), mu_hat.probs))).max()
-        ),
-        "dual_image_row_min": float(dual_image.min(axis=1).max()),
-        "greens_forget_dual": float(np.abs(G_rev_mu - forget_rhs).max()),
-        "greens_core_dual": float(np.abs(G_core - core_rhs).max()),
-        "core_decomposition": float(np.abs(mix - (acc_core + core_to_pi)).max()),
-    }
+    checks = [
+        ("dual_reverse_involution", float(np.abs(reverse_chain(rev.transition, pi).probs - P.probs).max()), probs),
+        ("dual_reverse_stationary", float(np.abs(p @ rev.transition.probs - p).max()), probs),
+        ("dual_reset_equals_reverse_forget", abs(t_reset - float(acc_rev_mu.max())), times),
+        ("dual_forget_equals_reverse_reset", abs(t_forget - t_reset_rev), times),
+        ("dual_exit_conjugation", float(np.abs(X_rev_mu.values - dual_image).max()), entries),
+        ("dual_dual_image_conservation", float(np.abs(conservation).max()), entries),
+        ("dual_dual_image_row_min", float(dual_image.min(axis=1).max()), entries),
+        ("dual_greens_forget_dual", float(np.abs(G_rev_mu - forget_rhs).max()), entries),
+        ("dual_greens_core_dual", float(np.abs(G_core - core_rhs).max()), entries),
+        ("dual_core_decomposition", float(np.abs(mix - core_mix).max()), times),
+    ]
     return DualityReport(
         forget=mu,
         reverse_forget=mu_hat,
-        offsets=b,
+        offsets=X.values.min(axis=0),
         core=core,
         core_exit=core_exit,
         t_forget=t_forget,
-        residuals=residuals,
+        checks=checks,
     )

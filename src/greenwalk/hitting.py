@@ -14,17 +14,6 @@ from .graph import Distribution, TransitionMatrix
 
 
 @dataclass(frozen=True)
-class FundamentalMatrix:
-    """Z = (I - P + 1 pi^T)^{-1}; one factorization serves every hitting time."""
-
-    values: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
 class HittingTimeMatrix:
     """All pairwise expected first-arrival times, zero on the diagonal.
 
@@ -61,8 +50,8 @@ class HittingTimeMatrix:
         return float(self.values[idx])
 
 
-def fundamental_matrix(P: TransitionMatrix, pi: Distribution) -> FundamentalMatrix:
-    """Invert I - P + 1 pi^T and confirm the inverse to working accuracy."""
+def fundamental_matrix(P: TransitionMatrix, pi: Distribution) -> np.ndarray:
+    """Z = (I - P + 1 pi^T)^{-1}, confirmed to working accuracy: one solve serves every hitting time."""
     n = P.n
     A = np.eye(n) - P.probs + np.outer(np.ones(n), pi.probs)
     try:
@@ -71,7 +60,7 @@ def fundamental_matrix(P: TransitionMatrix, pi: Distribution) -> FundamentalMatr
         raise NumericalError(f"fundamental matrix solve failed: {exc}") from None
     limit = tolerance.bound(n, np.abs(Z).max(), tolerance.RESIDUAL)
     require("fundamental", np.abs(Z @ A - np.eye(n)).max(), limit, NumericalError)
-    return FundamentalMatrix(Z)
+    return Z
 
 
 def hitting_times(P: TransitionMatrix, pi: Distribution) -> HittingTimeMatrix:
@@ -91,7 +80,7 @@ def hitting_times(P: TransitionMatrix, pi: Distribution) -> HittingTimeMatrix:
         and validated against the first-step equations
         H(i, j) = 1 + sum_k P(i, k) H(k, j) for i != j.
     """
-    Z = fundamental_matrix(P, pi).values
+    Z = fundamental_matrix(P, pi)
     H = (np.diag(Z)[None, :] - Z) / pi.probs[None, :]
     R = H - 1.0 - P.probs @ H
     np.fill_diagonal(R, 0.0)

@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from . import tolerance
-from .duality import DualityReport, duality_checks, reverse_chain
+from .duality import duality_checks, forget_distribution, reverse_chain
 from .errors import Check, IntegrityError
 from .graph import (
     Distribution,
@@ -47,7 +47,8 @@ class ChainAnalysis:
     chain's one fundamental-matrix solve, and ``greens``, ``exit_pi`` (X_pi)
     and ``mixing`` are read off it. ``reverse`` is the time-reversed chain
     over the same pi, solved on its own; while this chain is alive, its
-    ``reverse`` is this chain.
+    ``reverse`` is this chain. ``forget``, the forget distribution, is read
+    off the reverse chain's solve.
     """
 
     transition: TransitionMatrix
@@ -73,6 +74,10 @@ class ChainAnalysis:
     @cached_property
     def exit_pi(self) -> ExitFrequencyMatrix:
         return exit_frequency_matrix(self.hitting, self.stationary, self.stationary)
+
+    @cached_property
+    def forget(self) -> Distribution:
+        return forget_distribution(self)
 
     @cached_property
     def mixing(self) -> MixingReport:
@@ -134,27 +139,6 @@ def spectral_routes(
     return spectral, checks
 
 
-_DUAL_TIMES = ("reset_equals_reverse_forget", "forget_equals_reverse_reset", "core_decomposition")
-
-
-def dual_checks(chain: ChainAnalysis) -> tuple[DualityReport, list[Check]]:
-    """The chain's duality report, and each forward/reverse identity's residual as a check.
-
-    The reverse chain's rows and stationarity are residuals on probabilities; the rest
-    compare forward and reverse solves, of expected times or of entries of G and X.
-    """
-    rep = duality_checks(chain)
-    n = chain.transition.n
-    probs = tolerance.bound(n, 1.0, tolerance.RESIDUAL)
-    times = tolerance.bound(n, chain.hitting.time_scale, tolerance.ROUTE)
-    entries = tolerance.bound(n, chain.entry_scale, tolerance.ROUTE)
-    checks = []
-    for key, value in rep.residuals.items():
-        limit = probs if key.startswith("reverse_") else times if key in _DUAL_TIMES else entries
-        checks.append((f"dual_{key}", value, limit))
-    return rep, checks
-
-
 def verify_checks(chain: ChainAnalysis) -> list[Check]:
     """Every invariant suite on the chain of a graph."""
     g, P, pi, H, G, X = chain.graph, chain.transition, chain.stationary, chain.hitting, chain.greens, chain.exit_pi
@@ -199,4 +183,4 @@ def verify_checks(chain: ChainAnalysis) -> list[Check]:
             ("greens_symmetry", float(np.abs(weighted - weighted.T).max()), entries),
             *spectral_routes(chain, decompose(g), mixing)[1],
         ]
-    return checks + dual_checks(chain)[1]
+    return checks + duality_checks(chain).checks

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from greenwalk import families, pipeline
-from greenwalk.duality import duality_checks, forget_time, pi_core, reverse_chain
+from greenwalk.duality import duality_checks, pi_core, reverse_chain
 from greenwalk.generators import (
     random_connected_graph,
     random_strongly_connected_digraph,
@@ -216,7 +216,7 @@ def test_09_duality():
         rev = reverse_chain(Pd, pid)
         mix_rev = access_times(hitting_times(rev, pid), pid)
         t_reset = float(pid.probs @ access_times(hitting_times(Pd, pid), pid))
-        gap = abs(t_reset - forget_time(chain.reverse))
+        gap = abs(t_reset - duality_checks(chain.reverse).t_forget)
         worst = max(worst, gap / scale, max(rep.residuals.values()) / scale)
     report("09 duality identities", ok and worst <= 1e-8, f"worst rel {worst:.2e}")
 

@@ -204,7 +204,9 @@ def _zero_spectral_hitting(dec):
 def _core_decomposition_is_one(real):
     def fake(chain):
         rep = real(chain)
-        return dataclasses.replace(rep, residuals={**rep.residuals, "core_decomposition": 1.0})
+        checks = [(name, 1.0, limit) if name == "dual_core_decomposition" else (name, r, limit)
+                  for name, r, limit in rep.checks]
+        return dataclasses.replace(rep, checks=checks)
 
     return fake
 
@@ -237,7 +239,7 @@ class TestCheckFailures:
                 "hitting_route", _largest_hitting_time("hitting-undirected"), "spectral_hitting", id="spectral",
             ),
             pytest.param(
-                "dual-directed", greenwalk.pipeline, "duality_checks", _core_decomposition_is_one,
+                "dual-directed", greenwalk.cli, "duality_checks", _core_decomposition_is_one,
                 "core_decomposition", 1.0, "dual_core_decomposition", id="dual",
             ),
         ],
@@ -523,3 +525,36 @@ class TestSolveCounts:
         code, _, _ = run(capsys, "family", "toric", "3", "4")
         assert code == 0
         assert solves == [12]
+
+
+class TestDualityCallCounts:
+    """One dual or verify run computes each forward/reverse quantity once: the
+    forget distribution of each chain, the pi-core, the reverse chain and its
+    involution check, and at most six access-time vectors."""
+
+    NAMES = ("access_times", "forget_distribution", "pi_core", "reverse_chain")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = dict.fromkeys(self.NAMES, 0)
+        for name in self.NAMES:
+            real = getattr(greenwalk.duality, name)
+
+            def counting(*args, name=name, real=real):
+                counts[name] += 1
+                return real(*args)
+
+            # every module that bound the function at import calls it by that name
+            for module in (greenwalk.greens, greenwalk.duality, greenwalk.pipeline):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counting)
+        return counts
+
+    @pytest.mark.parametrize("command", ["dual", "verify"])
+    @pytest.mark.parametrize("graph", ["directed", "undirected"])
+    def test_each_quantity_once(self, capsys, calls, command, graph):
+        assert run(capsys, command, "--input", str(GOLDEN / f"{graph}.edges"))[0] == 0
+        assert calls["access_times"] <= 6
+        assert calls["forget_distribution"] == 2
+        assert calls["pi_core"] == 1
+        assert calls["reverse_chain"] == 2

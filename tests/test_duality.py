@@ -10,7 +10,6 @@ from greenwalk import families, pipeline, tolerance
 from greenwalk.duality import (
     duality_checks,
     forget_distribution,
-    forget_time,
     pi_core,
     reverse_chain,
 )
@@ -107,11 +106,11 @@ class TestForgetDistribution:
 class TestForgetTime:
     def test_path(self):
         P, pi = chain(families.path_graph(3))
-        assert forget_time(ChainAnalysis(P, pi)) == pytest.approx(1.0, abs=1e-12)
+        assert duality_checks(ChainAnalysis(P, pi)).t_forget == pytest.approx(1.0, abs=1e-12)
 
     def test_cycle(self):
         P, pi = chain(families.cycle_graph(4))
-        assert forget_time(ChainAnalysis(P, pi)) == pytest.approx(1.5, abs=1e-12)
+        assert duality_checks(ChainAnalysis(P, pi)).t_forget == pytest.approx(1.5, abs=1e-12)
 
     @settings(max_examples=15, deadline=None)
     @given(n=st.integers(2, 15), seed=st.integers(0, 10**6))
@@ -121,16 +120,15 @@ class TestForgetTime:
         mix_rev = access_times(hitting_times(rev, pi), pi)
         reset_rev = float(pi.probs @ mix_rev)
         scale = max(1.0, reset_rev)
-        assert abs(forget_time(ChainAnalysis(P, pi)) - reset_rev) <= 1e-8 * scale
+        assert abs(duality_checks(ChainAnalysis(P, pi)).t_forget - reset_rev) <= 1e-8 * scale
 
-    def test_disagreement_is_the_dual_check(self, monkeypatch):
+    def test_disagreement_is_the_dual_check(self):
         sol = ChainAnalysis(*digraph_chain(5, seed=2))
-        sol.hitting, sol.reverse.hitting  # both solves pass their own route checks before the limit drops
-        monkeypatch.setattr(tolerance, "ROUTE", -1.0)
-        with pytest.raises(IntegrityError) as info:
-            forget_time(sol)
-        name, residual, limit = info.value.check
-        assert name == "dual_forget_equals_reverse_reset" and 0.0 <= residual < 1e-9 and limit < 0.0
+        rep = duality_checks(sol)
+        [(_, residual, limit)] = [c for c in rep.checks if c[0] == "dual_forget_equals_reverse_reset"]
+        reset_rev = float(sol.stationary.probs @ access_times(sol.reverse.hitting, sol.stationary))
+        assert residual == abs(rep.t_forget - reset_rev) and residual < 1e-9
+        assert limit == tolerance.bound(5, sol.hitting.time_scale, tolerance.ROUTE)
 
 
 class TestPiCore:

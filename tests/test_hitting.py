@@ -24,17 +24,17 @@ def chain(g, beta=0.0):
 class TestFundamentalMatrix:
     def test_k2_lazy_defining_property(self):
         P, pi = chain(families.complete_graph(2), beta=0.5)
-        Z = fundamental_matrix(P, pi).values
+        Z = fundamental_matrix(P, pi)
         A = np.eye(2) - P.probs + np.outer(np.ones(2), pi.probs)
         assert np.abs(Z @ A - np.eye(2)).max() <= 1e-12
 
     def test_directed_cycle_row_sums(self, directed_triangle):
-        Z = fundamental_matrix(directed_triangle.transition, directed_triangle.stationary).values
+        Z = fundamental_matrix(directed_triangle.transition, directed_triangle.stationary)
         assert np.abs(Z.sum(axis=1) - 1.0).max() <= 1e-12
 
     def test_random_digraph_residual(self):
         P, pi = chain(random_strongly_connected_digraph(6, seed=11))
-        Z = fundamental_matrix(P, pi).values
+        Z = fundamental_matrix(P, pi)
         A = np.eye(6) - P.probs + np.outer(np.ones(6), pi.probs)
         assert np.abs(Z @ A - np.eye(6)).max() <= 1e-9 * 6
 
