@@ -11,9 +11,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sparse
-from scipy.sparse.csgraph import connected_components
 
 from . import tolerance
 from .errors import NumericalError, ParseError, ValidationError, require
@@ -436,16 +433,34 @@ def transition_matrix(g: WeightedDigraph, beta: float = 0.0) -> TransitionMatrix
     return TransitionMatrix(probs, beta=beta, graph=g)
 
 
-def _arc_support(g: WeightedDigraph) -> sparse.csr_matrix:
-    positive = g.w > 0
-    data = np.ones(int(positive.sum()))
-    return sparse.coo_matrix((data, (g.src[positive], g.dst[positive])), shape=(g.n, g.n)).tocsr()
+def _reaches_all(support: np.ndarray, symmetric: bool = False) -> bool:
+    """True when vertex 0 reaches every vertex along the boolean support, and every vertex reaches 0.
+
+    A frontier sweep: each round follows at once every arc out of the
+    vertices first reached in the round before, so each row is read once.
+    A symmetric support needs only the forward sweep.
+    """
+    directions = (support,) if symmetric else (support, np.ascontiguousarray(support.T))
+    for adj in directions:
+        reached = np.zeros(len(adj), dtype=bool)
+        reached[0] = True
+        frontier = np.zeros(1, dtype=np.intp)
+        while frontier.size:
+            new = adj[frontier].any(axis=0)
+            new &= ~reached
+            reached |= new
+            frontier = np.flatnonzero(new)
+        if not reached.all():
+            return False
+    return True
 
 
 def strongly_connected(g: WeightedDigraph) -> bool:
     """True when every vertex reaches every other through positive-weight arcs."""
-    ncomp = connected_components(_arc_support(g), directed=True, connection="strong")[0]
-    return int(ncomp) == 1
+    positive = g.w > 0
+    support = np.zeros((g.n, g.n), dtype=bool)
+    support[g.src[positive], g.dst[positive]] = True
+    return _reaches_all(support, symmetric=g.undirected)
 
 
 def stationary_distribution(P: TransitionMatrix) -> Distribution:
@@ -460,8 +475,7 @@ def stationary_distribution(P: TransitionMatrix) -> Distribution:
         if not strongly_connected(g):
             raise ValidationError("not strongly connected")
         return Distribution(g.degrees / g.volume)
-    support = sparse.csr_matrix(P.probs > 0)
-    if int(connected_components(support, directed=True, connection="strong")[0]) != 1:
+    if not _reaches_all(P.probs > 0):
         raise ValidationError("not strongly connected")
     n = P.n
     M = P.probs.T - np.eye(n)
@@ -470,8 +484,8 @@ def stationary_distribution(P: TransitionMatrix) -> Distribution:
     rhs = np.zeros(n)
     rhs[-1] = 1.0
     try:
-        x = scipy.linalg.solve(M, rhs)
-    except scipy.linalg.LinAlgError as exc:
+        x = np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(f"stationary solve failed: {exc}") from None
     if x.min() <= 0:
         raise NumericalError("solved stationary vector is not strictly positive")

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from . import tolerance
 from .errors import NumericalError, ValidationError, require
@@ -55,8 +54,8 @@ def fundamental_matrix(P: TransitionMatrix, pi: Distribution) -> np.ndarray:
     n = P.n
     A = np.eye(n) - P.probs + np.outer(np.ones(n), pi.probs)
     try:
-        Z = scipy.linalg.solve(A, np.eye(n))
-    except scipy.linalg.LinAlgError as exc:
+        Z = np.linalg.solve(A, np.eye(n))
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(f"fundamental matrix solve failed: {exc}") from None
     limit = tolerance.bound(n, np.abs(Z).max(), tolerance.RESIDUAL)
     require("fundamental", np.abs(Z @ A - np.eye(n)).max(), limit, NumericalError)

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from . import tolerance
 from .errors import NumericalError, ValidationError, require
@@ -67,8 +66,8 @@ def eigensystem(matrix: np.ndarray, degrees: np.ndarray, volume: float) -> Spect
     if float(np.abs(M - M.T).max()) > limit:
         raise ValidationError("matrix must be symmetric")
     try:
-        lam, phi = scipy.linalg.eigh(M)
-    except scipy.linalg.LinAlgError as exc:
+        lam, phi = np.linalg.eigh(M)
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from None
     zero_modes = int(np.count_nonzero(lam < limit))
     if zero_modes == 0:

@@ -1,7 +1,10 @@
 import dataclasses
 import functools
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -340,6 +343,43 @@ class TestRaisedChecks:
         assert re.fullmatch(r"FAIL reverse_row_sum: residual [0-9.e+-]+ exceeds " + re.escape(f"{limit:.6e}\n"), err)
 
 
+def _singular(*args, **kwargs):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+class TestLinearAlgebraFailures:
+    """A failed LAPACK call is a NumericalError naming the step, and the
+    command exits 2 with no output."""
+
+    CASES = [
+        pytest.param("solve", "stationary solve failed", "directed", "hitting", id="stationary"),
+        # the undirected stationary distribution is deg/vol, so the one solve is Z's
+        pytest.param("solve", "fundamental matrix solve failed", "undirected", "hitting", id="fundamental"),
+        pytest.param("eigh", "eigendecomposition failed", "undirected", "spectral", id="eigh"),
+    ]
+
+    @pytest.mark.parametrize("routine, message, graph, command", CASES)
+    def test_library_raises(self, monkeypatch, routine, message, graph, command):
+        g = greenwalk.graph.load_graph(str(GOLDEN / f"{graph}.edges"))
+        P = greenwalk.graph.transition_matrix(g)
+        pi = greenwalk.graph.stationary_distribution(P)
+        monkeypatch.setattr(np.linalg, routine, _singular)
+        steps = {
+            "stationary solve failed": lambda: greenwalk.graph.stationary_distribution(P),
+            "fundamental matrix solve failed": lambda: greenwalk.hitting.fundamental_matrix(P, pi),
+            "eigendecomposition failed": lambda: greenwalk.spectral.decompose(g),
+        }
+        with pytest.raises(greenwalk.errors.NumericalError, match=f"^{message}: Singular matrix$") as info:
+            steps[message]()
+        assert info.value.check is None
+
+    @pytest.mark.parametrize("routine, message, graph, command", CASES)
+    def test_command_exits_two(self, capsys, monkeypatch, routine, message, graph, command):
+        monkeypatch.setattr(np.linalg, routine, _singular)
+        code, out, err = run(capsys, command, "--input", str(GOLDEN / f"{graph}.edges"))
+        assert (code, out, err) == (2, "", f"integrity error: {message}: Singular matrix\n")
+
+
 class TestVerify:
     def test_clean_graph_passes(self, capsys, k3_file):
         code, out, err = run(capsys, "verify", "--input", k3_file)
@@ -558,3 +598,29 @@ class TestDualityCallCounts:
         assert calls["forget_distribution"] == 2
         assert calls["pi_core"] == 1
         assert calls["reverse_chain"] == 2
+
+
+class TestRuntimeDependencies:
+    """numpy is the only run-time dependency: importing scipy alone would cost
+    a one-shot command more than its whole run on a small graph."""
+
+    def test_commands_import_no_scipy(self):
+        script = "\n".join(
+            [
+                "import contextlib, io, sys",
+                "from greenwalk.cli import main",
+                "with contextlib.redirect_stdout(io.StringIO()):",
+                f"    codes = [main(['hitting', '--input', {str(GOLDEN / 'directed.edges')!r}]),",
+                f"             main(['spectral', '--input', {str(GOLDEN / 'undirected.edges')!r}])]",
+                "print(codes, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+            ]
+        )
+        src = str(Path(greenwalk.cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[0, 0] []\n"
+
+    def test_project_lists_no_scipy(self):
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        assert "scipy" not in pyproject

@@ -219,6 +219,31 @@ class TestStationary:
         assert np.abs(pi.probs @ P.probs - pi.probs).max() <= 1e-10
 
 
+def _assert_matches_closure(g: WeightedDigraph) -> None:
+    """strongly_connected, and stationary_distribution on every chain of g, agree with a boolean transitive closure.
+
+    The closure squares the reflexive support I or (W > 0) until it covers
+    paths of n - 1 arcs. stationary_distribution must reject the chain exactly
+    when the closure has a gap: with and without laziness, and with the
+    graph detached, so the directed route runs on undirected supports too.
+    """
+    reach = np.eye(g.n, dtype=np.int64) | (g.weights > 0)
+    for _ in range(g.n.bit_length()):
+        reach = ((reach @ reach) > 0).astype(np.int64)
+    connected = bool(reach.all())
+    assert strongly_connected(g) == connected
+    if (g.degrees <= 0).any():
+        return  # no transition matrix: some vertex has no outgoing weight
+    for beta in (0.0, 0.5):
+        P = transition_matrix(g, beta)
+        for chain in (P, TransitionMatrix(P.probs, beta)):
+            if connected:
+                stationary_distribution(chain)
+            else:
+                with pytest.raises(ValidationError, match="^not strongly connected$"):
+                    stationary_distribution(chain)
+
+
 class TestStronglyConnected:
     def test_directed_cycle(self):
         assert strongly_connected(WeightedDigraph(3, ((0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0))))
@@ -232,6 +257,34 @@ class TestStronglyConnected:
     def test_zero_weight_arcs_do_not_connect(self):
         g = WeightedDigraph(2, ((0, 1, 1.0), (1, 0, 0.0)))
         assert not strongly_connected(g)
+
+    def test_single_vertex(self):
+        assert strongly_connected(WeightedDigraph(1))
+        _assert_matches_closure(WeightedDigraph(1, ((0, 0, 2.0),)))
+
+    @pytest.mark.parametrize("back", [None, (4, 0, 1.0), (4, 0, 0.0)])
+    def test_two_blocks_joined_by_one_arc(self, back):
+        # the cycle 0 -> 1 -> 2 -> 0 and the pair 3 <-> 4, joined by 2 -> 3; an arc 4 -> 0 closes the loop
+        arcs = [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (3, 4, 1.0), (4, 3, 1.0), (2, 3, 1.0)]
+        g = WeightedDigraph(5, arcs + ([back] if back else []))
+        assert strongly_connected(g) == (back is not None and back[2] > 0)
+        _assert_matches_closure(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_transitive_closure(self, data):
+        n = data.draw(st.integers(1, 12), label="n")
+        arc = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+        arcs = data.draw(st.lists(arc, max_size=3 * n), label="arcs")
+        # a path through every vertex, one way, the other or both: so that 0 reaches
+        # everything, or everything reaches 0, or both, and each sweep direction is decisive
+        backbone = data.draw(st.sampled_from(["none", "forward", "backward", "both"]), label="backbone")
+        if backbone in ("forward", "both"):
+            arcs += [(k, k + 1, 1.0) for k in range(n - 1)]
+        if backbone in ("backward", "both"):
+            arcs += [(k + 1, k, 1.0) for k in range(n - 1)]
+        g = WeightedDigraph(n, arcs, undirected=data.draw(st.booleans(), label="undirected"))
+        _assert_matches_closure(g)
 
 
 class TestDistribution:
