@@ -39,9 +39,8 @@ from .hitting import (
     fundamental_matrix,
     hit_time,
     hitting_times,
-    return_times,
 )
-from .montecarlo import SimStats, empirical_hitting, empirical_random_target, simulate_walk
+from .montecarlo import SimStats, empirical_hitting, empirical_random_target
 from .pipeline import ChainAnalysis, analyze, verify_checks
 from .spectral import (
     SpectralDecomposition,

@@ -23,7 +23,6 @@ from .duality import duality_checks
 from .errors import GreenWalkError, ParseError, ValidationError, describe, failed
 from .graph import Distribution, load_graph, read_text
 from .greens import GreensMatrix, exit_frequency_matrix, green_checks, greens_general
-from .hitting import hit_time
 from .montecarlo import empirical_hitting, empirical_random_target
 from .pipeline import analyze, exit_checks, spectral_routes, verify_checks
 from .spectral import decompose
@@ -349,7 +348,7 @@ def _target_distribution(label: str, pi: Distribution) -> Distribution:
 
 
 def _cmd_hitting(args, chain):
-    t_hit, residual = hit_time(chain.hitting, chain.stationary)
+    t_hit, residual = chain.hit_time
     residuals = {"t_hit": t_hit, "random_target": residual}
     return _matrix(args, chain.stationary.probs, chain.hitting.values, residuals), []
 
@@ -434,6 +433,9 @@ _FAMILIES = {
 def _cmd_family(args, _):
     # an oracle realizes its own graph and solves its chain: there is no input chain
     name, params = args.name, tuple(args.params)
+    for option, value in (("--input", args.input), ("--input-format", args.input_format)):
+        if name != "tree" and value is not None:  # only 'tree' reads a graph
+            raise ValidationError(f"family {name!r} does not read {option}")
     if name == "toric":
         if not params:
             raise ValidationError("family 'toric' needs at least one cycle length")
@@ -441,6 +443,8 @@ def _cmd_family(args, _):
     elif name == "tree":
         if args.input is None:
             raise ValidationError("family 'tree' needs --input")
+        if params:
+            raise ValidationError(f"family 'tree' takes no parameters, got {' '.join(map(str, params))}")
         report = families.tree_oracle(load_graph(args.input, args.input_format))
     else:
         count, oracle = _FAMILIES[name]
@@ -469,14 +473,13 @@ def _cmd_family(args, _):
 
 
 def _cmd_simulate(args, chain):
-    P, pi, H = chain.transition, chain.stationary, chain.hitting
     if args.stop is not None:
-        stats = empirical_hitting(P, args.start, args.stop, args.trials, args.seed)
-        analytic = float(H.values[args.start, args.stop])
+        stats = empirical_hitting(chain.transition, args.start, args.stop, args.trials, args.seed)
+        analytic = float(chain.hitting.values[args.start, args.stop])
         mode = "hitting"
     else:
-        stats = empirical_random_target(P, pi, args.start, args.trials, args.seed)
-        analytic = hit_time(H, pi)[0]
+        stats = empirical_random_target(chain.transition, chain.stationary, args.start, args.trials, args.seed)
+        analytic = chain.hit_time[0]
         mode = "random-target"
     payload = {
         "mode": mode,

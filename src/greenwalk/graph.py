@@ -149,22 +149,21 @@ class TransitionMatrix:
             raise ValidationError("transition probabilities must be finite")
         if probs.size and probs.min() < 0:
             raise ValidationError("transition probabilities must be nonnegative")
-        residual = float(np.abs(probs.sum(axis=1) - 1.0).max())
-        if residual > tolerance.bound(len(probs), 1.0, tolerance.RESIDUAL):
-            raise ValidationError(f"rows must sum to 1, worst residual {residual:.3e}")
-        if not 0.0 <= self.beta < 1.0:
-            raise ValidationError("laziness beta must lie in [0, 1)")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
+        if self.row_sum > tolerance.bound(self.n, 1.0, tolerance.RESIDUAL):
+            raise ValidationError(f"rows must sum to 1, worst residual {self.row_sum:.3e}")
+        if not 0.0 <= self.beta < 1.0:
+            raise ValidationError("laziness beta must lie in [0, 1)")
 
     @property
     def n(self) -> int:
         return self.probs.shape[0]
 
-    @property
-    def laplacian(self) -> np.ndarray:
-        """I - P, the walk's Laplace operator."""
-        return np.eye(self.n) - self.probs
+    @cached_property
+    def row_sum(self) -> float:
+        """max_i |sum_j P(i, j) - 1|, the drift from row-stochastic."""
+        return float(np.abs(self.probs.sum(axis=1) - 1.0).max())
 
 
 @dataclass(frozen=True)

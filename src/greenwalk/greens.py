@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import tolerance
 from .errors import Check, require
 from .graph import Distribution, TransitionMatrix
-from .hitting import HittingTimeMatrix, hit_time
+from .hitting import HittingTimeMatrix
+
+if TYPE_CHECKING:
+    from .pipeline import ChainAnalysis
 
 
 @dataclass(frozen=True)
@@ -27,6 +32,11 @@ class GreensMatrix:
     @property
     def n(self) -> int:
         return self.values.shape[0]
+
+    @cached_property
+    def row_sum(self) -> float:
+        """The max-abs row sum, zero for an exact Green matrix."""
+        return float(np.abs(self.values.sum(axis=1)).max())
 
     def __getitem__(self, idx) -> float:
         return float(self.values[idx])
@@ -55,6 +65,16 @@ class ExitFrequencyMatrix:
     @property
     def n(self) -> int:
         return self.values.shape[0]
+
+    @cached_property
+    def row_min(self) -> float:
+        """The largest row minimum, zero when every row has a halting state."""
+        return float(self.values.min(axis=1).max())
+
+    @cached_property
+    def access_gap(self) -> float:
+        """The max-abs gap between the row sums and ``access``."""
+        return float(np.abs(self.values.sum(axis=1) - self.access).max())
 
     def __getitem__(self, idx) -> float:
         return float(self.values[idx])
@@ -90,9 +110,9 @@ def greens_general(H: HittingTimeMatrix, pi: Distribution, tau: Distribution) ->
     """
     from_tau = tau.probs @ H.values
     values = pi.probs[None, :] * (from_tau[None, :] - H.values)
-    limit = tolerance.bound(H.n, entry_scale(H, pi), tolerance.RESIDUAL)
-    require("greens_row_sum", np.abs(values.sum(axis=1)).max(), limit)
-    return GreensMatrix(values, target=tau)
+    G = GreensMatrix(values, target=tau)
+    require("greens_row_sum", G.row_sum, tolerance.bound(H.n, entry_scale(H, pi), tolerance.RESIDUAL))
+    return G
 
 
 def greens_function(H: HittingTimeMatrix, pi: Distribution) -> GreensMatrix:
@@ -115,31 +135,28 @@ def exit_frequency_matrix(
     values = pi.probs[None, :] * (h[:, None] + from_tau[None, :] - H.values)
     limit = tolerance.bound(H.n, entry_scale(H, pi), tolerance.RESIDUAL)
     require("exit_negative", -values.min(), limit)
-    values = np.maximum(values, 0.0)
-    require("exit_row_min", values.min(axis=1).max(), limit)
-    row_sums = np.abs(values.sum(axis=1) - h).max()
-    require("exit_row_sums", row_sums, tolerance.bound(H.n, H.time_scale, tolerance.RESIDUAL))
-    return ExitFrequencyMatrix(values, target=tau, access=h)
+    X = ExitFrequencyMatrix(np.maximum(values, 0.0), target=tau, access=h)
+    require("exit_row_min", X.row_min, limit)
+    require("exit_row_sums", X.access_gap, tolerance.bound(H.n, H.time_scale, tolerance.RESIDUAL))
+    return X
 
 
-def verify_green_constraints(M: GreensMatrix | ExitFrequencyMatrix, P: TransitionMatrix) -> tuple[float, float]:
-    """Residuals of the two defining constraints, as (constraint, row-sum).
+def verify_green_constraints(M: GreensMatrix | ExitFrequencyMatrix, P: TransitionMatrix) -> float:
+    """The max-abs entry of M (I - P) - (I - 1 target^T), the residual of the defining constraint.
 
-    The first is the max-abs entry of M (I - P) - (I - 1 target^T), the
-    second the max-abs row sum of M. Diagnostic only; nothing is raised.
-    An exit-frequency matrix X_tau = G_tau + h pi^T meets the first one as
-    its conservation law, since pi^T (I - P) = 0; its rows sum to h, not 0.
+    Diagnostic only; nothing is raised. An exit-frequency matrix
+    X_tau = G_tau + h pi^T meets it as its conservation law, since
+    pi^T (I - P) = 0.
     """
     n = P.n
     lhs = M.values @ (np.eye(n) - P.probs) - (np.eye(n) - np.outer(np.ones(n), M.target.probs))
-    return float(np.abs(lhs).max()), float(np.abs(M.values.sum(axis=1)).max())
+    return float(np.abs(lhs).max())
 
 
 def green_checks(M: GreensMatrix, P: TransitionMatrix, scale: float, name: str = "greens") -> list[Check]:
     """The checks ``name``_constraint and ``name``_row_sum of a Green matrix for P with entries of size ``scale``."""
-    constraint, row_sum = verify_green_constraints(M, P)
     limit = tolerance.bound(P.n, scale, tolerance.RESIDUAL)
-    return [(f"{name}_constraint", constraint, limit), (f"{name}_row_sum", row_sum, limit)]
+    return [(f"{name}_constraint", verify_green_constraints(M, P), limit), (f"{name}_row_sum", M.row_sum, limit)]
 
 
 def hitting_from_greens(M: GreensMatrix, pi: Distribution) -> HittingTimeMatrix:
@@ -161,31 +178,26 @@ class MixingReport:
     mixing_pessimal: tuple[int, ...]
 
 
-def mixing_report(
-    H: HittingTimeMatrix,
-    M: GreensMatrix,
-    pi: Distribution,
-    undirected: bool = False,
-    exit_pi: ExitFrequencyMatrix | None = None,
-) -> MixingReport:
-    """Assemble T_mix, T_reset, T_hit, pessimal vertices, and halting states.
+def mixing_report(chain: ChainAnalysis) -> MixingReport:
+    """Assemble T_mix, T_reset, T_hit, pessimal vertices, and halting states of a chain.
 
     H(i, pi) is the largest entry of row i of -G diag(pi)^{-1}. T_hit is the
-    trace of G and must match the stationary-pair hitting time. With
-    ``undirected`` set, both pessimal-vertex formulas
+    trace of G and must match the chain's stationary-pair hitting time. On
+    an undirected graph, both pessimal-vertex formulas
     H(i, pi) = H(i', i) - H(pi, i) = H(i, i') - H(pi, i') are cross-checked
     and a failure raises IntegrityError naming the vertex. The halting
-    states are read off ``exit_pi`` (X_pi), which is built when not given.
+    states are read off the chain's X_pi.
     """
+    H, G, pi = chain.hitting, chain.greens, chain.stationary
     Hv = H.values
-    mix = (-M.values / pi.probs[None, :]).max(axis=1)
+    mix = (-G.values / pi.probs[None, :]).max(axis=1)
     t_mix = float(mix.max())
     t_reset = float(pi.probs @ mix)
-    t_hit, _ = hit_time(H, pi)
+    t_hit, _ = chain.hit_time
     limit = tolerance.bound(H.n, H.time_scale, tolerance.RESIDUAL)
-    require("trace_vs_hit", abs(float(np.trace(M.values)) - t_hit), limit)
+    require("trace_vs_hit", abs(float(np.trace(G.values)) - t_hit), limit)
     pess = Hv.argmax(axis=0)
-    if undirected:
+    if chain.graph is not None and chain.graph.undirected:
         hpi = pi.probs @ Hv
         vertices = np.arange(H.n)
         first = Hv[pess, vertices] - hpi
@@ -195,9 +207,7 @@ def mixing_report(
         route = tolerance.bound(H.n, H.time_scale, tolerance.ROUTE)
         i = int(np.argmin(gaps <= route))  # the first vertex that fails (NaN fails), or 0 when none does
         require(f"pessimal_formulas_{i}", gaps[i], route)
-    if exit_pi is None:
-        exit_pi = exit_frequency_matrix(H, pi, pi)
-    zero = tolerance.bound(H.n, entry_scale(H, pi), tolerance.RESIDUAL)  # exit_row_min's limit
-    halting = tuple(tuple(np.flatnonzero(row <= zero).tolist()) for row in exit_pi.values)
+    zero = tolerance.bound(H.n, chain.entry_scale, tolerance.RESIDUAL)  # exit_row_min's limit
+    halting = tuple(tuple(np.flatnonzero(row <= zero).tolist()) for row in chain.exit_pi.values)
     mixing_pess = tuple(np.flatnonzero(mix >= t_mix - limit).tolist())
     return MixingReport(mix, t_mix, t_reset, t_hit, pess, halting, mixing_pess)

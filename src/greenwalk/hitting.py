@@ -94,11 +94,6 @@ def access_to_vertex(H: HittingTimeMatrix, sigma: Distribution, j: int) -> float
     return float(sigma.probs @ H.values[:, j])
 
 
-def return_times(pi: Distribution) -> np.ndarray:
-    """Expected first-return times, 1 / pi entrywise."""
-    return 1.0 / pi.probs
-
-
 def hit_time(H: HittingTimeMatrix, pi: Distribution) -> tuple[float, float]:
     """The stationary-pair expected hitting time, with its start-independence residual.
 

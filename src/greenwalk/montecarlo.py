@@ -91,17 +91,6 @@ def _stats(counts: np.ndarray, seed: int) -> SimStats:
     return SimStats(trials=trials, mean=mean, stderr=stderr, seed=seed)
 
 
-def simulate_walk(
-    P: TransitionMatrix, start: int, stop: int, seed: int, max_steps: int = STEP_CAP
-) -> int:
-    """Steps taken by one seeded walk from ``start`` until it first sits at ``stop``.
-
-    The walk is trial 0 of ``empirical_hitting`` with the same seed.
-    """
-    _check_vertices(P, start, stop)
-    return _walk(_cumulative_rows(P), start, stop, _TrialStreams(seed).trial(0), max_steps)
-
-
 def empirical_hitting(
     P: TransitionMatrix, i: int, j: int, trials: int, seed: int, max_steps: int = STEP_CAP
 ) -> SimStats:

@@ -104,7 +104,7 @@ def test_05_hypercubes():
     worst = 0.0
     for d in range(1, 11):
         sol = pipeline.analyze(families.hypercube_graph(d))
-        rep = mixing_report(sol.hitting, sol.greens, sol.stationary, undirected=True)
+        rep = mixing_report(sol)
         t_mix = (d / 2) * sum(1 / k for k in range(1, d + 1))
         t_hit = (d / 2) * sum(math.comb(d, k) / k for k in range(1, d + 1))
         h_one_zero = 2 ** (d - 1) * sum(1 / math.comb(d - 1, k) for k in range(d))
@@ -128,7 +128,7 @@ def test_06_spectral_equivalence():
         scale = max(1.0, float(np.abs(sol.hitting.values).max()))
         gap_h = float(np.abs(spectral_hitting(dec).values - sol.hitting.values).max())
         gap_g = float(np.abs(spectral_greens(dec).values - sol.greens.values).max())
-        rep = mixing_report(sol.hitting, sol.greens, sol.stationary, undirected=True)
+        rep = mixing_report(sol)
         t_mix, t_reset, t_hit = spectral_mixing(dec, rep.pessimal)
         by_trace = float(np.trace(sol.greens.values))
         by_pairs, _ = hit_time(sol.hitting, sol.stationary)
@@ -151,7 +151,7 @@ def test_07_green_constraints_random_digraphs():
         n = 2 + case % 39
         g = random_strongly_connected_digraph(n, seed=case)
         sol = pipeline.analyze(g)
-        constraint, row_sum = verify_green_constraints(sol.greens, sol.transition)
+        constraint, row_sum = verify_green_constraints(sol.greens, sol.transition), sol.greens.row_sum
         worst = max(worst, constraint / (1e-9 * n) * 1e-9, row_sum / 1e-10 * 1e-9)
         ok = constraint <= 1e-9 * n and row_sum <= 1e-10
         assert ok, f"case {case}: constraint {constraint:.2e} row_sum {row_sum:.2e}"
@@ -159,7 +159,7 @@ def test_07_green_constraints_random_digraphs():
         for _ in range(5):
             tau = Distribution(rng.dirichlet(np.ones(n)))
             Gt = greens_general(sol.hitting, sol.stationary, tau)
-            c, r = verify_green_constraints(Gt, sol.transition)
+            c, r = verify_green_constraints(Gt, sol.transition), Gt.row_sum
             assert c <= 1e-9 * n and r <= 1e-10, f"case {case}: general target failed"
     report("07 Green constraints, 200 digraphs x 6 targets", True)
 

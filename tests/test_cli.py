@@ -193,11 +193,11 @@ class TestExitCodes:
 
 
 def _first_constraint_is_one(real):
-    return lambda M, P: (1.0, real(M, P)[1])
+    return lambda M, P: 1.0
 
 
 def _first_constraint_is_nan(real):
-    return lambda M, P: (float("nan"), real(M, P)[1])
+    return lambda M, P: float("nan")
 
 
 def _zero_spectral_hitting(dec):
@@ -440,6 +440,21 @@ class TestFamilyCommand:
         code, _, _ = run(capsys, "family", "complete", "4", "--measure", "nope")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["tree", "7", "9", "--input", "TREE"], "family 'tree' takes no parameters, got 7 9"),
+            (["path", "5", "--input", "/nonexistent"], "family 'path' does not read --input"),
+            (["path", "5", "--input-format", "json"], "family 'path' does not read --input-format"),
+            (["complete", "4", "--input", "TREE", "--input-format", "edgelist"], "family 'complete' does not read --input"),
+        ],
+        ids=["tree-params", "path-input", "path-input-format", "complete-input"],
+    )
+    def test_option_the_family_does_not_read_is_one(self, capsys, argv, message):
+        code, out, err = run(capsys, "family", *[str(GOLDEN / "tree.edges") if a == "TREE" else a for a in argv])
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestOtherCommands:
     def test_hitting_json(self, capsys, tmp_path):
@@ -598,6 +613,34 @@ class TestDualityCallCounts:
         assert calls["forget_distribution"] == 2
         assert calls["pi_core"] == 1
         assert calls["reverse_chain"] == 2
+
+
+class TestHitTimeCalls:
+    """The stationary-pair hitting time is computed once per chain: verify's
+    random_target check and the mixing report's trace_vs_hit read the same one."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        real = greenwalk.hitting.hit_time
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        # every module that bound the function at import calls it by that name
+        for module in (greenwalk.hitting, greenwalk.greens, greenwalk.pipeline, greenwalk.cli):
+            if getattr(module, "hit_time", None) is real:
+                monkeypatch.setattr(module, "hit_time", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv", [["verify"], ["mixing"], ["hitting"], ["simulate", "--start", "0", "--trials", "20"]], ids=lambda a: a[0]
+    )
+    @pytest.mark.parametrize("graph", ["directed", "undirected"])
+    def test_once_per_command(self, capsys, calls, graph, argv):
+        assert run(capsys, argv[0], "--input", str(GOLDEN / f"{graph}.edges"), *argv[1:])[0] == 0
+        assert len(calls) == 1
 
 
 class TestRuntimeDependencies:

@@ -150,7 +150,7 @@ class TestToric:
     def test_transitive_mix_equals_reset(self):
         rep = families.toric_oracle((4, 4))
         sol = pipeline.analyze(rep.graph)
-        mrep = mixing_report(sol.hitting, sol.greens, sol.stationary, undirected=True)
+        mrep = mixing_report(sol)
         assert abs(mrep.t_mix - mrep.t_reset) <= 1e-8
         assert abs(rep.measures["t_mix"] - mrep.t_mix) <= 1e-8
 
@@ -189,5 +189,5 @@ class TestVertexTransitiveFamilies:
         hpi = sol.stationary.probs @ sol.hitting.values
         t_hit, _ = hit_time(sol.hitting, sol.stationary)
         assert np.abs(hpi - t_hit).max() <= 1e-8 * max(1.0, t_hit)
-        rep = mixing_report(sol.hitting, sol.greens, sol.stationary, undirected=True)
+        rep = mixing_report(sol)
         assert abs(rep.t_mix - rep.t_reset) <= 1e-8 * max(1.0, t_hit)

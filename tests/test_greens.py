@@ -53,7 +53,7 @@ class TestGreensFunction:
     @given(n=st.integers(2, 25), seed=st.integers(0, 10**6))
     def test_constraints_on_random_digraphs(self, n, seed):
         sol = analyze(random_strongly_connected_digraph(n, seed))
-        constraint, row_sum = verify_green_constraints(sol.greens, sol.transition)
+        constraint, row_sum = verify_green_constraints(sol.greens, sol.transition), sol.greens.row_sum
         assert constraint <= 1e-9 * n
         assert row_sum <= 1e-10
 
@@ -90,7 +90,7 @@ class TestGeneralizedGreens:
         rng = np.random.default_rng(seed)
         tau = Distribution(rng.dirichlet(np.ones(n)))
         Gt = greens_general(sol.hitting, sol.stationary, tau)
-        constraint, row_sum = verify_green_constraints(Gt, sol.transition)
+        constraint, row_sum = verify_green_constraints(Gt, sol.transition), Gt.row_sum
         assert constraint <= 1e-9 * n and row_sum <= 1e-10
 
 
@@ -124,7 +124,7 @@ class TestExitFrequencies:
         assert X.values.min(axis=1).max() <= 1e-10
         scale = max(1.0, np.abs(X.access).max())
         assert np.abs(X.values.sum(axis=1) - X.access).max() <= 1e-8 * scale
-        conservation = X.values @ sol.transition.laplacian - (
+        conservation = X.values @ (np.eye(n) - sol.transition.probs) - (
             np.eye(n) - np.outer(np.ones(n), tau.probs)
         )
         assert np.abs(conservation).max() <= 1e-9 * n
@@ -151,7 +151,7 @@ class TestVerifyConstraints:
     def test_zero_matrix(self):
         sol = analyze(families.complete_graph(3))
         M = GreensMatrix(np.zeros((3, 3)), target=sol.stationary)
-        constraint, row_sum = verify_green_constraints(M, sol.transition)
+        constraint, row_sum = verify_green_constraints(M, sol.transition), M.row_sum
         assert constraint == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert row_sum == 0.0
 
@@ -159,12 +159,12 @@ class TestVerifyConstraints:
         sol = analyze(families.complete_graph(3))
         values = sol.greens.values.copy()
         values[0, 0] += 1.0
-        constraint, _ = verify_green_constraints(GreensMatrix(values, sol.stationary), sol.transition)
+        constraint = verify_green_constraints(GreensMatrix(values, sol.stationary), sol.transition)
         assert constraint >= 0.5
 
     def test_clean_output_passes(self):
         sol = analyze(random_strongly_connected_digraph(10, seed=4))
-        constraint, row_sum = verify_green_constraints(sol.greens, sol.transition)
+        constraint, row_sum = verify_green_constraints(sol.greens, sol.transition), sol.greens.row_sum
         assert constraint <= 1e-9 * 10 and row_sum <= 1e-10
 
 
@@ -186,7 +186,7 @@ class TestHittingRoundTrip:
 
 class TestMixingReport:
     def test_path_hand_values(self, p3):
-        rep = mixing_report(p3.hitting, p3.greens, p3.stationary, undirected=True)
+        rep = mixing_report(p3)
         assert np.allclose(rep.mixing_times, [1.5, 0.5, 1.5], atol=1e-12)
         assert rep.t_mix == pytest.approx(1.5)
         assert rep.t_reset == pytest.approx(1.0)
@@ -196,36 +196,39 @@ class TestMixingReport:
 
     def test_cycle_matches_square_hypercube(self):
         sol = analyze(families.cycle_graph(4))
-        rep = mixing_report(sol.hitting, sol.greens, sol.stationary, undirected=True)
+        rep = mixing_report(sol)
         assert rep.t_mix == pytest.approx(1.5, abs=1e-10)
 
     def test_hypercube(self):
         sol = analyze(families.hypercube_graph(3))
-        rep = mixing_report(sol.hitting, sol.greens, sol.stationary, undirected=True)
+        rep = mixing_report(sol)
         assert rep.t_mix == pytest.approx(2.75, abs=1e-8)
         assert rep.t_hit == pytest.approx(7.25, abs=1e-8)
         assert sol.hitting[7, 0] == pytest.approx(10.0, abs=1e-8)
 
     def test_reset_from_exit_row_sums(self):
         sol = analyze(random_strongly_connected_digraph(12, seed=8))
-        rep = mixing_report(sol.hitting, sol.greens, sol.stationary)
+        rep = mixing_report(sol)
         X = exit_frequency_matrix(sol.hitting, sol.stationary, sol.stationary)
         reset = float(sol.stationary.probs @ X.values.sum(axis=1))
         assert abs(reset - rep.t_reset) <= 1e-8 * max(1.0, rep.t_hit)
 
     def test_pessimal_lowest_index_tie_break(self, p3):
-        rep = mixing_report(p3.hitting, p3.greens, p3.stationary, undirected=True)
+        rep = mixing_report(p3)
         # both endpoints maximize H(., 1); the tie goes to vertex 0
         assert rep.pessimal[1] == 0
 
     def test_mixing_times_match_access_route(self):
         sol = analyze(random_strongly_connected_digraph(10, seed=14))
-        rep = mixing_report(sol.hitting, sol.greens, sol.stationary)
+        rep = mixing_report(sol)
         direct = access_times(sol.hitting, sol.stationary)
         assert np.abs(rep.mixing_times - direct).max() <= 1e-10
 
     def test_tampered_greens_raises(self, p3):
         values = p3.greens.values.copy()
         values[0, 0] += 0.1
-        with pytest.raises(IntegrityError):
-            mixing_report(p3.hitting, GreensMatrix(values, p3.stationary), p3.stationary)
+        tampered = pipeline.ChainAnalysis(p3.transition, p3.stationary)
+        tampered.__dict__["greens"] = GreensMatrix(values, p3.stationary)
+        with pytest.raises(IntegrityError) as exc:
+            mixing_report(tampered)
+        assert exc.value.check[0] == "trace_vs_hit"

@@ -12,7 +12,6 @@ from greenwalk.hitting import (
     fundamental_matrix,
     hit_time,
     hitting_times,
-    return_times,
 )
 
 
@@ -104,14 +103,6 @@ class TestAccessAndReturns:
         P, pi = chain(families.complete_bipartite(2, 3))
         H = hitting_times(P, pi)
         assert access_to_vertex(H, pi, 0) == pytest.approx(2.5, abs=1e-10)
-
-    def test_return_times(self):
-        _, pi_c4 = chain(families.cycle_graph(4))
-        assert np.allclose(return_times(pi_c4), 4.0)
-        _, pi_p3 = chain(families.path_graph(3))
-        assert np.allclose(return_times(pi_p3), [4.0, 2.0, 4.0])
-        _, pi_star = chain(families.star_graph(2))
-        assert return_times(pi_star)[0] == pytest.approx(2.0)
 
 
 class TestHitTime:

@@ -8,7 +8,7 @@ from greenwalk.errors import RunawayError, ValidationError
 from greenwalk.generators import random_strongly_connected_digraph
 from greenwalk.graph import WeightedDigraph, stationary_distribution, transition_matrix
 from greenwalk.hitting import hit_time, hitting_times
-from greenwalk.montecarlo import _cumulative_rows, empirical_hitting, empirical_random_target, simulate_walk
+from greenwalk.montecarlo import STEP_CAP, _cumulative_rows, empirical_hitting, empirical_random_target
 
 
 def directed_triangle_chain():
@@ -16,30 +16,45 @@ def directed_triangle_chain():
     return transition_matrix(g)
 
 
+def one_walk(P, start, stop, seed, max_steps=STEP_CAP) -> float:
+    """The steps of one seeded walk: the mean of a single trial."""
+    return empirical_hitting(P, start, stop, 1, seed, max_steps).mean
+
+
+def philox_walk(P, start, stop, seed) -> int:
+    """A walk drawing one uniform per step from a fresh Philox keyed (seed, 0), stepping by the dense row's cumsum."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    v, steps = start, 0
+    while v != stop:
+        v = int(np.searchsorted(np.cumsum(P.probs[v]), rng.random(), side="right"))
+        steps += 1
+    return steps
+
+
 class TestSimulateWalk:
     def test_start_equals_stop(self):
         P = transition_matrix(families.complete_graph(2))
-        assert simulate_walk(P, 0, 0, seed=5) == 0
+        assert one_walk(P, 0, 0, seed=5) == 0
 
     def test_deterministic_chain(self):
         P = directed_triangle_chain()
-        assert all(simulate_walk(P, 0, 2, seed=s) == 2 for s in range(20))
+        assert all(one_walk(P, 0, 2, seed=s) == 2 for s in range(20))
 
     def test_cycle_parity(self):
         P = transition_matrix(families.cycle_graph(4))
         for s in range(20):
-            steps = simulate_walk(P, 0, 2, seed=s)
+            steps = one_walk(P, 0, 2, seed=s)
             assert steps > 0 and steps % 2 == 0
 
     def test_step_cap(self):
         P = directed_triangle_chain()
         with pytest.raises(RunawayError):
-            simulate_walk(P, 0, 2, seed=0, max_steps=1)
+            one_walk(P, 0, 2, seed=0, max_steps=1)
 
     def test_bad_vertex(self):
         P = directed_triangle_chain()
         with pytest.raises(ValidationError):
-            simulate_walk(P, 0, 9, seed=0)
+            one_walk(P, 0, 9, seed=0)
 
 
 class TestCumulativeRows:
@@ -65,11 +80,11 @@ class TestEmpiricalHitting:
         assert a == b
 
     def test_single_trial_matches_simulate(self):
-        # simulate_walk is trial 0 of empirical_hitting's per-trial streams
+        # trial 0 of empirical_hitting's per-trial streams is the walk of a fresh Philox keyed (seed, 0)
         P = transition_matrix(random_strongly_connected_digraph(12, 4))
         for seed in range(20):
             one = empirical_hitting(P, 0, 7, trials=1, seed=seed)
-            assert one.mean == simulate_walk(P, 0, 7, seed=seed)
+            assert one.mean == philox_walk(P, 0, 7, seed)
             assert one.stderr == 0.0
 
     def test_stderr_definition(self):

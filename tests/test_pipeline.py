@@ -1,0 +1,33 @@
+"""Each residual a builder checks is computed once and kept on the object it certifies.
+
+``verify_checks`` reports those residuals by reading them, so its figures are
+the very floats the builders compared with their limits.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from greenwalk.graph import load_graph
+from greenwalk.greens import mixing_report
+from greenwalk.pipeline import analyze, verify_checks
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.fixture(params=["directed", "undirected"])
+def chain(request):
+    return analyze(load_graph(str(GOLDEN / f"{request.param}.edges")))
+
+
+def test_verify_reports_the_builders_residuals(chain):
+    checks = {name: residual for name, residual, _ in verify_checks(chain)}
+    assert checks["row_stochastic"] is chain.transition.row_sum
+    assert checks["greens_row_sum"] is chain.greens.row_sum
+    assert checks["exit_row_min"] is chain.exit_pi.row_min
+    assert checks["exit_row_sums"] is chain.exit_pi.access_gap
+    assert checks["random_target"] is chain.hit_time[1]
+
+
+def test_mixing_report_reads_the_chains_hit_time(chain):
+    assert mixing_report(chain).t_hit is chain.hit_time[0]

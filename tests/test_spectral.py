@@ -104,7 +104,7 @@ class TestSpectralMixing:
     def test_cycle_measures(self):
         g = families.cycle_graph(4)
         sol = pipeline.analyze(g)
-        rep = mixing_report(sol.hitting, sol.greens, sol.stationary, undirected=True)
+        rep = mixing_report(sol)
         t_mix, t_reset, t_hit = spectral_mixing(decompose(g), rep.pessimal)
         assert t_hit == pytest.approx(2.5, abs=1e-10)  # 1 + 1 + 1/2
         assert t_mix == pytest.approx(1.5, abs=1e-10)
@@ -113,7 +113,7 @@ class TestSpectralMixing:
     def test_complete_hit_time(self):
         g = families.complete_graph(3)
         sol = pipeline.analyze(g)
-        rep = mixing_report(sol.hitting, sol.greens, sol.stationary, undirected=True)
+        rep = mixing_report(sol)
         _, _, t_hit = spectral_mixing(decompose(g), rep.pessimal)
         assert t_hit == pytest.approx(4.0 / 3.0, abs=1e-12)
 
@@ -128,7 +128,7 @@ class TestRouteEquivalence:
         scale = max(1.0, np.abs(sol.hitting.values).max())
         assert np.abs(spectral_hitting(dec).values - sol.hitting.values).max() <= 1e-8 * scale
         assert np.abs(spectral_greens(dec).values - sol.greens.values).max() <= 1e-8 * scale
-        rep = mixing_report(sol.hitting, sol.greens, sol.stationary, undirected=True)
+        rep = mixing_report(sol)
         t_mix, t_reset, t_hit = spectral_mixing(dec, rep.pessimal)
         assert abs(t_mix - rep.t_mix) <= 1e-8 * scale
         assert abs(t_reset - rep.t_reset) <= 1e-8 * scale
