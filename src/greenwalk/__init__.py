@@ -39,6 +39,7 @@ from .hitting import (
     fundamental_matrix,
     hit_time,
     hitting_times,
+    reversed_hitting_times,
 )
 from .montecarlo import SimStats, empirical_hitting, empirical_random_target
 from .pipeline import ChainAnalysis, analyze, verify_checks

@@ -74,14 +74,15 @@ def toric_grid_graph(dims: tuple[int, ...]) -> WeightedDigraph:
     if not dims or any(m < 3 for m in dims):
         raise ValidationError("toric grid needs every cycle length >= 3")
     n = math.prod(dims)
-    arcs = []
-    for flat in range(n):
-        coords = list(np.unravel_index(flat, dims))
-        for axis, m in enumerate(dims):
-            nxt = coords.copy()
-            nxt[axis] = (nxt[axis] + 1) % m
-            arcs.append((flat, int(np.ravel_multi_index(nxt, dims)), 1.0))
-    return WeightedDigraph(n, tuple(arcs), undirected=True)
+    coords = np.unravel_index(np.arange(n), dims)
+    steps = []
+    for axis, m in enumerate(dims):
+        nxt = list(coords)
+        nxt[axis] = (coords[axis] + 1) % m
+        steps.append(np.ravel_multi_index(nxt, dims))
+    # one arc per (vertex, axis), in that order
+    src = np.repeat(np.arange(n), len(dims))
+    return WeightedDigraph.from_columns(n, src, np.stack(steps, axis=1).ravel(), np.ones(src.size), undirected=True)
 
 
 # ---------------------------------------------------------------------------

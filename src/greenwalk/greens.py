@@ -208,6 +208,9 @@ def mixing_report(chain: ChainAnalysis) -> MixingReport:
         i = int(np.argmin(gaps <= route))  # the first vertex that fails (NaN fails), or 0 when none does
         require(f"pessimal_formulas_{i}", gaps[i], route)
     zero = tolerance.bound(H.n, chain.entry_scale, tolerance.RESIDUAL)  # exit_row_min's limit
-    halting = tuple(tuple(np.flatnonzero(row <= zero).tolist()) for row in chain.exit_pi.values)
+    rows, cols = np.nonzero(chain.exit_pi.values <= zero)
+    bounds = np.searchsorted(rows, np.arange(H.n + 1)).tolist()
+    flat = cols.tolist()
+    halting = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
     mixing_pess = tuple(np.flatnonzero(mix >= t_mix - limit).tolist())
     return MixingReport(mix, t_mix, t_reset, t_hit, pess, halting, mixing_pess)

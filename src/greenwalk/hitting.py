@@ -17,7 +17,8 @@ class HittingTimeMatrix:
     """All pairwise expected first-arrival times, zero on the diagonal.
 
     ``first_step`` is the residual of the first-step equations when
-    ``hitting_times`` built the matrix, and None otherwise.
+    ``hitting_times`` or ``reversed_hitting_times`` built the matrix, and
+    None otherwise.
     """
 
     values: np.ndarray
@@ -80,7 +81,23 @@ def hitting_times(P: TransitionMatrix, pi: Distribution) -> HittingTimeMatrix:
         H(i, j) = 1 + sum_k P(i, k) H(k, j) for i != j.
     """
     Z = fundamental_matrix(P, pi)
-    H = (np.diag(Z)[None, :] - Z) / pi.probs[None, :]
+    return _confirmed((np.diag(Z)[None, :] - Z) / pi.probs[None, :], P)
+
+
+def reversed_hitting_times(H: HittingTimeMatrix, P_rev: TransitionMatrix, pi: Distribution) -> HittingTimeMatrix:
+    """The hitting times of the reverse chain P_rev, read off the forward chain's H with no solve.
+
+    The reverse chain's fundamental matrix is diag(pi)^{-1} Z^T diag(pi), so
+    Hrev(i, j) = H(j, i) + H(pi, j) - H(pi, i). The result is validated
+    against the first-step equations of P_rev itself, as ``hitting_times``
+    validates a solved matrix.
+    """
+    h_pi = pi.probs @ H.values
+    return _confirmed(H.values.T + h_pi[None, :] - h_pi[:, None], P_rev)
+
+
+def _confirmed(H: np.ndarray, P: TransitionMatrix) -> HittingTimeMatrix:
+    """H as a HittingTimeMatrix of P, once the first-step equations hold to working accuracy."""
     R = H - 1.0 - P.probs @ H
     np.fill_diagonal(R, 0.0)
     residual = float(np.abs(R).max())

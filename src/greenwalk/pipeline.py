@@ -35,7 +35,7 @@ from .greens import (
     mixing_report,
     verify_green_constraints,
 )
-from .hitting import HittingTimeMatrix, check_cycle_identities, hit_time, hitting_times
+from .hitting import HittingTimeMatrix, check_cycle_identities, hit_time, hitting_times, reversed_hitting_times
 from .spectral import SpectralDecomposition, decompose, spectral_greens, spectral_hitting, spectral_mixing
 
 
@@ -48,9 +48,10 @@ class ChainAnalysis:
     ``hit_time`` and ``mixing`` are read off it. A residual a builder checks
     is kept on what it certifies (``greens.row_sum``, ``exit_pi.row_min``),
     and the check lists read it there. ``reverse`` is the time-reversed chain
-    over the same pi, solved on its own; while this chain is alive, its
-    ``reverse`` is this chain. ``forget``, the forget distribution, is read
-    off the reverse chain's solve.
+    over the same pi; its ``hitting`` is read off this chain's with no second
+    solve, and confirmed against the reverse chain's own rows. While this
+    chain is alive, its ``reverse`` is this chain. ``forget``, the forget
+    distribution, is read off the reverse chain's hitting times.
     """
 
     transition: TransitionMatrix
@@ -100,6 +101,7 @@ class ChainAnalysis:
             rev = rev()
         if rev is None:
             rev = ChainAnalysis(reverse_chain(self.transition, self.stationary), self.stationary)
+            rev.__dict__["hitting"] = reversed_hitting_times(self.hitting, rev.transition, self.stationary)
             self.__dict__["_reverse"] = rev
             rev.__dict__["_reverse"] = weakref.ref(self)
         return rev

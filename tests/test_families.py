@@ -6,6 +6,7 @@ import pytest
 from greenwalk import families, pipeline
 from greenwalk.errors import ValidationError
 from greenwalk.generators import random_tree
+from greenwalk.graph import WeightedDigraph
 from greenwalk.greens import mixing_report
 from greenwalk.hitting import hit_time
 
@@ -165,6 +166,23 @@ class TestToric:
         rep = families.toric_oracle((3, 4))
         dec = decompose(rep.graph)
         assert np.abs(np.array(rep.details["eigenvalues"]) - dec.eigenvalues).max() <= 1e-10
+
+    @pytest.mark.parametrize("dims", [(3, 4), (8, 15), (3, 3, 3), (4, 5, 6)])
+    def test_grid_arcs_match_per_vertex_loop(self, dims):
+        n = math.prod(dims)
+        arcs = []
+        for flat in range(n):
+            coords = list(np.unravel_index(flat, dims))
+            for axis, m in enumerate(dims):
+                nxt = coords.copy()
+                nxt[axis] = (nxt[axis] + 1) % m
+                arcs.append((flat, int(np.ravel_multi_index(nxt, dims)), 1.0))
+        loop = WeightedDigraph(n, tuple(arcs), undirected=True)
+        g = families.toric_grid_graph(dims)
+        assert g.n == loop.n and g.undirected
+        for column in ("src", "dst", "w"):
+            assert getattr(g, column).dtype == getattr(loop, column).dtype
+            assert np.array_equal(getattr(g, column), getattr(loop, column))
 
     def test_dimension_bounds(self):
         with pytest.raises(ValidationError):

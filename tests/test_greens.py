@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenwalk import families, pipeline
+from greenwalk import families, pipeline, tolerance
 from greenwalk.errors import IntegrityError
 from greenwalk.generators import random_connected_graph, random_strongly_connected_digraph
 from greenwalk.graph import Distribution, stationary_distribution, transition_matrix
@@ -223,6 +223,26 @@ class TestMixingReport:
         rep = mixing_report(sol)
         direct = access_times(sol.hitting, sol.stationary)
         assert np.abs(rep.mixing_times - direct).max() <= 1e-10
+
+    @pytest.mark.parametrize(
+        "g, beta",
+        [
+            (families.path_graph(3), 0.0),
+            (families.hypercube_graph(3), 0.0),
+            (families.toric_grid_graph((4, 4)), 0.0),
+            (random_connected_graph(20, seed=3), 0.0),
+            (random_strongly_connected_digraph(30, seed=12), 0.0),
+            (random_strongly_connected_digraph(25, seed=5), 0.4),
+        ],
+        ids=["path", "cube", "torus", "undirected", "digraph", "lazy-digraph"],
+    )
+    def test_halting_states_match_per_row_scan(self, g, beta):
+        sol = analyze(g, beta)
+        zero = tolerance.bound(sol.transition.n, sol.entry_scale, tolerance.RESIDUAL)
+        expected = tuple(tuple(np.flatnonzero(row <= zero).tolist()) for row in sol.exit_pi.values)
+        halting = mixing_report(sol).halting_states
+        assert halting == expected
+        assert all(type(k) is int for row in halting for k in row)
 
     def test_tampered_greens_raises(self, p3):
         values = p3.greens.values.copy()

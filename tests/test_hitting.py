@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenwalk import families, pipeline
+from greenwalk import families, pipeline, tolerance
+from greenwalk.duality import reverse_chain
+from greenwalk.errors import NumericalError
 from greenwalk.generators import random_connected_graph, random_strongly_connected_digraph
 from greenwalk.graph import Distribution, stationary_distribution, transition_matrix
 from greenwalk.hitting import (
@@ -12,6 +14,7 @@ from greenwalk.hitting import (
     fundamental_matrix,
     hit_time,
     hitting_times,
+    reversed_hitting_times,
 )
 
 
@@ -87,6 +90,63 @@ class TestHittingTimes:
         Hb = hitting_times(Pb, pi).values
         scale = max(1.0, np.abs(Hb).max())
         assert np.abs(Hb * (1.0 - beta) - H0).max() <= 1e-8 * scale
+
+
+class TestReversedHittingTimes:
+    """The reverse chain's hitting times read off the forward H agree with a solve of the reverse chain."""
+
+    @pytest.mark.parametrize(
+        "g, beta",
+        [
+            (random_strongly_connected_digraph(12, seed=4, weighted=False), 0.0),
+            (random_strongly_connected_digraph(30, seed=9, weighted=True), 0.0),
+            (random_strongly_connected_digraph(20, seed=2), 0.3),
+            (random_connected_graph(15, seed=6, weighted=True), 0.0),
+            (random_connected_graph(15, seed=6), 0.5),
+            (random_strongly_connected_digraph(300, seed=1), 0.0),
+        ],
+        ids=["digraph", "weighted-digraph", "lazy-digraph", "undirected", "lazy-undirected", "digraph-300"],
+    )
+    def test_matches_solved_reverse(self, g, beta):
+        P, pi = chain(g, beta)
+        P_rev = reverse_chain(P, pi)
+        derived = reversed_hitting_times(hitting_times(P, pi), P_rev, pi)
+        solved = hitting_times(P_rev, pi)
+        limit = tolerance.bound(P.n, solved.time_scale, tolerance.ROUTE)
+        assert np.abs(derived.values - solved.values).max() <= limit
+        assert derived.first_step <= limit
+
+    def test_directed_triangle_runs_backwards(self, directed_triangle):
+        rev = directed_triangle.reverse
+        assert np.allclose(rev.hitting.values, directed_triangle.hitting.values.T, atol=1e-12)
+
+    def test_first_step_checked_against_the_given_rows(self):
+        # the forward rows of a directed chain do not fit the reverse hitting times
+        P, pi = chain(random_strongly_connected_digraph(8, seed=5))
+        with pytest.raises(NumericalError) as info:
+            reversed_hitting_times(hitting_times(P, pi), P, pi)
+        assert info.value.check[0] == "first_step"
+
+    def test_reverse_chain_keeps_its_first_step(self):
+        sol = pipeline.analyze(random_strongly_connected_digraph(10, seed=7))
+        H = sol.reverse.hitting
+        assert H.first_step is not None
+        R = H.values - 1.0 - sol.reverse.transition.probs @ H.values
+        np.fill_diagonal(R, 0.0)
+        assert H.first_step == float(np.abs(R).max())
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(2, 25), seed=st.integers(0, 10**6), beta=st.sampled_from([0.0, 0.4]))
+    def test_commute_times_agree(self, n, seed, beta):
+        # H(i, j) + H(j, i) is the same on the chain and its reverse, derived or solved
+        P, pi = chain(random_strongly_connected_digraph(n, seed, weighted=True), beta)
+        H = hitting_times(P, pi)
+        P_rev = reverse_chain(P, pi)
+        commute = H.values + H.values.T
+        derived = reversed_hitting_times(H, P_rev, pi).values
+        solved = hitting_times(P_rev, pi).values
+        assert np.abs(derived + derived.T - commute).max() <= tolerance.bound(n, H.time_scale, tolerance.RESIDUAL)
+        assert np.abs(solved + solved.T - commute).max() <= tolerance.bound(n, H.time_scale, tolerance.ROUTE)
 
 
 class TestAccessAndReturns:
