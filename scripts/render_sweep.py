@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Time render_json of a hitting-time payload with the per-row '%' join and with the float kernel.
+"""Time the float kernel against the per-row '%' join on hitting-time matrices.
 
 For each n, builds the payload `greenwalk hitting` prints for
-random_strongly_connected_digraph(n, 1, extra=0.02), renders it with a
-verbatim copy of the renderer that formatted each float row with one
-"%.17g" '%', and with greenwalk.cli.render_json, asserts that both texts
-are equal, and prints the time per float (best of --repeat) and the peak
-memory tracemalloc sees while rendering. The last line is the table as JSON.
+random_strongly_connected_digraph(n, 1, extra=0.02). It formats the hitting
+times with greenwalk.cli._format_rows, the kernel render_json prints
+matrices with, and with one greenwalk.cli._float_row per row, the "%.17g"
+join render_json prints vectors with. It asserts that both give the same
+rows and prints the time per float of each (best of --repeat). It also
+prints the best time of render_json on the whole payload and the peak
+memory tracemalloc sees while it renders. The last line is the table as
+JSON.
 
 Usage: python3 scripts/render_sweep.py [--sizes N ...] [--repeat R]
 """
@@ -16,73 +19,18 @@ import json
 import time
 import tracemalloc
 
-import numpy as np
-
-from greenwalk.cli import render_json
+from greenwalk.cli import _float_row, _format_rows, render_json
 from greenwalk.generators import random_strongly_connected_digraph
 from greenwalk.hitting import hit_time
 from greenwalk.pipeline import analyze
 
-# ---------------------------------------------------------------------------
-# the renderer the float kernel replaced, kept verbatim
+
+def row_join(H) -> list[str]:
+    return [_float_row(row, ", ") for row in H]
 
 
-def _fmt(x) -> str:
-    # adding 0.0 normalizes negative zero
-    return format(float(x) + 0.0, ".17g")
-
-
-def _float_row(row, sep: str) -> str:
-    """A flat float row in one '%' formatting, negative zero normalized as in _fmt."""
-    values = (np.asarray(row, dtype=float) + 0.0).tolist()
-    return sep.join(["%.17g"] * len(values)) % tuple(values)
-
-
-def _is_float_row(obj) -> bool:
-    if isinstance(obj, np.ndarray):
-        return obj.ndim == 1 and obj.dtype.kind == "f"
-    return all(type(v) is float for v in obj)
-
-
-def _scalar(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if v is None:
-        return "null"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return _fmt(v)
-    if isinstance(v, str):
-        return json.dumps(v)
-    raise TypeError(f"cannot serialize {type(v)!r}")
-
-
-def row_join_render_json(obj, indent: int = 0) -> str:
-    """Fixed-format JSON: 17 significant digits, insertion-ordered keys."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{pad}  {json.dumps(str(k))}: {row_join_render_json(v, indent + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        if _is_float_row(obj):
-            return "[" + _float_row(obj, ", ") + "]"
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        if any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq):
-            items = [f"{pad}  {row_join_render_json(v, indent + 1)}" for v in seq]
-            return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-        return "[" + ", ".join(_scalar(v) for v in seq) + "]"
-    return _scalar(obj)
-
-
-# ---------------------------------------------------------------------------
+def kernel(H) -> list[str]:
+    return _format_rows(H, ", ")
 
 
 def hitting_payload(n: int) -> dict:
@@ -120,29 +68,28 @@ def main() -> None:
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
 
-    renderers = {"row_join": row_join_render_json, "kernel": render_json}
-    header = f"{'n':>6}{'floats':>10}{'MB out':>9}" + "".join(
-        f"{name + ' ns/float':>20}{name + ' peak MB':>18}" for name in renderers
-    ) + f"{'speed-up':>10}"
+    formatters = {"row_join": row_join, "kernel": kernel}
+    header = f"{'n':>6}{'floats':>10}{'MB out':>9}" + "".join(f"{name + ' ns/float':>20}" for name in formatters)
+    header += f"{'speed-up':>10}{'render_json s':>15}{'peak MB':>9}"
     print(header)
     print("-" * len(header))
     table = []
     for n in args.sizes:
         payload = hitting_payload(n)
-        texts = {name: render(payload) for name, render in renderers.items()}
-        assert texts["kernel"] == texts["row_join"], f"n = {n}: the renderers disagree"
-        floats = n * n + n + 2
-        row = {"n": n, "floats": floats, "output_mb": len(texts["kernel"]) / 2**20}
-        del texts
-        for name, render in renderers.items():
-            row[f"{name}_ns_per_float"] = best_time(render, payload, args.repeat) / floats * 1e9
-            row[f"{name}_peak_traced_mb"] = peak_traced_mb(render, payload)
+        H = payload["rows"]
+        assert kernel(H) == row_join(H), f"n = {n}: the formatters disagree"
+        floats = n * n
+        row = {"n": n, "floats": floats, "output_mb": len(render_json(payload)) / 2**20}
+        for name, fmt in formatters.items():
+            row[f"{name}_ns_per_float"] = best_time(fmt, H, args.repeat) / floats * 1e9
         row["speedup"] = row["row_join_ns_per_float"] / row["kernel_ns_per_float"]
+        row["render_json_s"] = best_time(render_json, payload, args.repeat)
+        row["peak_traced_mb"] = peak_traced_mb(render_json, payload)
         table.append(row)
         print(
             f"{n:>6}{floats:>10}{row['output_mb']:>9.2f}"
-            + "".join(f"{row[name + '_ns_per_float']:>20.1f}{row[name + '_peak_traced_mb']:>18.2f}" for name in renderers)
-            + f"{row['speedup']:>10.2f}"
+            + "".join(f"{row[name + '_ns_per_float']:>20.1f}" for name in formatters)
+            + f"{row['speedup']:>10.2f}{row['render_json_s']:>15.3f}{row['peak_traced_mb']:>9.2f}"
         )
     print(json.dumps(table))
 

@@ -5,14 +5,16 @@ Runs each command that reads a limit (hitting, green and exitfreq at targets
 pi, uniform and vertex 0, mixing, spectral on undirected graphs, dual and
 verify) on a path, a cycle and random_strongly_connected_digraph(n, 1,
 extra=0.02), each also at --lazy 0.5, and then path_oracle(n),
-cycle_oracle(n), hypercube_oracle(10) and toric_oracle((32, 32)). Every
+cycle_oracle(n), tree_oracle(random_tree(n, 1, weighted=True)),
+hypercube_oracle(10) and toric_oracle((32, 32)). Every
 check counts: the ones the library raises through ``errors.require`` (a
 wrapper records them, passing or not) and the ones commands return. For
 each check name it prints the worst residual/limit and where it occurred;
 ``pessimal_formulas_<vertex>`` counts as one name. The last line is the
 table as JSON. Exits 1 when a ratio exceeds 1 or a command raises.
 
-At n = 2000 it takes about 4 minutes and 0.75 GB on one core.
+At n = 2000 it takes about 1.5 minutes and 0.8 GB on one core of a Xeon
+with OpenBLAS on one thread.
 
 Usage: python3 scripts/tolerance_sweep.py [--n N]
 """
@@ -23,7 +25,7 @@ import re
 import sys
 
 from greenwalk import cli, duality, errors, families, graph, greens, hitting, spectral
-from greenwalk.generators import random_strongly_connected_digraph
+from greenwalk.generators import random_strongly_connected_digraph, random_tree
 
 _records = []
 
@@ -50,7 +52,7 @@ def _commands(undirected: bool):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n", type=int, default=2000, help="vertices of the path, cycle, digraph and 1-D oracles")
+    parser.add_argument("--n", type=int, default=2000, help="vertices of the path, cycle and digraph, and of the path, cycle and tree oracles")
     n = parser.parse_args().n
     for module in (graph, hitting, greens, duality, spectral, families):
         module.require = _recording(module.require)
@@ -91,6 +93,7 @@ def main() -> int:
     oracles = {
         f"path_oracle({n})": lambda: families.path_oracle(n),
         f"cycle_oracle({n})": lambda: families.cycle_oracle(n),
+        f"tree_oracle(random_tree({n}, 1, weighted=True))": lambda: families.tree_oracle(random_tree(n, 1, weighted=True)),
         "hypercube_oracle(10)": lambda: families.hypercube_oracle(10),
         "toric_oracle((32, 32))": lambda: families.toric_oracle((32, 32)),
     }

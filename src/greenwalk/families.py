@@ -9,7 +9,6 @@ solver: combinatorial or trigonometric routes only.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -241,22 +240,16 @@ def cycle_oracle(n: int) -> OracleReport:
 
 def _tree_structure(tree: WeightedDigraph, root: int):
     # BFS parents from root; weighted adjacency straight from the arcs
-    n = tree.n
-    W = tree.weights
-    neighbors = [np.flatnonzero(W[v] > 0).tolist() for v in range(n)]
-    parent = np.full(n, -1, dtype=int)
+    parent = np.full(tree.n, -1, dtype=int)
     order = [root]
     seen = {root}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for u in neighbors[v]:
+    for v in order:  # order grows as the queue
+        for u in np.flatnonzero(tree.weights[v] > 0).tolist():
             if u not in seen:
                 seen.add(u)
                 parent[u] = v
                 order.append(u)
-                queue.append(u)
-    return neighbors, parent, order
+    return parent, order
 
 
 def tree_hitting_times(tree: WeightedDigraph) -> np.ndarray:
@@ -264,34 +257,31 @@ def tree_hitting_times(tree: WeightedDigraph) -> np.ndarray:
 
     Crossing an edge (u, v) from u's side takes the degree volume of u's
     side divided by the edge weight; pairwise times add crossings along the
-    unique path. No linear algebra is involved.
+    unique path. No linear algebra is involved. Rooted at 0, with below(v)
+    the degree volume of v's subtree, two passes over the edges (v, p), p
+    the parent of v, fill H a column at a time. Upward, in reverse BFS
+    order, H(s, p) = H(s, v) + below(v) / w(v, p) for every s in v's
+    subtree; downward, in BFS order, H(s, v) = H(s, p) + (vol - below(v)) /
+    w(v, p) for every other s. Each entry gets the one addition that a
+    search outward from its source would give it.
     """
     n = tree.n
     W = tree.weights
     vol = tree.volume
-    neighbors, parent, order = _tree_structure(tree, 0)
+    parent, order = _tree_structure(tree, 0)
     below = tree.degrees.copy()
-    for v in reversed(order):
-        if parent[v] >= 0:
-            below[parent[v]] += below[v]
-    # cross[a][b]: expected steps for the walk at a to first reach adjacent b
-    cross = {}
-    for v in range(n):
-        p = parent[v]
-        if p >= 0:
-            cross[(v, p)] = below[v] / W[v, p]
-            cross[(p, v)] = (vol - below[v]) / W[v, p]
+    # inside[v]: the vertices of v's subtree
+    inside = np.eye(n, dtype=bool)
+    for v in reversed(order[1:]):
+        below[parent[v]] += below[v]
+        inside[parent[v]] |= inside[v]
     H = np.zeros((n, n))
-    for src in range(n):
-        queue = deque([src])
-        seen = {src}
-        while queue:
-            v = queue.popleft()
-            for u in neighbors[v]:
-                if u not in seen:
-                    seen.add(u)
-                    H[src, u] = H[src, v] + cross[(v, u)]
-                    queue.append(u)
+    for v in reversed(order[1:]):
+        p = parent[v]
+        H[inside[v], p] = H[inside[v], v] + below[v] / W[v, p]
+    for v in order[1:]:
+        p = parent[v]
+        H[~inside[v], v] = H[~inside[v], p] + (vol - below[v]) / W[v, p]
     return H
 
 
@@ -319,51 +309,31 @@ def tree_oracle(tree: WeightedDigraph) -> OracleReport:
     t_mix = float(mix.max())
     z = int(mix.argmax())
     zp = int(pess[z])
-    _, parent, order = _tree_structure(tree, z)
-    depth = np.zeros(n, dtype=int)
-    for v in order[1:]:
-        depth[v] = depth[parent[v]] + 1
+    parent, order = _tree_structure(tree, z)
     path = [zp]
     while path[-1] != z:
         path.append(int(parent[path[-1]]))
     path.reverse()
-    on_path = {v: idx for idx, v in enumerate(path)}
-    proj = np.zeros(n, dtype=int)
-    for v in range(n):
-        cur = v
-        while cur not in on_path:
-            cur = int(parent[cur])
-        proj[v] = cur
-    pos = np.array([on_path[int(proj[v])] for v in range(n)])
-
-    def meet(a: int, b: int) -> int:
-        # where the (a, z) and (b, z) paths merge
-        da, db = depth[a], depth[b]
-        while da > db:
-            a = int(parent[a])
-            da -= 1
-        while db > da:
-            b = int(parent[b])
-            db -= 1
-        while a != b:
-            a, b = int(parent[a]), int(parent[b])
-        return a
-
-    def projection_form(i: int, j: int) -> float:
-        return pi[j] * ((H[zp, proj[j]] - H[j, proj[j]]) + (H[z, proj[i]] - H[i, proj[i]]) - t_mix)
-
-    G = np.zeros((n, n))
-    projected_pairs = 0
-    for i in range(n):
-        for j in range(n):
-            if meet(i, j) in on_path:
-                projected_pairs += 1
-                if pos[i] <= pos[j]:
-                    G[i, j] = projection_form(i, j)
-                else:
-                    G[i, j] = pi[j] / pi[i] * projection_form(j, i)
-            else:
-                G[i, j] = pi[j] * ((H[zp, j] - H[j, zp]) + (H[z, zp] - H[i, j]) - t_mix)
+    pos = np.full(n, -1)
+    pos[path] = np.arange(len(path))
+    # proj[v]: the nearest path vertex; branch[v]: the root of the pendant
+    # subtree holding v, or -1 on the path
+    proj = np.arange(n)
+    branch = np.full(n, -1)
+    for v in order[1:]:
+        p = parent[v]
+        if pos[v] < 0:
+            proj[v] = proj[p]
+            branch[v] = v if pos[p] >= 0 else branch[p]
+    # pairs in one pendant subtree: their path never meets the (z, z') path
+    pendant = (branch[:, None] == branch[None, :]) & (branch[:, None] >= 0)
+    to_proj = H[np.arange(n), proj]
+    # form[i, j]: the projection form with i* no further from z than j*
+    form = pi[None, :] * (((H[zp, proj] - to_proj)[None, :] + (H[z, proj] - to_proj)[:, None]) - t_mix)
+    G = np.where(pos[proj][:, None] <= pos[proj][None, :], form, pi[None, :] / pi[:, None] * form.T)
+    fallback = pi[None, :] * (((H[zp] - H[:, zp])[None, :] + (H[z, zp] - H)) - t_mix)
+    G = np.where(pendant, fallback, G)
+    del form, fallback  # before the solver replay, which sets the memory peak
     measures = {
         "t_hit": float(pi @ (H @ pi)),
         "t_mix": t_mix,
@@ -372,7 +342,7 @@ def tree_oracle(tree: WeightedDigraph) -> OracleReport:
     details: dict[str, object] = {
         "endpoints": (z, zp),
         "path": path,
-        "projection_form_pairs": projected_pairs,
+        "projection_form_pairs": n * n - int(pendant.sum()),
     }
     report = OracleReport("tree", (n,), tree, H, G, measures, details)
     return _verify(report)

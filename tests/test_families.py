@@ -1,14 +1,155 @@
 import math
+from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from greenwalk import families, pipeline
+from greenwalk import families, pipeline, tolerance
 from greenwalk.errors import ValidationError
 from greenwalk.generators import random_tree
-from greenwalk.graph import WeightedDigraph
+from greenwalk.graph import WeightedDigraph, load_graph
 from greenwalk.greens import mixing_report
 from greenwalk.hitting import hit_time
+
+
+# ---------------------------------------------------------------------------
+# the per-source BFS and per-pair meet fill the tree's array passes replaced,
+# kept verbatim
+
+
+def _bfs_tree_structure(tree: WeightedDigraph, root: int):
+    # BFS parents from root; weighted adjacency straight from the arcs
+    n = tree.n
+    W = tree.weights
+    neighbors = [np.flatnonzero(W[v] > 0).tolist() for v in range(n)]
+    parent = np.full(n, -1, dtype=int)
+    order = [root]
+    seen = {root}
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for u in neighbors[v]:
+            if u not in seen:
+                seen.add(u)
+                parent[u] = v
+                order.append(u)
+                queue.append(u)
+    return neighbors, parent, order
+
+
+def _bfs_tree_hitting_times(tree: WeightedDigraph) -> np.ndarray:
+    n = tree.n
+    W = tree.weights
+    vol = tree.volume
+    neighbors, parent, order = _bfs_tree_structure(tree, 0)
+    below = tree.degrees.copy()
+    for v in reversed(order):
+        if parent[v] >= 0:
+            below[parent[v]] += below[v]
+    # cross[a][b]: expected steps for the walk at a to first reach adjacent b
+    cross = {}
+    for v in range(n):
+        p = parent[v]
+        if p >= 0:
+            cross[(v, p)] = below[v] / W[v, p]
+            cross[(p, v)] = (vol - below[v]) / W[v, p]
+    H = np.zeros((n, n))
+    for src in range(n):
+        queue = deque([src])
+        seen = {src}
+        while queue:
+            v = queue.popleft()
+            for u in neighbors[v]:
+                if u not in seen:
+                    seen.add(u)
+                    H[src, u] = H[src, v] + cross[(v, u)]
+                    queue.append(u)
+    return H
+
+
+def _meet_tree_greens(tree: WeightedDigraph):
+    """H, G, the (z, z') path and the projection-form pair count, pair by pair."""
+    n = tree.n
+    H = _bfs_tree_hitting_times(tree)
+    pi = tree.degrees / tree.volume
+    hpi = pi @ H
+    pess = H.argmax(axis=0)
+    mix = H[pess, np.arange(n)] - hpi
+    t_mix = float(mix.max())
+    z = int(mix.argmax())
+    zp = int(pess[z])
+    _, parent, order = _bfs_tree_structure(tree, z)
+    depth = np.zeros(n, dtype=int)
+    for v in order[1:]:
+        depth[v] = depth[parent[v]] + 1
+    path = [zp]
+    while path[-1] != z:
+        path.append(int(parent[path[-1]]))
+    path.reverse()
+    on_path = {v: idx for idx, v in enumerate(path)}
+    proj = np.zeros(n, dtype=int)
+    for v in range(n):
+        cur = v
+        while cur not in on_path:
+            cur = int(parent[cur])
+        proj[v] = cur
+    pos = np.array([on_path[int(proj[v])] for v in range(n)])
+
+    def meet(a: int, b: int) -> int:
+        # where the (a, z) and (b, z) paths merge
+        da, db = depth[a], depth[b]
+        while da > db:
+            a = int(parent[a])
+            da -= 1
+        while db > da:
+            b = int(parent[b])
+            db -= 1
+        while a != b:
+            a, b = int(parent[a]), int(parent[b])
+        return a
+
+    def projection_form(i: int, j: int) -> float:
+        return pi[j] * ((H[zp, proj[j]] - H[j, proj[j]]) + (H[z, proj[i]] - H[i, proj[i]]) - t_mix)
+
+    G = np.zeros((n, n))
+    projected_pairs = 0
+    for i in range(n):
+        for j in range(n):
+            if meet(i, j) in on_path:
+                projected_pairs += 1
+                if pos[i] <= pos[j]:
+                    G[i, j] = projection_form(i, j)
+                else:
+                    G[i, j] = pi[j] / pi[i] * projection_form(j, i)
+            else:
+                G[i, j] = pi[j] * ((H[zp, j] - H[j, zp]) + (H[z, zp] - H[i, j]) - t_mix)
+    return H, G, path, projected_pairs
+
+
+def _tree(n, arcs):
+    return WeightedDigraph(n, tuple(arcs), undirected=True)
+
+
+TREES = {
+    "golden": load_graph(str(Path(__file__).parent / "golden" / "tree.edges")),
+    "path": families.path_graph(9),
+    "star": families.star_graph(6),
+    "spider": _tree(10, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 4, 1.0), (4, 5, 1.0), (5, 6, 1.0), (0, 7, 1.0), (7, 8, 1.0), (8, 9, 1.0)]),
+    "broom": _tree(9, [(0, 1, 0.7), (1, 2, 1.3), (2, 3, 0.9), (3, 4, 1.1), (4, 5, 0.6), (4, 6, 1.4), (4, 7, 1.0), (4, 8, 0.8)]),
+    "caterpillar": _tree(11, [(0, 1, 1.2), (1, 2, 0.8), (2, 3, 1.1), (3, 4, 0.9), (0, 5, 1.0), (1, 6, 0.6), (1, 7, 1.4), (2, 8, 1.3), (3, 9, 0.7), (4, 10, 1.0)]),
+    "self-loop": _tree(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (1, 4, 1.0), (2, 2, 0.7)]),
+    "parallel-edge": _tree(5, [(0, 1, 1.0), (0, 1, 0.5), (0, 2, 1.0), (2, 3, 1.0), (2, 4, 1.0)]),
+    "zero-weight-arc": _tree(6, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (1, 4, 1.0), (4, 5, 1.0), (0, 5, 0.0)]),
+}
+TREES.update(
+    {
+        f"random_tree({n}, {seed}{', weighted' if weighted else ''})": random_tree(n, seed, weighted=weighted)
+        for n in (1, 2, 3, 12, 40, 150)
+        for seed in range(6)
+        for weighted in (False, True)
+    }
+)
 
 
 class TestComplete:
@@ -88,6 +229,22 @@ class TestTree:
     def test_non_tree_rejected(self):
         with pytest.raises(ValidationError):
             families.tree_oracle(families.cycle_graph(4))
+
+    @pytest.mark.parametrize("tree", TREES.values(), ids=TREES.keys())
+    def test_array_passes_match_per_pair_fill(self, tree):
+        H, G, path, projected_pairs = _meet_tree_greens(tree)
+        assert families.tree_hitting_times(tree).tobytes() == H.tobytes()
+        rep = families.tree_oracle(tree)
+        assert rep.hitting.tobytes() == H.tobytes() and rep.greens.tobytes() == G.tobytes()
+        assert rep.details["path"] == path
+        assert rep.details["projection_form_pairs"] == projected_pairs
+
+    def test_thousand_vertex_path_matches_path_oracle(self):
+        rep = families.tree_oracle(families.path_graph(1000))
+        rep_path = families.path_oracle(1000)
+        limit = tolerance.bound(1000, tolerance.time_scale(rep.hitting), tolerance.ROUTE)
+        assert np.abs(rep.greens - rep_path.greens).max() <= limit
+        assert abs(rep.measures["t_mix"] - rep_path.measures["t_mix"]) <= limit
 
 
 class TestCycle:
