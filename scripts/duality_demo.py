@@ -11,7 +11,6 @@ import argparse
 
 from greenwalk.duality import duality_checks
 from greenwalk.generators import random_strongly_connected_digraph
-from greenwalk.greens import access_times
 from greenwalk.pipeline import analyze
 
 
@@ -31,7 +30,7 @@ def main() -> None:
         sol = analyze(g)
         rep = duality_checks(sol)
         t_reset = sol.mixing.t_reset
-        t_forget_rev = float(access_times(sol.reverse.hitting, rep.reverse_forget).max())
+        t_forget_rev = float(sol.reverse.forget_rules.access.max())
         print(
             f"{seed:>6}{t_reset:>12.6f}{rep.t_forget:>12.6f}{t_forget_rev:>15.6f}"
             f"{max(rep.residuals.values()):>18.3e}"

@@ -23,10 +23,8 @@ from .greens import (
     ExitFrequencyMatrix,
     GreensMatrix,
     MixingReport,
-    access_time,
-    access_times,
+    Rules,
     exit_frequency_matrix,
-    greens_function,
     greens_general,
     hitting_from_greens,
     mixing_report,
@@ -34,7 +32,6 @@ from .greens import (
 )
 from .hitting import (
     HittingTimeMatrix,
-    access_to_vertex,
     check_cycle_identities,
     fundamental_matrix,
     hit_time,

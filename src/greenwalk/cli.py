@@ -22,7 +22,7 @@ from . import families
 from .duality import duality_checks
 from .errors import GreenWalkError, ParseError, ValidationError, describe, failed
 from .graph import Distribution, load_graph, read_text
-from .greens import GreensMatrix, exit_frequency_matrix, green_checks, greens_general
+from .greens import GreensMatrix, Rules, exit_frequency_matrix, green_checks, greens_general
 from .montecarlo import empirical_hitting, empirical_random_target
 from .pipeline import analyze, exit_checks, spectral_routes, verify_checks
 from .spectral import decompose
@@ -327,18 +327,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _target_distribution(label: str, pi: Distribution) -> Distribution:
+def _target_rules(label: str, chain) -> Rules:
     if label == "pi":
-        return pi
+        return chain.pi_rules
+    n = chain.stationary.n
     if label == "uniform":
-        return Distribution.uniform(pi.n)
+        return Rules(chain.hitting, chain.stationary, Distribution.uniform(n))
     try:
         k = int(label)
     except ValueError:
         raise ValidationError(f"unknown target {label!r}: use 'pi', 'uniform', or a vertex index") from None
-    if not 0 <= k < pi.n:
+    if not 0 <= k < n:
         raise ValidationError(f"target vertex {k} out of range")
-    return Distribution.point_mass(pi.n, k)
+    return Rules(chain.hitting, chain.stationary, Distribution.point_mass(n, k))
 
 
 # ---------------------------------------------------------------------------
@@ -354,18 +355,16 @@ def _cmd_hitting(args, chain):
 
 
 def _cmd_green(args, chain):
-    tau = _target_distribution(args.target, chain.stationary)
-    G = greens_general(chain.hitting, chain.stationary, tau)
+    G = greens_general(_target_rules(args.target, chain))
     checks = green_checks(G, chain.transition, chain.entry_scale)
-    return _matrix(args, tau.probs, G.values, _residuals(("constraint", "row_sum"), checks)), checks
+    return _matrix(args, G.target.probs, G.values, _residuals(("constraint", "row_sum"), checks)), checks
 
 
 def _cmd_exitfreq(args, chain):
-    tau = _target_distribution(args.target, chain.stationary)
-    X = exit_frequency_matrix(chain.hitting, chain.stationary, tau)
+    X = exit_frequency_matrix(_target_rules(args.target, chain))
     checks = exit_checks(chain, X)
     residuals = _residuals(("conservation", "row_min", "access_gap"), checks)
-    return _matrix(args, tau.probs, X.values, residuals), checks
+    return _matrix(args, X.target.probs, X.values, residuals), checks
 
 
 def _cmd_mixing(args, chain):
@@ -392,7 +391,7 @@ def _cmd_spectral(args, chain):
         "t_mix": t_mix,
         "t_reset": t_reset,
         "t_hit": t_hit,
-        "residuals": _residuals(("hitting_route", "greens_route", "t_mix", "t_reset", "t_hit"), checks),
+        "residuals": _residuals(("hitting_route", "greens_route", "access_route", "t_mix", "t_reset", "t_hit"), checks),
     }
     return payload, checks
 

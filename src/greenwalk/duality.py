@@ -10,7 +10,14 @@ import numpy as np
 from . import tolerance
 from .errors import Check, require
 from .graph import Distribution, TransitionMatrix
-from .greens import ExitFrequencyMatrix, access_time, access_times, exit_frequency_matrix, greens_general
+from .greens import (
+    ExitFrequencyMatrix,
+    GreensMatrix,
+    Rules,
+    exit_frequency_matrix,
+    greens_general,
+    verify_green_constraints,
+)
 
 if TYPE_CHECKING:
     from .pipeline import ChainAnalysis
@@ -55,8 +62,8 @@ def reverse_chain(P: TransitionMatrix, pi: Distribution) -> TransitionMatrix:
     return TransitionMatrix(probs, beta=P.beta, graph=graph)
 
 
-def _forget_weights(pi: Distribution, probs: np.ndarray, mix: np.ndarray) -> np.ndarray:
-    return pi.probs * (1.0 + probs @ mix - mix)
+def _forget_weights(chain: ChainAnalysis, rules: Rules) -> np.ndarray:
+    return rules.stationary.probs * (1.0 + chain.transition.probs @ rules.access - rules.access)
 
 
 def _as_distribution(weights: np.ndarray, name: str, scale: float) -> Distribution:
@@ -72,19 +79,18 @@ def forget_distribution(chain: ChainAnalysis) -> Distribution:
     with forward quantities yields the reverse chain's forget distribution,
     so this applies it to the reverse chain instead.
     """
-    pi, rev = chain.stationary, chain.reverse
-    mix_rev = access_times(rev.hitting, pi)
-    return _as_distribution(_forget_weights(pi, rev.transition.probs, mix_rev), "forget_negative_mass", rev.entry_scale)
+    rev = chain.reverse
+    return _as_distribution(_forget_weights(rev, rev.pi_rules), "forget_negative_mass", rev.entry_scale)
 
 
-def pi_core(chain: ChainAnalysis) -> tuple[Distribution, ExitFrequencyMatrix]:
+def pi_core(chain: ChainAnalysis) -> tuple[Distribution, ExitFrequencyMatrix, np.ndarray]:
     """The distribution whose exit matrix is X_pi shifted down by its column minima.
 
     The core is recovered algebraically from conservation,
     core^T = pi^T + b^T (I - P) with b the column minima of X_pi; the
     reverse-chain weight formula is evaluated as an independent route and
-    the two must agree. The shifted matrix X_pi - 1 b^T is returned as the
-    core's exit matrix.
+    the two must agree. Returns the core, the shifted matrix X_pi - 1 b^T
+    as its exit matrix, and b.
     """
     P, pi, X = chain.transition, chain.stationary, chain.exit_pi
     b = X.values.min(axis=0)
@@ -93,12 +99,10 @@ def pi_core(chain: ChainAnalysis) -> tuple[Distribution, ExitFrequencyMatrix]:
     shifted = X.values - b[None, :]
     core_exit = ExitFrequencyMatrix(shifted, target=core, access=shifted.sum(axis=1))
 
-    rev = chain.reverse
-    acc_rev = access_times(rev.hitting, rev.forget)
-    formula = _forget_weights(pi, rev.transition.probs, acc_rev)
+    formula = _forget_weights(chain.reverse, chain.reverse.forget_rules)
     limit = tolerance.bound(P.n, chain.entry_scale, tolerance.ROUTE)
     require("core_routes", np.abs(formula - core_weights).max(), limit)
-    return core, core_exit
+    return core, core_exit, b
 
 
 def duality_checks(chain: ChainAnalysis) -> DualityReport:
@@ -112,34 +116,32 @@ def duality_checks(chain: ChainAnalysis) -> DualityReport:
     and zero row minima, and both Green's function duals. Nothing is raised
     here; ``errors.failed`` decides the checks.
     """
-    P, pi = chain.transition, chain.stationary
-    n = P.n
-    p = pi.probs
-    H, G, X = chain.hitting, chain.greens, chain.exit_pi
-    rev = chain.reverse
-    Hrev, Grev = rev.hitting, rev.greens
+    P, pi, rev = chain.transition, chain.stationary, chain.reverse
+    n, p = P.n, pi.probs
+    H, G = chain.hitting, chain.greens
     mu, mu_hat = chain.forget, rev.forget
     probs = tolerance.bound(n, 1.0, tolerance.RESIDUAL)
     times = tolerance.bound(n, H.time_scale, tolerance.ROUTE)
     entries = tolerance.bound(n, chain.entry_scale, tolerance.ROUTE)
 
-    mix = X.access  # H(i, pi)
+    mix = chain.pi_rules.access  # H(i, pi)
     t_reset = float(p @ mix)
-    t_reset_rev = float(p @ access_times(Hrev, pi))
-    t_forget = float(access_times(H, mu).max())
-    X_rev_mu = exit_frequency_matrix(Hrev, pi, mu_hat)
+    t_reset_rev = float(p @ rev.pi_rules.access)
+    t_forget = float(chain.forget_rules.access.max())
+    X_rev_mu = exit_frequency_matrix(rev.forget_rules)
     acc_rev_mu = X_rev_mu.access  # Hrev(i, mu_hat)
 
-    core, core_exit = pi_core(chain)
+    core, core_exit, offsets = pi_core(chain)
+    core_rules = Rules(H, pi, core)
     ratio = p[None, :] / p[:, None]
     dual_image = core_exit.values.T * ratio
-    eye = np.eye(n)
-    G_rev_mu = greens_general(Hrev, pi, mu_hat).values
-    G_core = greens_general(H, pi, core).values
+    G_rev_mu = greens_general(rev.forget_rules).values
+    G_core = greens_general(core_rules).values
     forget_rhs = G.values.T * ratio + p[None, :] * (mix[None, :] - t_reset)
-    core_rhs = Grev.values.T * ratio + p[None, :] * (acc_rev_mu[None, :] - float(p @ acc_rev_mu))
-    core_mix = access_times(H, core) + access_time(H, core, pi)
-    conservation = dual_image @ (eye - rev.transition.probs) - (eye - np.outer(np.ones(n), mu_hat.probs))
+    core_rhs = rev.greens.values.T * ratio + p[None, :] * (acc_rev_mu[None, :] - float(p @ acc_rev_mu))
+    # H(., pi) = H(., core) + H(core, pi)
+    core_mix = core_rules.access + float((core_rules.from_target - chain.pi_rules.from_target).max())
+    conservation = verify_green_constraints(GreensMatrix(dual_image, mu_hat), rev.transition)
 
     checks = [
         ("dual_reverse_involution", float(np.abs(reverse_chain(rev.transition, pi).probs - P.probs).max()), probs),
@@ -147,7 +149,7 @@ def duality_checks(chain: ChainAnalysis) -> DualityReport:
         ("dual_reset_equals_reverse_forget", abs(t_reset - float(acc_rev_mu.max())), times),
         ("dual_forget_equals_reverse_reset", abs(t_forget - t_reset_rev), times),
         ("dual_exit_conjugation", float(np.abs(X_rev_mu.values - dual_image).max()), entries),
-        ("dual_dual_image_conservation", float(np.abs(conservation).max()), entries),
+        ("dual_dual_image_conservation", conservation, entries),
         ("dual_dual_image_row_min", float(dual_image.min(axis=1).max()), entries),
         ("dual_greens_forget_dual", float(np.abs(G_rev_mu - forget_rhs).max()), entries),
         ("dual_greens_core_dual", float(np.abs(G_core - core_rhs).max()), entries),
@@ -156,7 +158,7 @@ def duality_checks(chain: ChainAnalysis) -> DualityReport:
     return DualityReport(
         forget=mu,
         reverse_forget=mu_hat,
-        offsets=X.values.min(axis=0),
+        offsets=offsets,
         core=core,
         core_exit=core_exit,
         t_forget=t_forget,

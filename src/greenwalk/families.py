@@ -17,7 +17,6 @@ import numpy as np
 from . import pipeline, tolerance
 from .errors import IntegrityError, ValidationError, require
 from .graph import WeightedDigraph, strongly_connected
-from .hitting import access_to_vertex
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +111,9 @@ _SOLVED = {
     "t_mix": lambda chain, report: chain.mixing.t_mix,
     "t_reset": lambda chain, report: chain.mixing.t_reset,
     "h_one_zero": lambda chain, report: float(chain.hitting.values[report.graph.n - 1, 0]),
-    "access_left": lambda chain, report: access_to_vertex(chain.hitting, chain.stationary, 0),
-    "access_right": lambda chain, report: access_to_vertex(chain.hitting, chain.stationary, report.params[0]),
-    "access_zero": lambda chain, report: access_to_vertex(chain.hitting, chain.stationary, 0),
+    "access_left": lambda chain, report: float(chain.pi_rules.from_target[0]),
+    "access_right": lambda chain, report: float(chain.pi_rules.from_target[report.params[0]]),
+    "access_zero": lambda chain, report: float(chain.pi_rules.from_target[0]),
 }
 
 

@@ -470,12 +470,11 @@ def stationary_distribution(P: TransitionMatrix) -> Distribution:
     sum(x) = 1, using a dense LU factorization.
     """
     g = P.graph
-    if g is not None and g.undirected:
-        if not strongly_connected(g):
-            raise ValidationError("not strongly connected")
-        return Distribution(g.degrees / g.volume)
-    if not _reaches_all(P.probs > 0):
+    undirected = g is not None and g.undirected
+    if not _reaches_all(P.probs > 0, symmetric=undirected):
         raise ValidationError("not strongly connected")
+    if undirected:
+        return Distribution(g.degrees / g.volume)
     n = P.n
     M = P.probs.T - np.eye(n)
     # any single equation is redundant for an irreducible chain

@@ -80,49 +80,46 @@ class ExitFrequencyMatrix:
         return float(self.values[idx])
 
 
-def entry_scale(H: HittingTimeMatrix, pi: Distribution) -> float:
-    """pi_max · T, the magnitude of the entries of G, X and Z."""
-    return float(pi.probs.max()) * H.time_scale
+@dataclass(frozen=True)
+class Rules:
+    """The optimal rules to ``target`` tau: H(tau, .) and H(., tau), each computed once.
 
-
-def access_times(H: HittingTimeMatrix, tau: Distribution) -> np.ndarray:
-    """Optimal expected rule length H(i, tau) for every start i.
-
-    Computed as max_j (H(i, j) - H(tau, j)); the argmax is a halting state
-    of the optimal rule, so no rule needs to be constructed.
+    G_tau and X_tau = G_tau + H(., tau) pi^T are built from these two vectors.
     """
-    from_tau = tau.probs @ H.values
-    return (H.values - from_tau[None, :]).max(axis=1)
+
+    hitting: HittingTimeMatrix
+    stationary: Distribution
+    target: Distribution
+
+    @property
+    def entry_scale(self) -> float:
+        """pi_max · T, the magnitude of the entries of G, X and Z."""
+        return float(self.stationary.probs.max()) * self.hitting.time_scale
+
+    @cached_property
+    def from_target(self) -> np.ndarray:
+        """H(tau, j) for every j."""
+        return self.target.probs @ self.hitting.values
+
+    @cached_property
+    def access(self) -> np.ndarray:
+        """H(i, tau) = max_j (H(i, j) - H(tau, j)); the argmax is a halting state of the optimal rule."""
+        return (self.hitting.values - self.from_target[None, :]).max(axis=1)
 
 
-def access_time(H: HittingTimeMatrix, sigma: Distribution, tau: Distribution) -> float:
-    """Optimal expected rule length from distribution sigma to distribution tau."""
-    from_sigma = sigma.probs @ H.values
-    from_tau = tau.probs @ H.values
-    return float((from_sigma - from_tau).max())
-
-
-def greens_general(H: HittingTimeMatrix, pi: Distribution, tau: Distribution) -> GreensMatrix:
-    """Green's function for an arbitrary target distribution tau.
+def greens_general(rules: Rules) -> GreensMatrix:
+    """Green's function for the target distribution tau of ``rules``.
 
     Entry (i, j) is pi_j (H(tau, j) - H(i, j)). With tau = pi this is the
     classical Green's function; rows always sum to zero.
     """
-    from_tau = tau.probs @ H.values
-    values = pi.probs[None, :] * (from_tau[None, :] - H.values)
-    G = GreensMatrix(values, target=tau)
-    require("greens_row_sum", G.row_sum, tolerance.bound(H.n, entry_scale(H, pi), tolerance.RESIDUAL))
+    values = rules.stationary.probs[None, :] * (rules.from_target[None, :] - rules.hitting.values)
+    G = GreensMatrix(values, target=rules.target)
+    require("greens_row_sum", G.row_sum, tolerance.bound(G.n, rules.entry_scale, tolerance.RESIDUAL))
     return G
 
 
-def greens_function(H: HittingTimeMatrix, pi: Distribution) -> GreensMatrix:
-    """The classical Green's function pi_j (H(pi, j) - H(i, j))."""
-    return greens_general(H, pi, pi)
-
-
-def exit_frequency_matrix(
-    H: HittingTimeMatrix, pi: Distribution, tau: Distribution
-) -> ExitFrequencyMatrix:
+def exit_frequency_matrix(rules: Rules) -> ExitFrequencyMatrix:
     """Exit-frequency matrix X_tau for the optimal rules from singleton starts to tau.
 
     Entry (i, j) is pi_j (H(i, tau) + H(tau, j) - H(i, j)). Entries are
@@ -130,12 +127,11 @@ def exit_frequency_matrix(
     A violation signals a wrong access time and raises IntegrityError;
     entries below zero by no more than the limit are rounding, set to zero.
     """
-    from_tau = tau.probs @ H.values
-    h = (H.values - from_tau[None, :]).max(axis=1)
-    values = pi.probs[None, :] * (h[:, None] + from_tau[None, :] - H.values)
-    limit = tolerance.bound(H.n, entry_scale(H, pi), tolerance.RESIDUAL)
+    H, pi, h = rules.hitting, rules.stationary, rules.access
+    values = pi.probs[None, :] * (h[:, None] + rules.from_target[None, :] - H.values)
+    limit = tolerance.bound(H.n, rules.entry_scale, tolerance.RESIDUAL)
     require("exit_negative", -values.min(), limit)
-    X = ExitFrequencyMatrix(np.maximum(values, 0.0), target=tau, access=h)
+    X = ExitFrequencyMatrix(np.maximum(values, 0.0), target=rules.target, access=h)
     require("exit_row_min", X.row_min, limit)
     require("exit_row_sums", X.access_gap, tolerance.bound(H.n, H.time_scale, tolerance.RESIDUAL))
     return X
@@ -181,16 +177,16 @@ class MixingReport:
 def mixing_report(chain: ChainAnalysis) -> MixingReport:
     """Assemble T_mix, T_reset, T_hit, pessimal vertices, and halting states of a chain.
 
-    H(i, pi) is the largest entry of row i of -G diag(pi)^{-1}. T_hit is the
+    H(i, pi) is the access vector of the chain's rules toward pi. T_hit is the
     trace of G and must match the chain's stationary-pair hitting time. On
     an undirected graph, both pessimal-vertex formulas
     H(i, pi) = H(i', i) - H(pi, i) = H(i, i') - H(pi, i') are cross-checked
     and a failure raises IntegrityError naming the vertex. The halting
     states are read off the chain's X_pi.
     """
-    H, G, pi = chain.hitting, chain.greens, chain.stationary
+    H, G, pi, rules = chain.hitting, chain.greens, chain.stationary, chain.pi_rules
     Hv = H.values
-    mix = (-G.values / pi.probs[None, :]).max(axis=1)
+    mix = rules.access
     t_mix = float(mix.max())
     t_reset = float(pi.probs @ mix)
     t_hit, _ = chain.hit_time
@@ -198,10 +194,9 @@ def mixing_report(chain: ChainAnalysis) -> MixingReport:
     require("trace_vs_hit", abs(float(np.trace(G.values)) - t_hit), limit)
     pess = Hv.argmax(axis=0)
     if chain.graph is not None and chain.graph.undirected:
-        hpi = pi.probs @ Hv
         vertices = np.arange(H.n)
-        first = Hv[pess, vertices] - hpi
-        second = Hv[vertices, pess] - hpi[pess]
+        first = Hv[pess, vertices] - rules.from_target
+        second = Hv[vertices, pess] - rules.from_target[pess]
         gaps = np.maximum(np.abs(mix - first), np.abs(mix - second))
         # both formulas hold only for the exact H of a reversible chain: they carry the solve's conditioning
         route = tolerance.bound(H.n, H.time_scale, tolerance.ROUTE)

@@ -59,7 +59,8 @@ def fundamental_matrix(P: TransitionMatrix, pi: Distribution) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"fundamental matrix solve failed: {exc}") from None
     limit = tolerance.bound(n, np.abs(Z).max(), tolerance.RESIDUAL)
-    require("fundamental", np.abs(Z @ A - np.eye(n)).max(), limit, NumericalError)
+    # the solve controls the residual A Z - I; Z A - I can exceed it by up to cond(A) (Higham, ch. 14)
+    require("fundamental", np.abs(A @ Z - np.eye(n)).max(), limit, NumericalError)
     return Z
 
 
@@ -104,11 +105,6 @@ def _confirmed(H: np.ndarray, P: TransitionMatrix) -> HittingTimeMatrix:
     hits = HittingTimeMatrix(H, residual)
     require("first_step", residual, tolerance.bound(P.n, hits.time_scale, tolerance.ROUTE), NumericalError)
     return hits
-
-
-def access_to_vertex(H: HittingTimeMatrix, sigma: Distribution, j: int) -> float:
-    """H(sigma, j), the mean of H(., j) under the starting distribution."""
-    return float(sigma.probs @ H.values[:, j])
 
 
 def hit_time(H: HittingTimeMatrix, pi: Distribution) -> tuple[float, float]:

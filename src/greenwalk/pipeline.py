@@ -26,10 +26,9 @@ from .greens import (
     ExitFrequencyMatrix,
     GreensMatrix,
     MixingReport,
-    entry_scale,
+    Rules,
     exit_frequency_matrix,
     green_checks,
-    greens_function,
     greens_general,
     hitting_from_greens,
     mixing_report,
@@ -37,6 +36,7 @@ from .greens import (
 )
 from .hitting import HittingTimeMatrix, check_cycle_identities, hit_time, hitting_times, reversed_hitting_times
 from .spectral import SpectralDecomposition, decompose, spectral_greens, spectral_hitting, spectral_mixing
+from .spectral import spectral_access_from_stationary
 
 
 @dataclass(frozen=True)
@@ -45,13 +45,15 @@ class ChainAnalysis:
 
     Each derived quantity is built on first use and kept: ``hitting`` is the
     chain's one fundamental-matrix solve, and ``greens``, ``exit_pi`` (X_pi),
-    ``hit_time`` and ``mixing`` are read off it. A residual a builder checks
-    is kept on what it certifies (``greens.row_sum``, ``exit_pi.row_min``),
-    and the check lists read it there. ``reverse`` is the time-reversed chain
-    over the same pi; its ``hitting`` is read off this chain's with no second
-    solve, and confirmed against the reverse chain's own rows. While this
-    chain is alive, its ``reverse`` is this chain. ``forget``, the forget
-    distribution, is read off the reverse chain's hitting times.
+    ``hit_time`` and ``mixing`` are read off it; ``pi_rules`` and
+    ``forget_rules`` hold H(tau, .) and H(., tau) toward pi and the forget
+    distribution. A residual a builder checks is kept on what it certifies
+    (``greens.row_sum``, ``exit_pi.row_min``), and the check lists read it
+    there. ``reverse`` is the time-reversed chain over the same pi; its
+    ``hitting`` is read off this chain's with no second solve, and confirmed
+    against the reverse chain's own rows. While this chain is alive, its
+    ``reverse`` is this chain. ``forget``, the forget distribution, is read off
+    the reverse chain's hitting times.
     """
 
     transition: TransitionMatrix
@@ -68,15 +70,23 @@ class ChainAnalysis:
     @cached_property
     def entry_scale(self) -> float:
         """pi_max · T, the magnitude of the entries of G, X and Z."""
-        return entry_scale(self.hitting, self.stationary)
+        return self.pi_rules.entry_scale
+
+    @cached_property
+    def pi_rules(self) -> Rules:
+        return Rules(self.hitting, self.stationary, self.stationary)
+
+    @cached_property
+    def forget_rules(self) -> Rules:
+        return Rules(self.hitting, self.stationary, self.forget)
 
     @cached_property
     def greens(self) -> GreensMatrix:
-        return greens_function(self.hitting, self.stationary)
+        return greens_general(self.pi_rules)
 
     @cached_property
     def exit_pi(self) -> ExitFrequencyMatrix:
-        return exit_frequency_matrix(self.hitting, self.stationary, self.stationary)
+        return exit_frequency_matrix(self.pi_rules)
 
     @cached_property
     def hit_time(self) -> tuple[float, float]:
@@ -135,8 +145,10 @@ def spectral_routes(
     times = tolerance.bound(n, H.time_scale, tolerance.ROUTE)
     gap_h = float(np.abs(spectral_hitting(dec).values * factor - H.values).max())
     gap_g = float(np.abs(spectral_greens(dec).values * factor - G.values).max())
+    gap_a = float(np.abs(spectral_access_from_stationary(dec) * factor - chain.pi_rules.from_target).max())
     entries = tolerance.bound(n, chain.entry_scale, tolerance.ROUTE)
     checks = [("spectral_hitting", gap_h, times), ("spectral_greens", gap_g, entries)]
+    checks.append(("spectral_access", gap_a, times))
     if rep is None:
         return None, checks
     spectral = tuple(v * factor for v in spectral_mixing(dec, rep.pessimal))
@@ -166,7 +178,7 @@ def verify_checks(chain: ChainAnalysis) -> list[Check]:
         ("greens_from_exit", float(np.abs(X.values - np.outer(X.access, pi.probs) - G.values).max()), entries),
     ]
     for tag, tau in (("uniform", Distribution.uniform(g.n)), ("vertex", Distribution.point_mass(g.n, 0))):
-        checks += green_checks(greens_general(H, pi, tau), P, E, f"greens_{tag}")
+        checks += green_checks(greens_general(Rules(H, pi, tau)), P, E, f"greens_{tag}")
 
     try:
         mixing = chain.mixing

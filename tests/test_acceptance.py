@@ -18,7 +18,7 @@ from greenwalk.generators import (
 )
 from greenwalk.graph import Distribution, stationary_distribution, transition_matrix
 from greenwalk.greens import (
-    access_times,
+    Rules,
     exit_frequency_matrix,
     greens_general,
     mixing_report,
@@ -158,7 +158,7 @@ def test_07_green_constraints_random_digraphs():
         rng = np.random.default_rng(case)
         for _ in range(5):
             tau = Distribution(rng.dirichlet(np.ones(n)))
-            Gt = greens_general(sol.hitting, sol.stationary, tau)
+            Gt = greens_general(Rules(sol.hitting, sol.stationary, tau))
             c, r = verify_green_constraints(Gt, sol.transition), Gt.row_sum
             assert c <= 1e-9 * n and r <= 1e-10, f"case {case}: general target failed"
     report("07 Green constraints, 200 digraphs x 6 targets", True)
@@ -173,13 +173,13 @@ def test_08_exit_frequency_structure():
         rng = np.random.default_rng(case)
         targets = [sol.stationary, Distribution(rng.dirichlet(np.ones(n)))]
         for tau in targets:
-            X = exit_frequency_matrix(sol.hitting, sol.stationary, tau)
+            X = exit_frequency_matrix(Rules(sol.hitting, sol.stationary, tau))
             assert X.values.min() >= 0.0
             assert X.values.min(axis=1).max() <= 1e-10
             scale = max(1.0, float(np.abs(X.access).max()))
             assert np.abs(X.values.sum(axis=1) - X.access).max() <= 1e-8 * scale
             rebuilt = X.values - np.outer(X.access, sol.stationary.probs)
-            direct = greens_general(sol.hitting, sol.stationary, tau)
+            direct = greens_general(Rules(sol.hitting, sol.stationary, tau))
             gap = float(np.abs(rebuilt - direct.values).max()) / max(1.0, scale)
             worst_gap = max(worst_gap, gap)
             assert gap <= 1e-9
@@ -191,17 +191,18 @@ def test_09_duality():
     P = transition_matrix(families.path_graph(3))
     pi = stationary_distribution(P)
     H = hitting_times(P, pi)
-    X = exit_frequency_matrix(H, pi, pi)
-    core, _ = pi_core(ChainAnalysis(P, pi))
+    X = exit_frequency_matrix(Rules(H, pi, pi))
+    core, _, offsets = pi_core(ChainAnalysis(P, pi))
     b = X.values.min(axis=0)
     mu = duality_checks(ChainAnalysis(P, pi)).forget
     ok = (
         np.allclose(b, [0.0, 0.5, 0.0], atol=1e-12)
+        and np.array_equal(offsets, b)
         and np.allclose(core.probs, [0.0, 1.0, 0.0], atol=1e-12)
         and np.allclose(mu.probs, core.probs, atol=1e-12)
     )
-    acc_core = access_times(H, core)
-    mix = access_times(H, pi)
+    acc_core = Rules(H, pi, core).access
+    mix = Rules(H, pi, pi).access
     ok = ok and abs(acc_core[0] - 1.0) <= 1e-12 and abs(mix[0] - 1.5) <= 1e-12
 
     worst = 0.0
@@ -214,8 +215,8 @@ def test_09_duality():
         rep = duality_checks(chain)
         scale = max(1.0, float(np.abs(chain.reverse.hitting.values).max()))
         rev = reverse_chain(Pd, pid)
-        mix_rev = access_times(hitting_times(rev, pid), pid)
-        t_reset = float(pid.probs @ access_times(hitting_times(Pd, pid), pid))
+        mix_rev = Rules(hitting_times(rev, pid), pid, pid).access
+        t_reset = float(pid.probs @ Rules(hitting_times(Pd, pid), pid, pid).access)
         gap = abs(t_reset - duality_checks(chain.reverse).t_forget)
         worst = max(worst, gap / scale, max(rep.residuals.values()) / scale)
     report("09 duality identities", ok and worst <= 1e-8, f"worst rel {worst:.2e}")

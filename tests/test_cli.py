@@ -585,15 +585,20 @@ class TestSolveCounts:
 class TestDualityCallCounts:
     """One dual or verify run computes each forward/reverse quantity once: the
     forget distribution of each chain, the pi-core, the reverse chain and its
-    involution check, and at most six access-time vectors."""
+    involution check, and for each (chain, target) pair the row H(tau, .) and
+    the access vector H(., tau)."""
 
-    NAMES = ("access_times", "forget_distribution", "pi_core", "reverse_chain")
+    NAMES = ("forget_distribution", "pi_core", "reverse_chain", "reversed_hitting_times")
+    # (H(tau, .) row products, H(., tau) reductions): dual's pairs are each chain
+    # toward pi and toward its forget distribution, and the forward chain toward
+    # its core; verify adds the forward chain's G toward uniform and vertex 0
+    RULES = {"dual": (5, 5), "verify": (7, 5)}
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = dict.fromkeys(self.NAMES, 0)
+        counts = dict.fromkeys(self.NAMES, 0) | {"rules": []}
         for name in self.NAMES:
-            real = getattr(greenwalk.duality, name)
+            real = getattr(greenwalk.duality, name, None) or getattr(greenwalk.hitting, name)
 
             def counting(*args, name=name, real=real):
                 counts[name] += 1
@@ -603,13 +608,33 @@ class TestDualityCallCounts:
             for module in (greenwalk.greens, greenwalk.duality, greenwalk.pipeline):
                 if getattr(module, name, None) is real:
                     monkeypatch.setattr(module, name, counting)
+
+        # each evaluation of a Rules vector, under its (vector, chain, target) key; the
+        # record holds the hitting matrix, so no other matrix can reuse its id meanwhile
+        Rules = greenwalk.greens.Rules
+        for attr in ("from_target", "access"):
+            real = getattr(Rules, attr).func
+
+            def evaluated(rules, attr=attr, real=real):
+                counts["rules"].append((attr, rules.hitting, rules.target.probs.tobytes()))
+                return real(rules)
+
+            prop = functools.cached_property(evaluated)
+            prop.__set_name__(Rules, attr)
+            monkeypatch.setattr(Rules, attr, prop)
         return counts
 
     @pytest.mark.parametrize("command", ["dual", "verify"])
     @pytest.mark.parametrize("graph", ["directed", "undirected"])
     def test_each_quantity_once(self, capsys, calls, command, graph):
         assert run(capsys, command, "--input", str(GOLDEN / f"{graph}.edges"))[0] == 0
-        assert calls["access_times"] <= 6
+        keys = [(attr, id(hitting), target) for attr, hitting, target in calls["rules"]]
+        assert len(set(keys)) == len(keys)
+        rows = sum(attr == "from_target" for attr, _, _ in keys)
+        reductions = sum(attr == "access" for attr, _, _ in keys)
+        assert (rows, reductions) == self.RULES[command]
+        # the only other H(tau, .) row product is H(pi, .) inside the reverse chain's hitting times
+        assert calls["reversed_hitting_times"] == 1
         assert calls["forget_distribution"] == 2
         assert calls["pi_core"] == 1
         assert calls["reverse_chain"] == 2

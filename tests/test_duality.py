@@ -16,7 +16,7 @@ from greenwalk.duality import (
 from greenwalk.generators import random_connected_graph, random_strongly_connected_digraph
 from greenwalk.errors import IntegrityError
 from greenwalk.graph import Distribution, WeightedDigraph, stationary_distribution, transition_matrix
-from greenwalk.greens import access_times, exit_frequency_matrix
+from greenwalk.greens import Rules, exit_frequency_matrix
 from greenwalk.hitting import hitting_times
 from greenwalk.pipeline import ChainAnalysis
 
@@ -117,7 +117,7 @@ class TestForgetTime:
     def test_exchanges_with_reverse_reset(self, n, seed):
         P, pi = digraph_chain(n, seed)
         rev = reverse_chain(P, pi)
-        mix_rev = access_times(hitting_times(rev, pi), pi)
+        mix_rev = Rules(hitting_times(rev, pi), pi, pi).access
         reset_rev = float(pi.probs @ mix_rev)
         scale = max(1.0, reset_rev)
         assert abs(duality_checks(ChainAnalysis(P, pi)).t_forget - reset_rev) <= 1e-8 * scale
@@ -126,7 +126,7 @@ class TestForgetTime:
         sol = ChainAnalysis(*digraph_chain(5, seed=2))
         rep = duality_checks(sol)
         [(_, residual, limit)] = [c for c in rep.checks if c[0] == "dual_forget_equals_reverse_reset"]
-        reset_rev = float(sol.stationary.probs @ access_times(sol.reverse.hitting, sol.stationary))
+        reset_rev = float(sol.stationary.probs @ Rules(sol.reverse.hitting, sol.stationary, sol.stationary).access)
         assert residual == abs(rep.t_forget - reset_rev) and residual < 1e-9
         assert limit == tolerance.bound(5, sol.hitting.time_scale, tolerance.ROUTE)
 
@@ -134,16 +134,17 @@ class TestForgetTime:
 class TestPiCore:
     def test_path_hand_values(self):
         P, pi = chain(families.path_graph(3))
-        X = exit_frequency_matrix(hitting_times(P, pi), pi, pi)
-        core, core_exit = pi_core(ChainAnalysis(P, pi))
+        X = exit_frequency_matrix(Rules(hitting_times(P, pi), pi, pi))
+        core, core_exit, offsets = pi_core(ChainAnalysis(P, pi))
         assert np.allclose(X.values.min(axis=0), [0.0, 0.5, 0.0], atol=1e-12)
+        assert np.array_equal(offsets, X.values.min(axis=0))
         assert np.allclose(core.probs, [0.0, 1.0, 0.0], atol=1e-12)
         assert np.allclose(core_exit.values, [[1, 0, 0], [0, 0, 0], [0, 0, 1]], atol=1e-12)
 
     def test_transitive_core_is_stationary(self):
         P, pi = chain(families.cycle_graph(4))
-        X = exit_frequency_matrix(hitting_times(P, pi), pi, pi)
-        core, _ = pi_core(ChainAnalysis(P, pi))
+        X = exit_frequency_matrix(Rules(hitting_times(P, pi), pi, pi))
+        core, _, _ = pi_core(ChainAnalysis(P, pi))
         assert np.abs(core.probs - pi.probs).max() <= 1e-12
 
     @settings(max_examples=10, deadline=None)
@@ -152,8 +153,8 @@ class TestPiCore:
         # pi_core raises IntegrityError internally when the conservation and
         # reverse-chain routes drift apart
         P, pi = digraph_chain(n, seed)
-        X = exit_frequency_matrix(hitting_times(P, pi), pi, pi)
-        core, core_exit = pi_core(ChainAnalysis(P, pi))
+        X = exit_frequency_matrix(Rules(hitting_times(P, pi), pi, pi))
+        core, core_exit, _ = pi_core(ChainAnalysis(P, pi))
         assert abs(core.probs.sum() - 1.0) <= 1e-12
         conservation = core_exit.values @ (np.eye(n) - P.probs) - (
             np.eye(n) - np.outer(np.ones(n), core.probs)
@@ -172,16 +173,16 @@ class TestPiCore:
         # the shifted matrix has zero column minima, so repeating the
         # construction would change nothing
         P, pi = digraph_chain(10, seed=30)
-        X = exit_frequency_matrix(hitting_times(P, pi), pi, pi)
-        _, core_exit = pi_core(ChainAnalysis(P, pi))
+        X = exit_frequency_matrix(Rules(hitting_times(P, pi), pi, pi))
+        _, core_exit, _ = pi_core(ChainAnalysis(P, pi))
         assert np.abs(core_exit.values.min(axis=0)).max() <= 1e-12
 
     def test_path_core_coincides_with_forget(self):
         # on the 3-path the conjugated exit matrix is symmetric, so the core
         # and the forget distribution happen to be the same point mass
         P, pi = chain(families.path_graph(3))
-        X = exit_frequency_matrix(hitting_times(P, pi), pi, pi)
-        core, _ = pi_core(ChainAnalysis(P, pi))
+        X = exit_frequency_matrix(Rules(hitting_times(P, pi), pi, pi))
+        core, _, _ = pi_core(ChainAnalysis(P, pi))
         mu = forget_distribution(ChainAnalysis(P, pi))
         assert np.abs(core.probs - mu.probs).max() <= 1e-12
 
@@ -191,7 +192,7 @@ class TestDualityChecks:
         P, pi = chain(families.path_graph(3))
         rep = duality_checks(ChainAnalysis(P, pi))
         H = hitting_times(P, pi)
-        acc_core = access_times(H, rep.core)
+        acc_core = Rules(H, pi, rep.core).access
         assert acc_core[0] == pytest.approx(1.0, abs=1e-12)
         assert rep.residuals["core_decomposition"] <= 1e-12
         assert rep.t_forget == pytest.approx(1.0, abs=1e-12)

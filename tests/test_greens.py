@@ -9,9 +9,8 @@ from greenwalk.generators import random_connected_graph, random_strongly_connect
 from greenwalk.graph import Distribution, stationary_distribution, transition_matrix
 from greenwalk.greens import (
     GreensMatrix,
-    access_times,
+    Rules,
     exit_frequency_matrix,
-    greens_function,
     greens_general,
     hitting_from_greens,
     mixing_report,
@@ -69,18 +68,18 @@ class TestGeneralizedGreens:
     def test_point_target_structure(self, directed_triangle):
         H, pi = directed_triangle.hitting, directed_triangle.stationary
         k = 1
-        Gk = greens_general(H, pi, Distribution.point_mass(3, k))
+        Gk = greens_general(Rules(H, pi, Distribution.point_mass(3, k)))
         assert np.abs(Gk.values[k]).max() <= 1e-12
         expected_col = -pi.probs * H.values[:, k]
         assert np.allclose(Gk.values[:, k], expected_col, atol=1e-12)
 
     def test_stationary_target_reduces_to_classical(self):
         sol = analyze(families.cycle_graph(4))
-        Gt = greens_general(sol.hitting, sol.stationary, sol.stationary)
+        Gt = greens_general(Rules(sol.hitting, sol.stationary, sol.stationary))
         assert np.array_equal(Gt.values, sol.greens.values)
 
     def test_path_center_target(self, p3):
-        Gt = greens_general(p3.hitting, p3.stationary, Distribution.point_mass(3, 1))
+        Gt = greens_general(Rules(p3.hitting, p3.stationary, Distribution.point_mass(3, 1)))
         assert Gt.values[0, 1] == pytest.approx(-0.5, abs=1e-12)
 
     @settings(max_examples=15, deadline=None)
@@ -89,27 +88,27 @@ class TestGeneralizedGreens:
         sol = analyze(random_strongly_connected_digraph(n, seed))
         rng = np.random.default_rng(seed)
         tau = Distribution(rng.dirichlet(np.ones(n)))
-        Gt = greens_general(sol.hitting, sol.stationary, tau)
+        Gt = greens_general(Rules(sol.hitting, sol.stationary, tau))
         constraint, row_sum = verify_green_constraints(Gt, sol.transition), Gt.row_sum
         assert constraint <= 1e-9 * n and row_sum <= 1e-10
 
 
 class TestExitFrequencies:
     def test_path_rows(self, p3):
-        X = exit_frequency_matrix(p3.hitting, p3.stationary, p3.stationary)
+        X = exit_frequency_matrix(Rules(p3.hitting, p3.stationary, p3.stationary))
         assert np.allclose(X.values[1], [0.0, 0.5, 0.0], atol=1e-12)
         assert np.allclose(X.values[0], [1.0, 0.5, 0.0], atol=1e-12)
         assert X.values.sum(axis=1) == pytest.approx([1.5, 0.5, 1.5], abs=1e-12)
 
     def test_point_target_rows(self, directed_triangle):
         H, pi = directed_triangle.hitting, directed_triangle.stationary
-        X = exit_frequency_matrix(H, pi, Distribution.point_mass(3, 2))
+        X = exit_frequency_matrix(Rules(H, pi, Distribution.point_mass(3, 2)))
         assert np.abs(X.values[:, 2]).max() <= 1e-12  # the target never exits
         assert np.allclose(X.values.sum(axis=1), H.values[:, 2], atol=1e-12)
 
     def test_rank_one_shift_reproduces_greens(self, directed_triangle):
         H, pi = directed_triangle.hitting, directed_triangle.stationary
-        X = exit_frequency_matrix(H, pi, pi)
+        X = exit_frequency_matrix(Rules(H, pi, pi))
         rebuilt = X.values - np.outer(X.access, pi.probs)
         assert np.abs(rebuilt - directed_triangle.greens.values).max() <= 1e-12
 
@@ -119,7 +118,7 @@ class TestExitFrequencies:
         sol = analyze(random_strongly_connected_digraph(n, seed))
         rng = np.random.default_rng(seed + 1)
         tau = Distribution(rng.dirichlet(np.ones(n)))
-        X = exit_frequency_matrix(sol.hitting, sol.stationary, tau)
+        X = exit_frequency_matrix(Rules(sol.hitting, sol.stationary, tau))
         assert X.values.min() >= 0.0
         assert X.values.min(axis=1).max() <= 1e-10
         scale = max(1.0, np.abs(X.access).max())
@@ -129,19 +128,19 @@ class TestExitFrequencies:
         )
         assert np.abs(conservation).max() <= 1e-9 * n
         rebuilt = X.values - np.outer(X.access, sol.stationary.probs)
-        direct = greens_general(sol.hitting, sol.stationary, tau)
+        direct = greens_general(Rules(sol.hitting, sol.stationary, tau))
         assert np.abs(rebuilt - direct.values).max() <= 1e-9 * max(1.0, scale)
 
     def test_two_routes_agree_on_undirected(self):
         sol = analyze(random_connected_graph(16, seed=12, weighted=True))
-        X = exit_frequency_matrix(sol.hitting, sol.stationary, sol.stationary)
+        X = exit_frequency_matrix(Rules(sol.hitting, sol.stationary, sol.stationary))
         rebuilt = X.values - np.outer(X.access, sol.stationary.probs)
         scale = max(1.0, np.abs(X.access).max())
         assert np.abs(rebuilt - sol.greens.values).max() <= 1e-9 * scale
 
     def test_undirected_pessimal_vertex_is_halting(self):
         sol = analyze(random_connected_graph(14, seed=2))
-        X = exit_frequency_matrix(sol.hitting, sol.stationary, sol.stationary)
+        X = exit_frequency_matrix(Rules(sol.hitting, sol.stationary, sol.stationary))
         pess = sol.hitting.values.argmax(axis=0)
         for i in range(14):
             assert X.values[i, pess[i]] <= 1e-10
@@ -209,7 +208,7 @@ class TestMixingReport:
     def test_reset_from_exit_row_sums(self):
         sol = analyze(random_strongly_connected_digraph(12, seed=8))
         rep = mixing_report(sol)
-        X = exit_frequency_matrix(sol.hitting, sol.stationary, sol.stationary)
+        X = exit_frequency_matrix(Rules(sol.hitting, sol.stationary, sol.stationary))
         reset = float(sol.stationary.probs @ X.values.sum(axis=1))
         assert abs(reset - rep.t_reset) <= 1e-8 * max(1.0, rep.t_hit)
 
@@ -221,8 +220,11 @@ class TestMixingReport:
     def test_mixing_times_match_access_route(self):
         sol = analyze(random_strongly_connected_digraph(10, seed=14))
         rep = mixing_report(sol)
-        direct = access_times(sol.hitting, sol.stationary)
+        direct = Rules(sol.hitting, sol.stationary, sol.stationary).access
         assert np.abs(rep.mixing_times - direct).max() <= 1e-10
+        # H(i, pi) is also the largest entry of row i of -G diag(pi)^{-1}
+        via_greens = (-sol.greens.values / sol.stationary.probs[None, :]).max(axis=1)
+        assert np.abs(rep.mixing_times - via_greens).max() <= 1e-10
 
     @pytest.mark.parametrize(
         "g, beta",

@@ -8,8 +8,8 @@ from greenwalk.duality import reverse_chain
 from greenwalk.errors import NumericalError
 from greenwalk.generators import random_connected_graph, random_strongly_connected_digraph
 from greenwalk.graph import Distribution, stationary_distribution, transition_matrix
+from greenwalk.greens import Rules
 from greenwalk.hitting import (
-    access_to_vertex,
     check_cycle_identities,
     fundamental_matrix,
     hit_time,
@@ -152,17 +152,17 @@ class TestReversedHittingTimes:
 class TestAccessAndReturns:
     def test_point_mass_recovers_entry(self, p3):
         sigma = Distribution.point_mass(3, 0)
-        assert access_to_vertex(p3.hitting, sigma, 2) == pytest.approx(4.0)
+        assert Rules(p3.hitting, p3.stationary, sigma).from_target[2] == pytest.approx(4.0)
 
     def test_stationary_access_cycle(self):
         P, pi = chain(families.cycle_graph(5))
         H = hitting_times(P, pi)
-        assert access_to_vertex(H, pi, 0) == pytest.approx(4.0, abs=1e-10)
+        assert Rules(H, pi, pi).from_target[0] == pytest.approx(4.0, abs=1e-10)
 
     def test_stationary_access_bipartite(self):
         P, pi = chain(families.complete_bipartite(2, 3))
         H = hitting_times(P, pi)
-        assert access_to_vertex(H, pi, 0) == pytest.approx(2.5, abs=1e-10)
+        assert Rules(H, pi, pi).from_target[0] == pytest.approx(2.5, abs=1e-10)
 
 
 class TestHitTime:

@@ -1,6 +1,6 @@
 """Every script under scripts/ runs to exit 0 at a tiny size.
 
-The scripts import library names (``hit_time``, ``access_times``, the CLI's
+The scripts import library names (``hit_time``, ``ChainAnalysis.forget_rules``, the CLI's
 parser and commands), so a renamed or removed name shows here first.
 """
 
