@@ -24,7 +24,7 @@ import json
 import re
 import sys
 
-from greenwalk import cli, duality, errors, families, graph, greens, hitting, spectral
+from greenwalk import cli, errors, families
 from greenwalk.generators import random_strongly_connected_digraph, random_tree
 
 _records = []
@@ -54,8 +54,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=2000, help="vertices of the path, cycle and digraph, and of the path, cycle and tree oracles")
     n = parser.parse_args().n
-    for module in (graph, hitting, greens, duality, spectral, families):
-        module.require = _recording(module.require)
+    # every library module that raises checks binds errors.require at import; cli has imported them all
+    real = errors.require
+    for name, module in list(sys.modules.items()):
+        if name.startswith("greenwalk.") and getattr(module, "require", None) is real:
+            module.require = _recording(real)
 
     worst: dict[str, tuple[float, str]] = {}
     raised = []

@@ -43,7 +43,6 @@ from .pipeline import ChainAnalysis, analyze, verify_checks
 from .spectral import (
     SpectralDecomposition,
     decompose,
-    eigensystem,
     normalized_laplacian,
     spectral_access_from_stationary,
     spectral_greens,

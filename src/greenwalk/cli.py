@@ -356,7 +356,7 @@ def _cmd_hitting(args, chain):
 
 def _cmd_green(args, chain):
     G = greens_general(_target_rules(args.target, chain))
-    checks = green_checks(G, chain.transition, chain.entry_scale)
+    checks = green_checks(chain, G)
     return _matrix(args, G.target.probs, G.values, _residuals(("constraint", "row_sum"), checks)), checks
 
 
@@ -413,7 +413,7 @@ def _cmd_dual(args, chain):
     return payload, rep.checks
 
 
-_MEASURE_ALIASES = {"tmix": "t_mix", "treset": "t_reset", "thit": "t_hit", "h10": "h_one_zero"}
+_MEASURE_ALIASES = {"h10": "honezero"}  # measure names compare in lower case with underscores dropped
 
 
 # family -> (parameter count, oracle); 'toric' and 'tree' take their arguments
@@ -452,8 +452,10 @@ def _cmd_family(args, _):
         report = oracle(*params)
 
     if args.measure is not None:
-        key = _MEASURE_ALIASES.get(args.measure.replace("_", "").lower(), args.measure)
-        if key not in report.measures:
+        keys = {key.replace("_", "").lower(): key for key in report.measures}
+        wanted = args.measure.replace("_", "").lower()
+        key = keys.get(_MEASURE_ALIASES.get(wanted, wanted))
+        if key is None:
             raise ValidationError(
                 f"unknown measure {args.measure!r}; available: {', '.join(sorted(report.measures))}"
             )
@@ -513,7 +515,7 @@ def _cmd_verify(args, chain):
     checks = verify_checks(chain)
     if args.green is not None:
         M = _read_green_file(args.green, chain.graph.n)
-        checks += green_checks(M, chain.transition, chain.entry_scale, "file_greens")
+        checks += green_checks(chain, M, "file_greens")
     payload = {
         "n": chain.graph.n,
         "checks": {

@@ -142,6 +142,8 @@ class TransitionMatrix:
     graph: WeightedDigraph | None = None
 
     def __post_init__(self):
+        if not 0.0 <= self.beta < 1.0:
+            raise ValidationError("laziness beta must lie in [0, 1)")
         probs = np.array(self.probs, dtype=float)
         if probs.ndim != 2 or probs.shape[0] != probs.shape[1]:
             raise ValidationError("transition matrix must be square")
@@ -153,8 +155,6 @@ class TransitionMatrix:
         object.__setattr__(self, "probs", probs)
         if self.row_sum > tolerance.bound(self.n, 1.0, tolerance.RESIDUAL):
             raise ValidationError(f"rows must sum to 1, worst residual {self.row_sum:.3e}")
-        if not 0.0 <= self.beta < 1.0:
-            raise ValidationError("laziness beta must lie in [0, 1)")
 
     @property
     def n(self) -> int:
@@ -425,10 +425,9 @@ def transition_matrix(g: WeightedDigraph, beta: float = 0.0) -> TransitionMatrix
     periodicity, which matters mainly for simulation.
     """
     validate_out_degrees(g)
-    if not 0.0 <= beta < 1.0:
-        raise ValidationError("laziness beta must lie in [0, 1)")
     base = g.weights / g.degrees[:, None]
-    probs = beta * np.eye(g.n) + (1.0 - beta) * base
+    with np.errstate(invalid="ignore"):  # an infinite beta blends to nan; TransitionMatrix rejects it
+        probs = beta * np.eye(g.n) + (1.0 - beta) * base
     return TransitionMatrix(probs, beta=beta, graph=g)
 
 

@@ -149,10 +149,13 @@ def verify_green_constraints(M: GreensMatrix | ExitFrequencyMatrix, P: Transitio
     return float(np.abs(lhs).max())
 
 
-def green_checks(M: GreensMatrix, P: TransitionMatrix, scale: float, name: str = "greens") -> list[Check]:
-    """The checks ``name``_constraint and ``name``_row_sum of a Green matrix for P with entries of size ``scale``."""
-    limit = tolerance.bound(P.n, scale, tolerance.RESIDUAL)
-    return [(f"{name}_constraint", verify_green_constraints(M, P), limit), (f"{name}_row_sum", M.row_sum, limit)]
+def green_checks(chain: ChainAnalysis, M: GreensMatrix, name: str = "greens") -> list[Check]:
+    """The checks ``name``_constraint and ``name``_row_sum of a Green matrix for the chain, at its entry scale."""
+    limit = tolerance.bound(chain.transition.n, chain.entry_scale, tolerance.RESIDUAL)
+    return [
+        (f"{name}_constraint", verify_green_constraints(M, chain.transition), limit),
+        (f"{name}_row_sum", M.row_sum, limit),
+    ]
 
 
 def hitting_from_greens(M: GreensMatrix, pi: Distribution) -> HittingTimeMatrix:

@@ -4,12 +4,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import tolerance
 from .errors import NumericalError, ValidationError, require
 from .graph import Distribution, TransitionMatrix
+
+if TYPE_CHECKING:
+    from .greens import Rules
+
+CYCLE_SAMPLES = 10000  # random triples check_cycle_identities draws above n = 50
+CYCLE_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -85,16 +92,16 @@ def hitting_times(P: TransitionMatrix, pi: Distribution) -> HittingTimeMatrix:
     return _confirmed((np.diag(Z)[None, :] - Z) / pi.probs[None, :], P)
 
 
-def reversed_hitting_times(H: HittingTimeMatrix, P_rev: TransitionMatrix, pi: Distribution) -> HittingTimeMatrix:
-    """The hitting times of the reverse chain P_rev, read off the forward chain's H with no solve.
+def reversed_hitting_times(rules: Rules, P_rev: TransitionMatrix) -> HittingTimeMatrix:
+    """The hitting times of the reverse chain P_rev, read off the forward chain's rules toward pi with no solve.
 
     The reverse chain's fundamental matrix is diag(pi)^{-1} Z^T diag(pi), so
-    Hrev(i, j) = H(j, i) + H(pi, j) - H(pi, i). The result is validated
-    against the first-step equations of P_rev itself, as ``hitting_times``
-    validates a solved matrix.
+    Hrev(i, j) = H(j, i) + H(pi, j) - H(pi, i), with H(pi, .) the rules'
+    cached ``from_target``. The result is validated against the first-step
+    equations of P_rev itself, as ``hitting_times`` validates a solved matrix.
     """
-    h_pi = pi.probs @ H.values
-    return _confirmed(H.values.T + h_pi[None, :] - h_pi[:, None], P_rev)
+    h_pi = rules.from_target
+    return _confirmed(rules.hitting.values.T + h_pi[None, :] - h_pi[:, None], P_rev)
 
 
 def _confirmed(H: np.ndarray, P: TransitionMatrix) -> HittingTimeMatrix:
@@ -118,29 +125,23 @@ def hit_time(H: HittingTimeMatrix, pi: Distribution) -> tuple[float, float]:
     return t, float(np.abs(row - t).max())
 
 
-def check_cycle_identities(
-    H: HittingTimeMatrix,
-    pi: Distribution,
-    samples: int = 10000,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Max residuals of the triple and pair reversal identities.
+def check_cycle_identities(rules: Rules) -> tuple[float, float]:
+    """Max residuals of the triple and pair reversal identities of the chain of ``rules`` toward pi.
 
     The triple identity is H(i,j) + H(j,k) + H(k,i) = H(j,i) + H(i,k) + H(k,j);
     averaging it against pi gives the pair form
-    H(pi,i) + H(i,j) = H(pi,j) + H(j,i). All triples are checked up to n = 50,
-    after which ``samples`` seeded random triples are drawn. Residuals are
-    reported, never asserted: directed chains genuinely violate both.
+    H(pi,i) + H(i,j) = H(pi,j) + H(j,i), read with the rules' cached H(pi, .).
+    All triples are checked up to n = 50, after which CYCLE_SAMPLES random
+    triples seeded with CYCLE_SEED are drawn. Residuals are reported, never
+    asserted: directed chains genuinely violate both.
     """
-    Hv = H.values
-    hpi = pi.probs @ Hv
+    Hv, hpi, n = rules.hitting.values, rules.from_target, rules.hitting.n
     pair = float(np.abs(hpi[:, None] + Hv - hpi[None, :] - Hv.T).max())
     D = Hv - Hv.T
-    n = H.n
     if n <= 50:
         triple = float(np.abs(D[:, :, None] + D[None, :, :] - D[:, None, :]).max())
     else:
-        rng = np.random.default_rng(seed)
-        i, j, k = rng.integers(0, n, size=(3, samples))
+        rng = np.random.default_rng(CYCLE_SEED)
+        i, j, k = rng.integers(0, n, size=(3, CYCLE_SAMPLES))
         triple = float(np.abs(D[i, j] + D[j, k] + D[k, i]).max())
     return triple, pair

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -79,11 +80,6 @@ def _walk(rows, start: int, stop: int, rng: np.random.Generator, max_steps: int)
                 raise RunawayError(f"walk exceeded {max_steps} steps without reaching {stop}")
 
 
-def _check_vertices(P: TransitionMatrix, *vertices: int) -> None:
-    if not all(0 <= v < P.n for v in vertices):
-        raise ValidationError("start and stop must be vertices")
-
-
 def _stats(counts: np.ndarray, seed: int) -> SimStats:
     trials = counts.size
     mean = float(counts.mean())
@@ -91,21 +87,23 @@ def _stats(counts: np.ndarray, seed: int) -> SimStats:
     return SimStats(trials=trials, mean=mean, stderr=stderr, seed=seed)
 
 
+def _simulate(P: TransitionMatrix, vertices: tuple[int, ...], trials: int, seed: int, trial: Callable) -> SimStats:
+    """The statistics of ``trial(rows, rng)``'s step counts, one call per trial on its own Philox substream."""
+    if not all(0 <= v < P.n for v in vertices):
+        raise ValidationError("start and stop must be vertices")
+    if trials < 1:
+        raise ValidationError("need at least one trial")
+    rows = _cumulative_rows(P)
+    streams = _TrialStreams(seed)
+    counts = np.fromiter((trial(rows, streams.trial(t)) for t in range(trials)), dtype=np.int64, count=trials)
+    return _stats(counts, seed)
+
+
 def empirical_hitting(
     P: TransitionMatrix, i: int, j: int, trials: int, seed: int, max_steps: int = STEP_CAP
 ) -> SimStats:
     """Sample mean of the first-arrival time from i to j over seeded trials."""
-    _check_vertices(P, i, j)
-    if trials < 1:
-        raise ValidationError("need at least one trial")
-    cum = _cumulative_rows(P)
-    streams = _TrialStreams(seed)
-    counts = np.fromiter(
-        (_walk(cum, i, j, streams.trial(t), max_steps) for t in range(trials)),
-        dtype=np.int64,
-        count=trials,
-    )
-    return _stats(counts, seed)
+    return _simulate(P, (i, j), trials, seed, lambda rows, rng: _walk(rows, i, j, rng, max_steps))
 
 
 def empirical_random_target(
@@ -121,19 +119,12 @@ def empirical_random_target(
     The mean is the stationary-pair hitting time regardless of the start
     vertex i, which is what the callers assert statistically.
     """
-    _check_vertices(P, i)
-    if trials < 1:
-        raise ValidationError("need at least one trial")
-    cum = _cumulative_rows(P)
     cum_pi = np.cumsum(pi.probs)
     cum_pi[-1] = 1.0
     cum_pi_list = cum_pi.tolist()
-    streams = _TrialStreams(seed)
 
-    def one(trial: int) -> int:
-        rng = streams.trial(trial)
+    def trial(rows, rng: np.random.Generator) -> int:
         target = bisect_right(cum_pi_list, float(rng.random()))
-        return _walk(cum, i, target, rng, max_steps)
+        return _walk(rows, i, target, rng, max_steps)
 
-    counts = np.fromiter((one(t) for t in range(trials)), dtype=np.int64, count=trials)
-    return _stats(counts, seed)
+    return _simulate(P, (i,), trials, seed, trial)

@@ -111,7 +111,7 @@ class ChainAnalysis:
             rev = rev()
         if rev is None:
             rev = ChainAnalysis(reverse_chain(self.transition, self.stationary), self.stationary)
-            rev.__dict__["hitting"] = reversed_hitting_times(self.hitting, rev.transition, self.stationary)
+            rev.__dict__["hitting"] = reversed_hitting_times(self.pi_rules, rev.transition)
             self.__dict__["_reverse"] = rev
             rev.__dict__["_reverse"] = weakref.ref(self)
         return rev
@@ -171,14 +171,14 @@ def verify_checks(chain: ChainAnalysis) -> list[Check]:
         ("stationary", float(np.abs(pi.probs @ P.probs - pi.probs).max()), probs),
         ("first_step", H.first_step, routes),
         ("random_target", random_target, times),
-        *green_checks(G, P, E),
+        *green_checks(chain, G),
         ("trace_vs_hit", abs(float(np.trace(G.values)) - t_hit), times),
         ("hitting_roundtrip", float(np.abs(hitting_from_greens(G, pi).values - H.values).max()), times),
         *exit_checks(chain, X),
         ("greens_from_exit", float(np.abs(X.values - np.outer(X.access, pi.probs) - G.values).max()), entries),
     ]
     for tag, tau in (("uniform", Distribution.uniform(g.n)), ("vertex", Distribution.point_mass(g.n, 0))):
-        checks += green_checks(greens_general(Rules(H, pi, tau)), P, E, f"greens_{tag}")
+        checks += green_checks(chain, greens_general(Rules(H, pi, tau)), f"greens_{tag}")
 
     try:
         mixing = chain.mixing
@@ -193,7 +193,7 @@ def verify_checks(chain: ChainAnalysis) -> list[Check]:
         checks.append(("laziness_scaling", float(np.abs(lazy.hitting.values * 0.5 - H.values).max()), routes))
 
     if g.undirected:
-        triple, pair = check_cycle_identities(H, pi)
+        triple, pair = check_cycle_identities(chain.pi_rules)
         weighted = pi.probs[:, None] * G.values
         checks += [
             ("cycle_triple", triple, routes),

@@ -51,22 +51,18 @@ def normalized_laplacian(g: WeightedDigraph) -> np.ndarray:
     return (L + L.T) / 2.0
 
 
-def eigensystem(matrix: np.ndarray, degrees: np.ndarray, volume: float) -> SpectralDecomposition:
-    """Ascending eigendecomposition with zero-mode and basis checks.
+def decompose(g: WeightedDigraph) -> SpectralDecomposition:
+    """Ascending eigendecomposition of the normalized Laplacian of ``g``, with zero-mode and basis checks.
 
     Exactly one eigenvalue may fall below the zero threshold; more than one
     means the graph is disconnected. Orthonormality and reconstruction are
     verified before anything downstream trusts the basis.
     """
-    M = np.asarray(matrix, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValidationError("matrix must be square")
-    n = M.shape[0]
+    L = normalized_laplacian(g)
+    n = g.n
     limit = tolerance.bound(n, 1.0, tolerance.RESIDUAL)
-    if float(np.abs(M - M.T).max()) > limit:
-        raise ValidationError("matrix must be symmetric")
     try:
-        lam, phi = np.linalg.eigh(M)
+        lam, phi = np.linalg.eigh(L)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from None
     zero_modes = int(np.count_nonzero(lam < limit))
@@ -77,19 +73,13 @@ def eigensystem(matrix: np.ndarray, degrees: np.ndarray, volume: float) -> Spect
     # the eigenvectors' orthogonality degrades with clustered eigenvalues: it carries their conditioning
     orthonormality = np.abs(phi.T @ phi - np.eye(n)).max()
     require("eigen_orthonormality", orthonormality, tolerance.bound(n, 1.0, tolerance.ROUTE), NumericalError)
-    require("eigen_reconstruction", np.abs((phi * lam[None, :]) @ phi.T - M).max(), limit, NumericalError)
-    d = np.asarray(degrees, dtype=float)
-    root = np.sqrt(d)
+    require("eigen_reconstruction", np.abs((phi * lam[None, :]) @ phi.T - L).max(), limit, NumericalError)
+    root = np.sqrt(g.degrees)
     root /= np.linalg.norm(root)
     drift = min(float(np.abs(phi[:, 0] - root).max()), float(np.abs(phi[:, 0] + root).max()))
     gap = lam[1] if n > 1 else 1.0  # an eigenvector's error grows as 1 / (distance to the next eigenvalue)
     require("zero_mode_drift", drift, tolerance.bound(n, 1.0 / gap, tolerance.RESIDUAL), NumericalError)
-    return SpectralDecomposition(lam, phi, d, float(volume))
-
-
-def decompose(g: WeightedDigraph) -> SpectralDecomposition:
-    """Build and decompose the normalized Laplacian of ``g`` in one call."""
-    return eigensystem(normalized_laplacian(g), g.degrees, g.volume)
+    return SpectralDecomposition(lam, phi, g.degrees, g.volume)
 
 
 def spectral_hitting(dec: SpectralDecomposition) -> HittingTimeMatrix:

@@ -104,6 +104,13 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error:")
 
+    # an infinite beta blends to nan: no numpy warning may reach stderr ahead of the message
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", ["2", "1", "-0.1", "nan", "inf"])
+    def test_laziness_outside_unit_interval_is_one(self, capsys, k3_file, beta):
+        code, out, err = run(capsys, "hitting", "--input", k3_file, f"--lazy={beta}")
+        assert (code, out, err) == (1, "", "error: laziness beta must lie in [0, 1)\n")
+
     def test_usage_error_is_one(self, capsys):
         assert main(["green"]) == 1
         capsys.readouterr()
@@ -441,6 +448,20 @@ class TestFamilyCommand:
         assert code == 1
 
     @pytest.mark.parametrize(
+        "family, spellings, value",
+        [
+            (["bipartite", "2", "3"], ["t_mix", "tmix", "TMIX", "T_Mix"], "1.5"),
+            (["bipartite", "2", "3"], ["access_left", "ACCESS_LEFT", "accessleft", "Access_Left"], "2.5"),
+            (["hypercube", "3"], ["t_mix", "tmix", "TMIX"], "2.75"),
+            (["hypercube", "3"], ["h_one_zero", "H_ONE_ZERO", "honezero", "h10", "H10", "h_1_0"], "10"),
+        ],
+        ids=["bipartite-t_mix", "bipartite-access_left", "hypercube-t_mix", "hypercube-h_one_zero"],
+    )
+    def test_measure_names_compare_without_case_or_underscores(self, capsys, family, spellings, value):
+        for spelling in spellings:
+            assert run(capsys, "family", *family, "--measure", spelling) == (0, value + "\n", "")
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["tree", "7", "9", "--input", "TREE"], "family 'tree' takes no parameters, got 7 9"),
@@ -633,7 +654,8 @@ class TestDualityCallCounts:
         rows = sum(attr == "from_target" for attr, _, _ in keys)
         reductions = sum(attr == "access" for attr, _, _ in keys)
         assert (rows, reductions) == self.RULES[command]
-        # the only other H(tau, .) row product is H(pi, .) inside the reverse chain's hitting times
+        # no other H(tau, .) row product is made: the reverse chain's hitting times and the
+        # pair identity read the forward chain's cached H(pi, .)
         assert calls["reversed_hitting_times"] == 1
         assert calls["forget_distribution"] == 2
         assert calls["pi_core"] == 1

@@ -10,6 +10,8 @@ from greenwalk.generators import random_connected_graph, random_strongly_connect
 from greenwalk.graph import Distribution, stationary_distribution, transition_matrix
 from greenwalk.greens import Rules
 from greenwalk.hitting import (
+    CYCLE_SAMPLES,
+    CYCLE_SEED,
     check_cycle_identities,
     fundamental_matrix,
     hit_time,
@@ -110,7 +112,7 @@ class TestReversedHittingTimes:
     def test_matches_solved_reverse(self, g, beta):
         P, pi = chain(g, beta)
         P_rev = reverse_chain(P, pi)
-        derived = reversed_hitting_times(hitting_times(P, pi), P_rev, pi)
+        derived = reversed_hitting_times(Rules(hitting_times(P, pi), pi, pi), P_rev)
         solved = hitting_times(P_rev, pi)
         limit = tolerance.bound(P.n, solved.time_scale, tolerance.ROUTE)
         assert np.abs(derived.values - solved.values).max() <= limit
@@ -124,7 +126,7 @@ class TestReversedHittingTimes:
         # the forward rows of a directed chain do not fit the reverse hitting times
         P, pi = chain(random_strongly_connected_digraph(8, seed=5))
         with pytest.raises(NumericalError) as info:
-            reversed_hitting_times(hitting_times(P, pi), P, pi)
+            reversed_hitting_times(Rules(hitting_times(P, pi), pi, pi), P)
         assert info.value.check[0] == "first_step"
 
     def test_reverse_chain_keeps_its_first_step(self):
@@ -143,7 +145,7 @@ class TestReversedHittingTimes:
         H = hitting_times(P, pi)
         P_rev = reverse_chain(P, pi)
         commute = H.values + H.values.T
-        derived = reversed_hitting_times(H, P_rev, pi).values
+        derived = reversed_hitting_times(Rules(H, pi, pi), P_rev).values
         solved = hitting_times(P_rev, pi).values
         assert np.abs(derived + derived.T - commute).max() <= tolerance.bound(n, H.time_scale, tolerance.RESIDUAL)
         assert np.abs(solved + solved.T - commute).max() <= tolerance.bound(n, H.time_scale, tolerance.ROUTE)
@@ -193,7 +195,7 @@ class TestHitTime:
 
 class TestCycleIdentities:
     def test_path_exact(self, p3):
-        triple, pair = check_cycle_identities(p3.hitting, p3.stationary)
+        triple, pair = check_cycle_identities(p3.pi_rules)
         assert triple <= 1e-12 and pair <= 1e-12
 
     @settings(max_examples=15, deadline=None)
@@ -201,16 +203,47 @@ class TestCycleIdentities:
     def test_undirected_within_tolerance(self, n, seed):
         g = random_connected_graph(n, seed)
         sol = pipeline.analyze(g)
-        triple, pair = check_cycle_identities(sol.hitting, sol.stationary)
+        triple, pair = check_cycle_identities(sol.pi_rules)
         scale = max(1.0, np.abs(sol.hitting.values).max())
         assert triple <= 1e-8 * scale and pair <= 1e-8 * scale
 
     def test_directed_violation_reported(self, directed_triangle):
-        triple, pair = check_cycle_identities(directed_triangle.hitting, directed_triangle.stationary)
+        triple, pair = check_cycle_identities(directed_triangle.pi_rules)
         assert triple == pytest.approx(3.0, abs=1e-12)
         assert pair > 0.5
 
     def test_sampling_path_for_large_graphs(self):
         sol = pipeline.analyze(random_connected_graph(60, seed=5))
-        triple, _ = check_cycle_identities(sol.hitting, sol.stationary, samples=2000, seed=1)
+        triple, _ = check_cycle_identities(sol.pi_rules)
         assert triple <= 1e-8 * max(1.0, np.abs(sol.hitting.values).max())
+        # above n = 50 the triple residual is the worst of CYCLE_SAMPLES triples drawn with CYCLE_SEED
+        D = sol.hitting.values - sol.hitting.values.T
+        i, j, k = np.random.default_rng(CYCLE_SEED).integers(0, 60, size=(3, CYCLE_SAMPLES))
+        assert triple == float(np.abs(D[i, j] + D[j, k] + D[k, i]).max())
+
+
+class TestCachedStationaryRow:
+    """The reverse chain's hitting times and the pair identity read the H(pi, .) row
+    cached on the rules they are handed: shifting that row moves them by the shift."""
+
+    @staticmethod
+    def shifted(sol, shift):
+        rules = Rules(sol.hitting, sol.stationary, sol.stationary)
+        rules.__dict__["from_target"] = sol.pi_rules.from_target + shift
+        return rules
+
+    def test_reverse_hitting_times_move_by_the_shift(self):
+        sol = pipeline.analyze(random_strongly_connected_digraph(10, seed=7))
+        P_rev = sol.reverse.transition
+        base = reversed_hitting_times(sol.pi_rules, P_rev).values
+        shift = 1e-12 * np.arange(10)  # small enough for the reverse chain's first-step check
+        moved = reversed_hitting_times(self.shifted(sol, shift), P_rev).values
+        assert np.abs(moved - base - (shift[None, :] - shift[:, None])).max() <= 1e-13
+
+    def test_cycle_pair_moves_by_the_shift(self):
+        sol = pipeline.analyze(random_connected_graph(12, seed=3))
+        triple, pair = check_cycle_identities(sol.pi_rules)
+        moved_triple, moved_pair = check_cycle_identities(self.shifted(sol, np.linspace(0.0, 1.0, 12)))
+        assert pair <= 1e-10
+        assert moved_triple == triple  # the triple form reads no H(pi, .)
+        assert moved_pair == pytest.approx(1.0, abs=1e-10)

@@ -11,7 +11,6 @@ from greenwalk.greens import mixing_report
 from greenwalk.hitting import hit_time
 from greenwalk.spectral import (
     decompose,
-    eigensystem,
     normalized_laplacian,
     spectral_access_from_stationary,
     spectral_greens,
@@ -66,11 +65,7 @@ class TestEigensystem:
     def test_disconnected_detected(self):
         g = WeightedDigraph(4, ((0, 1, 1.0), (2, 3, 1.0)), undirected=True)
         with pytest.raises(NumericalError, match="disconnected"):
-            eigensystem(normalized_laplacian(g), g.degrees, g.volume)
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValidationError):
-            eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones(2), 2.0)
+            decompose(g)
 
 
 class TestSpectralRoutes:
