@@ -37,10 +37,6 @@ def complete_bipartite(r: int, s: int) -> WeightedDigraph:
     return WeightedDigraph(r + s, arcs, undirected=True)
 
 
-def star_graph(leaves: int) -> WeightedDigraph:
-    return complete_bipartite(1, leaves)
-
-
 def path_graph(n: int) -> WeightedDigraph:
     if n < 2:
         raise ValidationError("path needs n >= 2")

@@ -231,7 +231,7 @@ def parse_graph(text: str, fmt: str = "edgelist") -> WeightedDigraph:
 # Texts with anything else (non-ASCII digits, form feeds, Unicode line
 # breaks) go to the line loop, which splits and converts as str and int do.
 _PLAIN = bytes([9, 10, 13, *range(32, 127)])
-_ARC_LINE = re.compile(r"^[ \t]*[^ \t\n].*$", re.M)
+_ARC_LINE = re.compile(r"^[ \t]*[^ \t\n#].*$", re.M)  # neither blank nor a comment
 _ARC_DTYPES = {
     2: np.dtype([("i", np.int64), ("j", np.int64)]),
     3: np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)]),
@@ -258,23 +258,19 @@ def _read_arc_columns(text: str):
         return None
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    # cut out the comment lines, keeping their line breaks; a "#" inside an
-    # arc line is an error (or an inline comment), which the line loop reports
+    # numpy skips the comment lines itself; a "#" inside an arc line is an
+    # error (or an inline comment), which the line loop reports
     undirected = False
-    pieces = []
-    end = 0
     hash_at = text.find("#")
     while hash_at >= 0:
         start = text.rfind("\n", 0, hash_at) + 1
         if text[start:hash_at].strip(" \t"):
             return None
-        pieces.append(text[end:start])
         end = text.find("\n", hash_at)
         end = len(text) if end < 0 else end
         undirected = undirected or text[hash_at + 1 : end].strip().lower() == "undirected"
         hash_at = text.find("#", end)
-    body = "".join(pieces) + text[end:] if pieces else text
-    first = _ARC_LINE.search(body)
+    first = _ARC_LINE.search(text)
     dtype = _ARC_DTYPES.get(len(first.group().split())) if first else None
     if dtype is None:
         return None
@@ -283,7 +279,7 @@ def _read_arc_columns(text: str):
             # numpy 1.23 up to the deprecation's expiry reads "1.7" in an
             # integer field as 1 with only this warning; int() rejects it
             warnings.simplefilter("error", DeprecationWarning)
-            table = np.loadtxt(_lines(body), dtype=dtype, comments=None, ndmin=1)
+            table = np.loadtxt(_lines(text), dtype=dtype, comments="#", ndmin=1)
     except (ValueError, DeprecationWarning):
         return None
     src, dst = table["i"], table["j"]
@@ -431,7 +427,7 @@ def transition_matrix(g: WeightedDigraph, beta: float = 0.0) -> TransitionMatrix
     return TransitionMatrix(probs, beta=beta, graph=g)
 
 
-def _reaches_all(support: np.ndarray, symmetric: bool = False) -> bool:
+def _reaches_all(support: np.ndarray, symmetric: bool) -> bool:
     """True when vertex 0 reaches every vertex along the boolean support, and every vertex reaches 0.
 
     A frontier sweep: each round follows at once every arc out of the

@@ -29,6 +29,9 @@ class GreensMatrix:
     values: np.ndarray
     target: Distribution
 
+    def __post_init__(self):
+        self.values.setflags(write=False)
+
     @property
     def n(self) -> int:
         return self.values.shape[0]
@@ -99,12 +102,16 @@ class Rules:
     @cached_property
     def from_target(self) -> np.ndarray:
         """H(tau, j) for every j."""
-        return self.target.probs @ self.hitting.values
+        h = self.target.probs @ self.hitting.values
+        h.setflags(write=False)
+        return h
 
     @cached_property
     def access(self) -> np.ndarray:
         """H(i, tau) = max_j (H(i, j) - H(tau, j)); the argmax is a halting state of the optimal rule."""
-        return (self.hitting.values - self.from_target[None, :]).max(axis=1)
+        h = (self.hitting.values - self.from_target[None, :]).max(axis=1)
+        h.setflags(write=False)
+        return h
 
 
 def greens_general(rules: Rules) -> GreensMatrix:
@@ -196,6 +203,7 @@ def mixing_report(chain: ChainAnalysis) -> MixingReport:
     limit = tolerance.bound(H.n, H.time_scale, tolerance.RESIDUAL)
     require("trace_vs_hit", abs(float(np.trace(G.values)) - t_hit), limit)
     pess = Hv.argmax(axis=0)
+    pess.setflags(write=False)
     if chain.graph is not None and chain.graph.undirected:
         vertices = np.arange(H.n)
         first = Hv[pess, vertices] - rules.from_target

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import RunawayError, ValidationError
 from .graph import Distribution, TransitionMatrix
 
-STEP_CAP = 10**9
+STEP_CAP = 10**9  # a walk still short of its stop after this many steps raises RunawayError
 _MASK64 = (1 << 64) - 1
 _BUFFER = 128
 
@@ -99,21 +99,12 @@ def _simulate(P: TransitionMatrix, vertices: tuple[int, ...], trials: int, seed:
     return _stats(counts, seed)
 
 
-def empirical_hitting(
-    P: TransitionMatrix, i: int, j: int, trials: int, seed: int, max_steps: int = STEP_CAP
-) -> SimStats:
+def empirical_hitting(P: TransitionMatrix, i: int, j: int, trials: int, seed: int) -> SimStats:
     """Sample mean of the first-arrival time from i to j over seeded trials."""
-    return _simulate(P, (i, j), trials, seed, lambda rows, rng: _walk(rows, i, j, rng, max_steps))
+    return _simulate(P, (i, j), trials, seed, lambda rows, rng: _walk(rows, i, j, rng, STEP_CAP))
 
 
-def empirical_random_target(
-    P: TransitionMatrix,
-    pi: Distribution,
-    i: int,
-    trials: int,
-    seed: int,
-    max_steps: int = STEP_CAP,
-) -> SimStats:
+def empirical_random_target(P: TransitionMatrix, pi: Distribution, i: int, trials: int, seed: int) -> SimStats:
     """Mean length of the naive rule: draw a target from pi, walk until reaching it.
 
     The mean is the stationary-pair hitting time regardless of the start
@@ -125,6 +116,6 @@ def empirical_random_target(
 
     def trial(rows, rng: np.random.Generator) -> int:
         target = bisect_right(cum_pi_list, float(rng.random()))
-        return _walk(rows, i, target, rng, max_steps)
+        return _walk(rows, i, target, rng, STEP_CAP)
 
     return _simulate(P, (i,), trials, seed, trial)

@@ -79,6 +79,8 @@ def decompose(g: WeightedDigraph) -> SpectralDecomposition:
     drift = min(float(np.abs(phi[:, 0] - root).max()), float(np.abs(phi[:, 0] + root).max()))
     gap = lam[1] if n > 1 else 1.0  # an eigenvector's error grows as 1 / (distance to the next eigenvalue)
     require("zero_mode_drift", drift, tolerance.bound(n, 1.0 / gap, tolerance.RESIDUAL), NumericalError)
+    lam.setflags(write=False)
+    phi.setflags(write=False)
     return SpectralDecomposition(lam, phi, g.degrees, g.volume)
 
 

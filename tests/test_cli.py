@@ -17,13 +17,13 @@ import greenwalk.families
 import greenwalk.graph
 import greenwalk.greens
 import greenwalk.hitting
+import greenwalk.montecarlo
 import greenwalk.pipeline
 import greenwalk.spectral
 import greenwalk.tolerance
 from greenwalk.cli import main
 from greenwalk.graph import Distribution
 from greenwalk.hitting import HittingTimeMatrix
-from greenwalk.montecarlo import empirical_hitting
 
 K3 = "# undirected\n0 1\n0 2\n1 2\n"
 P3 = "# undirected\n0 1\n1 2\n"
@@ -135,7 +135,7 @@ class TestExitCodes:
 
     def test_simulate_negative_stop_is_one(self, capsys, tmp_path, monkeypatch):
         # a stop that is no vertex is never reached: cap the walk so a missing check fails fast
-        monkeypatch.setattr(greenwalk.cli, "empirical_hitting", functools.partial(empirical_hitting, max_steps=1000))
+        monkeypatch.setattr(greenwalk.montecarlo, "STEP_CAP", 1000)
         path = tmp_path / "tri.edges"
         path.write_text(TRIANGLE)
         code, _, err = run(capsys, "simulate", "--input", str(path), "--trials", "5", "--start", "0", "--stop", "-2")

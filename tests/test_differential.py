@@ -16,13 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenwalk import families
+from greenwalk import families, graph, montecarlo
 from greenwalk.errors import ParseError, RunawayError
 from greenwalk.generators import random_strongly_connected_digraph
 from greenwalk.graph import (
     WeightedDigraph,
     _parse_edge_list,
     _read_arc_columns,
+    parse_graph,
     stationary_distribution,
     transition_matrix,
 )
@@ -148,6 +149,16 @@ def edge_list(draw):
     return text
 
 
+# comment lines that numpy's reader skips itself: none of them needs the line loop
+COMMENTED = [
+    "# generated by hand\n0 1 2\n1 0 1\n",
+    "0 1 2\n  \t# indented\n1 0 1\n",
+    "#\n0 1\n1 0\n",
+    "0 1 0.5\n1 2 2\n# undirected\n",
+    "# crlf comment\r\n0 1 2\r\n1 0 1\r\n",
+]
+
+
 class TestEdgeListParser:
     @settings(max_examples=600, deadline=None)
     @given(text=edge_list())
@@ -196,10 +207,19 @@ class TestEdgeListParser:
             "0 1 -2.5\n",
             "# only comments\n",
             "",
+            *COMMENTED,
+            "##undirected\n0 1\n1 0\n",
+            "# UNDIRECTED\n0 1\n1 2\n",
         ],
     )
     def test_examples_match_line_loop(self, text):
         assert _outcome(_columnar, text) == _outcome(_reference_edge_list, text)
+
+    @pytest.mark.parametrize("text", COMMENTED)
+    def test_commented_files_take_the_reader(self, text, monkeypatch):
+        monkeypatch.setattr(graph, "_parse_edge_list_lines", lambda _: pytest.fail("the line loop ran"))
+        g = parse_graph(text)
+        assert ("graph", repr(g.n), repr(g.arcs), g.undirected) == _outcome(_reference_edge_list, text)
 
     def test_reader_deprecation_goes_to_line_loop(self, monkeypatch):
         # numpy 1.23 and later releases read "1.7" in an integer field as 1,
@@ -280,7 +300,7 @@ class TestWalks:
     @pytest.mark.parametrize("name", sorted(WALK_GRAPHS))
     @pytest.mark.parametrize("beta", [0.0, 0.5])
     @pytest.mark.parametrize("max_steps", [1, 127, 128, 129, 10**9])
-    def test_trials_match_dense_walk(self, name, beta, max_steps):
+    def test_trials_match_dense_walk(self, name, beta, max_steps, monkeypatch):
         P = transition_matrix(WALK_GRAPHS[name], beta)
         pi = stationary_distribution(P)
         cum_pi = np.cumsum(pi.probs)
@@ -288,6 +308,7 @@ class TestWalks:
         cum_pi = cum_pi.tolist()
         rows, dense = _cumulative_rows(P), _reference_cumulative_rows(P)
         trials = 60
+        monkeypatch.setattr(montecarlo, "STEP_CAP", max_steps)
         for seed in (0, 7, 2**40 + 3):
             streams = _TrialStreams(seed)
             start, stop = seed % P.n, (seed + 2) % P.n
@@ -298,17 +319,17 @@ class TestWalks:
                 if all(isinstance(c, int) for c in ref):
                     counts = np.array(ref, dtype=np.int64)
                     if target is None:
-                        got = empirical_hitting(P, start, stop, trials, seed, max_steps)
+                        got = empirical_hitting(P, start, stop, trials, seed)
                     else:
-                        got = empirical_random_target(P, pi, start, trials, seed, max_steps)
+                        got = empirical_random_target(P, pi, start, trials, seed)
                     assert got == _stats(counts, seed)
                 else:
                     message = next(c for c in ref if isinstance(c, str))
                     with pytest.raises(RunawayError) as err:
                         if target is None:
-                            empirical_hitting(P, start, stop, trials, seed, max_steps)
+                            empirical_hitting(P, start, stop, trials, seed)
                         else:
-                            empirical_random_target(P, pi, start, trials, seed, max_steps)
+                            empirical_random_target(P, pi, start, trials, seed)
                     assert str(err.value) == message
 
 

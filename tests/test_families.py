@@ -134,7 +134,7 @@ def _tree(n, arcs):
 TREES = {
     "golden": load_graph(str(Path(__file__).parent / "golden" / "tree.edges")),
     "path": families.path_graph(9),
-    "star": families.star_graph(6),
+    "star": families.complete_bipartite(1, 6),
     "spider": _tree(10, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 4, 1.0), (4, 5, 1.0), (5, 6, 1.0), (0, 7, 1.0), (7, 8, 1.0), (8, 9, 1.0)]),
     "broom": _tree(9, [(0, 1, 0.7), (1, 2, 1.3), (2, 3, 0.9), (3, 4, 1.1), (4, 5, 0.6), (4, 6, 1.4), (4, 7, 1.0), (4, 8, 0.8)]),
     "caterpillar": _tree(11, [(0, 1, 1.2), (1, 2, 0.8), (2, 3, 1.1), (3, 4, 0.9), (0, 5, 1.0), (1, 6, 0.6), (1, 7, 1.4), (2, 8, 1.3), (3, 9, 0.7), (4, 10, 1.0)]),
@@ -211,7 +211,7 @@ class TestTree:
         assert np.abs(rep.greens - rep_path.greens).max() <= 1e-10
 
     def test_star_as_tree_matches_bipartite(self):
-        rep = families.tree_oracle(families.star_graph(3))
+        rep = families.tree_oracle(families.complete_bipartite(1, 3))
         rep_star = families.bipartite_oracle(1, 3)
         assert np.abs(rep.greens - rep_star.greens).max() <= 1e-10
 

@@ -3,12 +3,12 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
-from greenwalk import families
+from greenwalk import families, montecarlo
 from greenwalk.errors import RunawayError, ValidationError
 from greenwalk.generators import random_strongly_connected_digraph
 from greenwalk.graph import WeightedDigraph, stationary_distribution, transition_matrix
 from greenwalk.hitting import hit_time, hitting_times
-from greenwalk.montecarlo import STEP_CAP, _cumulative_rows, empirical_hitting, empirical_random_target
+from greenwalk.montecarlo import _cumulative_rows, empirical_hitting, empirical_random_target
 
 
 def directed_triangle_chain():
@@ -16,9 +16,9 @@ def directed_triangle_chain():
     return transition_matrix(g)
 
 
-def one_walk(P, start, stop, seed, max_steps=STEP_CAP) -> float:
+def one_walk(P, start, stop, seed) -> float:
     """The steps of one seeded walk: the mean of a single trial."""
-    return empirical_hitting(P, start, stop, 1, seed, max_steps).mean
+    return empirical_hitting(P, start, stop, 1, seed).mean
 
 
 def philox_walk(P, start, stop, seed) -> int:
@@ -46,10 +46,11 @@ class TestSimulateWalk:
             steps = one_walk(P, 0, 2, seed=s)
             assert steps > 0 and steps % 2 == 0
 
-    def test_step_cap(self):
+    def test_step_cap(self, monkeypatch):
         P = directed_triangle_chain()
+        monkeypatch.setattr(montecarlo, "STEP_CAP", 1)
         with pytest.raises(RunawayError):
-            one_walk(P, 0, 2, seed=0, max_steps=1)
+            one_walk(P, 0, 2, seed=0)
 
     def test_bad_vertex(self):
         P = directed_triangle_chain()

@@ -1,7 +1,8 @@
 """Each residual a builder checks is computed once and kept on the object it certifies.
 
 ``verify_checks`` reports those residuals by reading them, so its figures are
-the very floats the builders compared with their limits.
+the very floats the builders compared with their limits. The arrays a chain
+keeps are read-only, so no caller can change what is derived from them later.
 """
 
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from greenwalk.graph import load_graph
 from greenwalk.greens import mixing_report
 from greenwalk.pipeline import analyze, verify_checks
+from greenwalk.spectral import decompose
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -31,3 +33,23 @@ def test_verify_reports_the_builders_residuals(chain):
 
 def test_mixing_report_reads_the_chains_hit_time(chain):
     assert mixing_report(chain).t_hit is chain.hit_time[0]
+
+
+def test_cached_results_are_read_only(chain):
+    # everything derived later reads these arrays: a write in place would corrupt it silently
+    arrays = [
+        chain.hitting.values,
+        chain.greens.values,
+        chain.exit_pi.values,
+        chain.exit_pi.access,
+        chain.pi_rules.from_target,
+        chain.pi_rules.access,
+        chain.mixing.mixing_times,
+        chain.mixing.pessimal,
+    ]
+    if chain.graph.undirected:
+        dec = decompose(chain.graph)
+        arrays += [dec.eigenvalues, dec.eigenvectors]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
