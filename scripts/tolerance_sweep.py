@@ -4,7 +4,9 @@
 Runs each command that reads a limit (hitting, green and exitfreq at targets
 pi, uniform and vertex 0, mixing, spectral on undirected graphs, dual and
 verify) on a path, a cycle and random_strongly_connected_digraph(n, 1,
-extra=0.02), each also at --lazy 0.5, and then path_oracle(n),
+extra=0.02), each also at --lazy 0.5, and solves hitting_column on each of
+those chains at vertex 0 and at argmin pi, whose checks count as
+column_fundamental and column_first_step. Then it runs path_oracle(n),
 cycle_oracle(n), tree_oracle(random_tree(n, 1, weighted=True)),
 hypercube_oracle(10) and toric_oracle((32, 32)). Every
 check counts: the ones the library raises through ``errors.require`` (a
@@ -24,7 +26,7 @@ import json
 import re
 import sys
 
-from greenwalk import cli, errors, families
+from greenwalk import cli, errors, families, hitting
 from greenwalk.generators import random_strongly_connected_digraph, random_tree
 
 _records = []
@@ -89,6 +91,15 @@ def main() -> int:
                     checks = []
                     raised.append(f"{where}: {exc}")
                 note(where, _records + checks)
+                _records.clear()
+            pi = chain.stationary.probs
+            for j in sorted({0, int(pi.argmin())}):
+                where = f"hitting_column {j} {label}" + (" --lazy 0.5" if lazy else "")
+                try:
+                    hitting.hitting_column(chain.transition, chain.stationary, j)
+                except errors.GreenWalkError as exc:
+                    raised.append(f"{where}: {exc}")
+                note(where, [(f"column_{name}", residual, limit) for name, residual, limit in _records])
                 _records.clear()
             del chain
             print(f"done {label}" + (" --lazy 0.5" if lazy else ""), file=sys.stderr, flush=True)

@@ -35,6 +35,7 @@ from .hitting import (
     check_cycle_identities,
     fundamental_matrix,
     hit_time,
+    hitting_column,
     hitting_times,
     reversed_hitting_times,
 )

@@ -23,6 +23,7 @@ from .duality import duality_checks
 from .errors import GreenWalkError, ParseError, ValidationError, describe, failed
 from .graph import Distribution, load_graph, read_text
 from .greens import GreensMatrix, Rules, exit_frequency_matrix, green_checks, greens_general
+from .hitting import hitting_column
 from .montecarlo import empirical_hitting, empirical_random_target
 from .pipeline import analyze, exit_checks, spectral_routes, verify_checks
 from .spectral import decompose
@@ -475,8 +476,9 @@ def _cmd_family(args, _):
 
 def _cmd_simulate(args, chain):
     if args.stop is not None:
+        # the walk validates --start, --stop and --trials before the solve reads a column
         stats = empirical_hitting(chain.transition, args.start, args.stop, args.trials, args.seed)
-        analytic = float(chain.hitting.values[args.start, args.stop])
+        analytic = float(hitting_column(chain.transition, chain.stationary, args.stop)[args.start])
         mode = "hitting"
     else:
         stats = empirical_random_target(chain.transition, chain.stationary, args.start, args.trials, args.seed)

@@ -1,4 +1,10 @@
-"""Hitting times via the fundamental matrix, and their classical identities."""
+"""Hitting times via the fundamental matrix, and their classical identities.
+
+``hitting_times`` derives every H(i, j) = (Z_jj - Z_ij) / pi_j from the whole
+Z = (I - P + 1 pi^T)^{-1}. ``hitting_column`` solves for column j of Z alone,
+which is all ``simulate --stop j`` prints, so that command never builds
+``ChainAnalysis.hitting``.
+"""
 
 from __future__ import annotations
 
@@ -57,18 +63,48 @@ class HittingTimeMatrix:
         return float(self.values[idx])
 
 
-def fundamental_matrix(P: TransitionMatrix, pi: Distribution) -> np.ndarray:
-    """Z = (I - P + 1 pi^T)^{-1}, confirmed to working accuracy: one solve serves every hitting time."""
+def _solve_fundamental(P: TransitionMatrix, pi: Distribution, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A, A^{-1} rhs) with A = I - P + 1 pi^T, the system every fundamental-matrix route solves."""
     n = P.n
     A = np.eye(n) - P.probs + np.outer(np.ones(n), pi.probs)
     try:
-        Z = np.linalg.solve(A, np.eye(n))
+        return A, np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"fundamental matrix solve failed: {exc}") from None
+
+
+def fundamental_matrix(P: TransitionMatrix, pi: Distribution) -> np.ndarray:
+    """Z = (I - P + 1 pi^T)^{-1}, confirmed to working accuracy: one solve serves every hitting time."""
+    n = P.n
+    A, Z = _solve_fundamental(P, pi, np.eye(n))
     limit = tolerance.bound(n, np.abs(Z).max(), tolerance.RESIDUAL)
     # the solve controls the residual A Z - I; Z A - I can exceed it by up to cond(A) (Higham, ch. 14)
     require("fundamental", np.abs(A @ Z - np.eye(n)).max(), limit, NumericalError)
     return Z
+
+
+def hitting_column(P: TransitionMatrix, pi: Distribution, j: int) -> np.ndarray:
+    """H(., j), the expected steps from each vertex to first reach j, from column j of Z alone.
+
+    One right-hand side: A z = e_j gives z = Z e_j, and H(i, j) = (z_j - z_i) / pi_j
+    with H(j, j) = 0. The column passes the checks ``hitting_times`` makes on
+    the whole matrix, under the same names and limits: ``fundamental``, the
+    residual A z - e_j, and ``first_step``, the first-step equations into j.
+    """
+    n = P.n
+    e = np.zeros(n)
+    e[j] = 1.0
+    A, z = _solve_fundamental(P, pi, e)
+    residual = A @ z
+    residual[j] -= 1.0
+    limit = tolerance.bound(n, np.abs(z).max(), tolerance.RESIDUAL)
+    require("fundamental", np.abs(residual).max(), limit, NumericalError)
+    h = (z[j] - z) / pi.probs[j]
+    h[j] = 0.0
+    R = h - 1.0 - P.probs @ h
+    R[j] = 0.0
+    require("first_step", np.abs(R).max(), tolerance.bound(n, tolerance.time_scale(h), tolerance.ROUTE), NumericalError)
+    return h
 
 
 def hitting_times(P: TransitionMatrix, pi: Distribution) -> HittingTimeMatrix:

@@ -67,17 +67,23 @@ def _walk(rows, start: int, stop: int, rng: np.random.Generator, max_steps: int)
     if start == stop:
         return 0
     v = start
-    steps = 0
+    left = max_steps  # steps the walk may still take
     while True:
-        # one block of uniforms at a time, as the per-step draws would consume them
-        for u in rng.random(_BUFFER).tolist():
+        # one block of uniforms at a time, as the per-step draws would consume them;
+        # the block in which the cap falls ends at the cap
+        block = rng.random(_BUFFER).tolist()
+        if left < _BUFFER:
+            del block[left:]
+        k = 0
+        for u in block:
             cum, targets = rows[v]
             v = targets[bisect_right(cum, u)]
-            steps += 1
+            k += 1
             if v == stop:
-                return steps
-            if steps >= max_steps:
-                raise RunawayError(f"walk exceeded {max_steps} steps without reaching {stop}")
+                return max_steps - left + k
+        left -= k
+        if not left:
+            raise RunawayError(f"walk exceeded {max_steps} steps without reaching {stop}")
 
 
 def _stats(counts: np.ndarray, seed: int) -> SimStats:

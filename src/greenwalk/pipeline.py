@@ -53,7 +53,9 @@ class ChainAnalysis:
     ``hitting`` is read off this chain's with no second solve, and confirmed
     against the reverse chain's own rows. While this chain is alive, its
     ``reverse`` is this chain. ``forget``, the forget distribution, is read off
-    the reverse chain's hitting times.
+    the reverse chain's hitting times. ``simulate --stop`` prints one hitting
+    time, solved as a column by ``hitting.hitting_column``, and never builds
+    ``hitting``.
     """
 
     transition: TransitionMatrix

@@ -304,6 +304,8 @@ class TestRaisedChecks:
             ("zero_mode_drift", ["spectral", "--input", "UNDIRECTED"]),
             ("oracle_hitting", ["family", "complete", "4"]),
             ("cycle_poly_vs_trig", ["family", "cycle", "5"]),
+            ("fundamental", ["simulate", "--input", "DIRECTED", "--start", "0", "--stop", "3", "--trials", "5"]),
+            ("first_step", ["simulate", "--input", "DIRECTED", "--start", "0", "--stop", "3", "--trials", "5"]),
         ],
     )
     def test_guard_exits_two(self, capsys, monkeypatch, check, argv):
@@ -385,6 +387,12 @@ class TestLinearAlgebraFailures:
         monkeypatch.setattr(np.linalg, routine, _singular)
         code, out, err = run(capsys, command, "--input", str(GOLDEN / f"{graph}.edges"))
         assert (code, out, err) == (2, "", f"integrity error: {message}: Singular matrix\n")
+
+    def test_column_solve_exits_two(self, capsys, monkeypatch):
+        # simulate --stop solves for one column of Z, and reports a failed solve as the whole solve does
+        monkeypatch.setattr(np.linalg, "solve", _singular)
+        argv = ["simulate", "--input", str(GOLDEN / "undirected.edges"), "--start", "0", "--stop", "2", "--trials", "5"]
+        assert run(capsys, *argv) == (2, "", "integrity error: fundamental matrix solve failed: Singular matrix\n")
 
 
 class TestVerify:
@@ -565,10 +573,26 @@ def solves(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def columns(monkeypatch):
+    """The target of every one-column solve simulate makes, in call order."""
+    calls = []
+    solve = greenwalk.cli.hitting_column
+
+    def counting(P, pi, j):
+        calls.append(j)
+        return solve(P, pi, j)
+
+    monkeypatch.setattr(greenwalk.cli, "hitting_column", counting)
+    return calls
+
+
 class TestSolveCounts:
     """Each command solves the forward chain once, and verify adds its
     independent beta = 0.5 re-solve; the reverse chain of the duality report
-    reads its hitting times off the forward chain's with no solve."""
+    reads its hitting times off the forward chain's with no solve. simulate
+    in hitting mode prints one hitting time and solves for its column of Z
+    alone."""
 
     @pytest.mark.parametrize(
         "argv, count",
@@ -578,7 +602,7 @@ class TestSolveCounts:
             (["exitfreq"], 1),
             (["mixing"], 1),
             (["spectral"], 1),
-            (["simulate", "--start", "0", "--stop", "2", "--trials", "50"], 1),
+            (["simulate", "--start", "0", "--stop", "2", "--trials", "50"], 0),
             (["simulate", "--start", "0", "--trials", "50"], 1),
             (["dual"], 1),
             (["verify"], 2),
@@ -589,6 +613,25 @@ class TestSolveCounts:
         code, _, _ = run(capsys, argv[0], "--input", k3_file, *argv[1:])
         assert code == 0
         assert len(solves) == count
+
+    @pytest.mark.parametrize(
+        "argv, count, targets",
+        [
+            (["--stop", "2"], 0, [2]),
+            (["--stop", "2", "--lazy", "0.3"], 0, [2]),
+            ([], 1, []),
+        ],
+        ids=["hitting", "lazy", "random-target"],
+    )
+    def test_simulate_columns(self, capsys, solves, columns, k3_file, argv, count, targets):
+        code, _, _ = run(capsys, "simulate", "--input", k3_file, "--start", "0", "--trials", "50", *argv)
+        assert code == 0
+        assert (len(solves), columns) == (count, targets)
+
+    def test_simulate_bad_stop_solves_nothing(self, capsys, solves, columns, k3_file):
+        code, out, err = run(capsys, "simulate", "--input", k3_file, "--start", "0", "--stop", "3", "--trials", "5")
+        assert (code, out, err) == (1, "", "error: start and stop must be vertices\n")
+        assert (solves, columns) == ([], [])
 
     def test_directed_dual_and_verify(self, capsys, solves, tmp_path):
         path = tmp_path / "tri.edges"

@@ -299,7 +299,7 @@ WALK_GRAPHS = {
 class TestWalks:
     @pytest.mark.parametrize("name", sorted(WALK_GRAPHS))
     @pytest.mark.parametrize("beta", [0.0, 0.5])
-    @pytest.mark.parametrize("max_steps", [1, 127, 128, 129, 10**9])
+    @pytest.mark.parametrize("max_steps", [1, 127, 128, 129, 255, 256, 257, 10**9])
     def test_trials_match_dense_walk(self, name, beta, max_steps, monkeypatch):
         P = transition_matrix(WALK_GRAPHS[name], beta)
         pi = stationary_distribution(P)

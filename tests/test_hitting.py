@@ -1,13 +1,17 @@
+from pathlib import Path
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_range_sweep import sweep_edges
 
 from greenwalk import families, pipeline, tolerance
 from greenwalk.duality import reverse_chain
 from greenwalk.errors import NumericalError
 from greenwalk.generators import random_connected_graph, random_strongly_connected_digraph
-from greenwalk.graph import Distribution, stationary_distribution, transition_matrix
+from greenwalk.graph import Distribution, load_graph, parse_graph, stationary_distribution, transition_matrix
 from greenwalk.greens import Rules
 from greenwalk.hitting import (
     CYCLE_SAMPLES,
@@ -15,9 +19,12 @@ from greenwalk.hitting import (
     check_cycle_identities,
     fundamental_matrix,
     hit_time,
+    hitting_column,
     hitting_times,
     reversed_hitting_times,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def chain(g, beta=0.0):
@@ -92,6 +99,43 @@ class TestHittingTimes:
         Hb = hitting_times(Pb, pi).values
         scale = max(1.0, np.abs(Hb).max())
         assert np.abs(Hb * (1.0 - beta) - H0).max() <= 1e-8 * scale
+
+
+class TestHittingColumn:
+    """Column j of Z alone gives H(., j) as the whole matrix does."""
+
+    GRAPHS = {
+        "golden-directed": lambda: load_graph(str(GOLDEN / "directed.edges")),
+        "golden-undirected": lambda: load_graph(str(GOLDEN / "undirected.edges")),
+        "digraph-150": lambda: random_strongly_connected_digraph(150, 1, extra=0.02),
+        # the range sweep's undirected shape at seed 3: at d = 6, Z A - I exceeds the fundamental limit, A Z - I does not
+        **{f"range-sweep-d{d}": (lambda d=d: parse_graph(sweep_edges(3, d))) for d in (0, 3, 6)},
+    }
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_every_column_matches_the_matrix(self, name, beta):
+        P, pi = chain(self.GRAPHS[name](), beta)
+        H = hitting_times(P, pi)
+        limit = tolerance.bound(P.n, H.time_scale, tolerance.ROUTE)
+        for j in range(P.n):
+            column = hitting_column(P, pi, j)
+            assert column[j] == 0.0
+            assert np.abs(column - H.values[:, j]).max() <= limit, j
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_every_pair_against_mpmath(self, beta):
+        # the exact hitting times of the computed P: (I - P) h = 1 off j, solved with 50 digits
+        P, pi = chain(load_graph(str(GOLDEN / "directed.edges")), beta)
+        n, worst = P.n, 0.0
+        with mpmath.workdps(50):
+            for j in range(n):
+                rest = [i for i in range(n) if i != j]
+                system = mpmath.matrix([[float(a == b) - mpmath.mpf(P.probs[a, b]) for b in rest] for a in rest])
+                exact = mpmath.lu_solve(system, mpmath.matrix([1] * (n - 1)))
+                column = hitting_column(P, pi, j)
+                worst = max([worst] + [float(abs((column[i] - x) / x)) for i, x in zip(rest, exact)])
+        assert worst <= 2e-14
 
 
 class TestReversedHittingTimes:
