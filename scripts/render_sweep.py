@@ -1,28 +1,51 @@
 #!/usr/bin/env python3
-"""Time the float kernel against the per-row '%' join on hitting-time matrices.
+"""Time the float kernel against the per-row '%' join, and the streaming writer on whole payloads.
 
-For each n, builds the payload `greenwalk hitting` prints for
-random_strongly_connected_digraph(n, 1, extra=0.02). It formats the hitting
-times with greenwalk.cli._format_rows, the kernel render_json prints
-matrices with, and with one greenwalk.cli._float_row per row, the "%.17g"
-join render_json prints vectors with. It asserts that both give the same
-rows and prints the time per float of each (best of --repeat). It also
-prints the best time of render_json on the whole payload and the peak
-memory tracemalloc sees while it renders. The last line is the table as
-JSON.
+For each n, solves random_strongly_connected_digraph(n, 1, extra=0.02) once.
+It formats the hitting times with greenwalk.cli._format_rows, the kernel the
+writer prints matrices with, and with one greenwalk.cli._float_row per row,
+the "%.17g" join it prints vectors with; it asserts that both give the same
+rows and prints the time per float of each (best of --repeat).
+
+Then, for the payloads `greenwalk hitting` and `greenwalk dual` print, it
+runs greenwalk.cli.write_json, the writer main streams stdout through, three
+ways: into a sink that discards the text (its time, best of --repeat, and
+the peak memory tracemalloc sees), into an io.StringIO that keeps it (the
+peak when a caller holds the output), and through render_json, which joins
+the pieces into one string (its time and peak). It asserts that the text the
+sink receives equals render_json's. The last line is the table as JSON.
 
 Usage: python3 scripts/render_sweep.py [--sizes N ...] [--repeat R]
 """
 
 import argparse
+import io
 import json
 import time
 import tracemalloc
 
-from greenwalk.cli import _float_row, _format_rows, render_json
+from greenwalk.cli import _cmd_dual, _cmd_hitting, _float_row, _format_rows, render_json, write_json
 from greenwalk.generators import random_strongly_connected_digraph
-from greenwalk.hitting import hit_time
 from greenwalk.pipeline import analyze
+
+
+class Discard(io.TextIOBase):
+    """A stdout that drops what it is given, so only the writer's own memory is traced."""
+
+    def write(self, text):
+        return len(text)
+
+
+class Digest(io.TextIOBase):
+    """A stdout that compares what it is given with an expected text, piece by piece."""
+
+    def __init__(self, expected: str):
+        self.expected, self.at = expected, 0
+
+    def write(self, text):
+        assert self.expected.startswith(text, self.at), f"the streamed text departs at offset {self.at}"
+        self.at += len(text)
+        return len(text)
 
 
 def row_join(H) -> list[str]:
@@ -33,33 +56,34 @@ def kernel(H) -> list[str]:
     return _format_rows(H, ", ")
 
 
-def hitting_payload(n: int) -> dict:
-    sol = analyze(random_strongly_connected_digraph(n, 1, extra=0.02))
-    t_hit, residual = hit_time(sol.hitting, sol.stationary)
-    return {
-        "n": n,
-        "target": sol.stationary.probs,
-        "rows": sol.hitting.values,
-        "residuals": {"t_hit": t_hit, "random_target": residual},
-    }
+def payloads(n: int) -> dict:
+    chain = analyze(random_strongly_connected_digraph(n, 1, extra=0.02))
+    hitting, _ = _cmd_hitting(argparse.Namespace(format="json"), chain)
+    dual, _ = _cmd_dual(None, chain)
+    return {"hitting": hitting, "dual": dual}
 
 
-def best_time(render, payload, repeat: int) -> float:
+def best_time(fn, *args, repeat: int) -> float:
     best = float("inf")
     for _ in range(repeat):
         start = time.perf_counter()
-        render(payload)
+        fn(*args)
         best = min(best, time.perf_counter() - start)
     return best
 
 
-def peak_traced_mb(render, payload) -> float:
+def peak_traced_mb(fn, *args) -> float:
     tracemalloc.start()
     try:
-        render(payload)
+        fn(*args)
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
+
+
+def write_into(sink):
+    """write_json of a payload into a fresh sink(), which lives until the payload is written."""
+    return lambda payload: write_json(sink().write, payload)
 
 
 def main() -> None:
@@ -68,29 +92,40 @@ def main() -> None:
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
 
-    formatters = {"row_join": row_join, "kernel": kernel}
-    header = f"{'n':>6}{'floats':>10}{'MB out':>9}" + "".join(f"{name + ' ns/float':>20}" for name in formatters)
-    header += f"{'speed-up':>10}{'render_json s':>15}{'peak MB':>9}"
+    header = f"{'n':>6}{'payload':>9}{'MB out':>9}{'row_join ns/f':>15}{'kernel ns/f':>13}"
+    header += f"{'write s':>9}{'peak MB':>9}{'held MB':>9}{'render_json s':>15}{'peak MB':>9}"
     print(header)
     print("-" * len(header))
     table = []
     for n in args.sizes:
-        payload = hitting_payload(n)
-        H = payload["rows"]
-        assert kernel(H) == row_join(H), f"n = {n}: the formatters disagree"
-        floats = n * n
-        row = {"n": n, "floats": floats, "output_mb": len(render_json(payload)) / 2**20}
-        for name, fmt in formatters.items():
-            row[f"{name}_ns_per_float"] = best_time(fmt, H, args.repeat) / floats * 1e9
-        row["speedup"] = row["row_join_ns_per_float"] / row["kernel_ns_per_float"]
-        row["render_json_s"] = best_time(render_json, payload, args.repeat)
-        row["peak_traced_mb"] = peak_traced_mb(render_json, payload)
-        table.append(row)
-        print(
-            f"{n:>6}{floats:>10}{row['output_mb']:>9.2f}"
-            + "".join(f"{row[name + '_ns_per_float']:>20.1f}" for name in formatters)
-            + f"{row['speedup']:>10.2f}{row['render_json_s']:>15.3f}{row['peak_traced_mb']:>9.2f}"
-        )
+        for name, payload in payloads(n).items():
+            row = {"n": n, "payload": name}
+            if name == "hitting":
+                H = payload["rows"]
+                assert kernel(H) == row_join(H), f"n = {n}: the formatters disagree"
+                for label, fmt in (("row_join", row_join), ("kernel", kernel)):
+                    row[f"{label}_ns_per_float"] = best_time(fmt, H, repeat=args.repeat) / (n * n) * 1e9
+            text = render_json(payload)
+            digest = Digest(text)
+            write_json(digest.write, payload)
+            assert digest.at == len(text), f"n = {n}: the streamed {name} text stops short"
+            row["output_mb"] = len(text) / 2**20
+            del text
+            row["write_s"] = best_time(write_into(Discard), payload, repeat=args.repeat)
+            row["write_peak_traced_mb"] = peak_traced_mb(write_into(Discard), payload)
+            row["held_peak_traced_mb"] = peak_traced_mb(write_into(io.StringIO), payload)
+            row["render_json_s"] = best_time(render_json, payload, repeat=args.repeat)
+            row["render_json_peak_traced_mb"] = peak_traced_mb(render_json, payload)
+            table.append(row)
+            joins = "".join(
+                f"{row[key]:>{width}.1f}" if key in row else f"{'':>{width}}"
+                for key, width in (("row_join_ns_per_float", 15), ("kernel_ns_per_float", 13))
+            )
+            print(
+                f"{n:>6}{name:>9}{row['output_mb']:>9.2f}{joins}{row['write_s']:>9.3f}"
+                f"{row['write_peak_traced_mb']:>9.2f}{row['held_peak_traced_mb']:>9.2f}"
+                f"{row['render_json_s']:>15.3f}{row['render_json_peak_traced_mb']:>9.2f}"
+            )
     print(json.dumps(table))
 
 

@@ -5,8 +5,11 @@ triples of the library functions it called. Exit status 0 means success,
 1 a validation or usage problem, and 2 an integrity failure. A failed
 check is reported on standard error as ``FAIL name: residual R exceeds L``:
 after the output when the command returned it, and with no output when the
-library raised it while computing. Output formatting is fixed at 17
-significant digits so identical invocations produce byte-identical output.
+library raised it while computing. Every check is decided before the first
+byte is written; the output then goes to standard output as it is
+formatted, a chunk of matrix rows at a time, never as one string. Output
+formatting is fixed at 17 significant digits so identical invocations
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -161,8 +164,8 @@ def _cells(digits, e, sep: str):
     return cells, nz
 
 
-def _format_chunk(M, sep: str) -> list[str]:
-    """_format_rows of a 2-D float64 array with at least one column."""
+def _format_chunk(M, sep: str) -> str:
+    """The text of a 2-D float64 array with at least one column: its rows of cells joined by sep, each ending in a newline."""
     rows, cols = M.shape
     x = M.ravel()
     a = np.abs(x)
@@ -179,7 +182,17 @@ def _format_chunk(M, sep: str) -> list[str]:
         cells[other] = np.frombuffer(padded, np.uint64).reshape(-1, _ROW // 8)
     last = cells.view(np.uint8).reshape(rows, cols, _ROW)[:, -1]
     last[:, _SEP : _SEP + 2] = (10, 0)
-    return cells.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+    return cells.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _row_chunks(M, sep: str):
+    """The text of a 2-D float64 array, one _CHUNK of whole rows at a time; each row ends in a newline."""
+    if M.shape[1] == 0:
+        yield "\n" * len(M)
+        return
+    step = max(1, _CHUNK // M.shape[1])
+    for start in range(0, len(M), step):
+        yield _format_chunk(M[start : start + step], sep)
 
 
 def _format_rows(M, sep: str) -> list[str]:
@@ -189,10 +202,7 @@ def _format_rows(M, sep: str) -> list[str]:
         M = M.reshape(1, -1)
     if M.ndim != 2:
         raise TypeError(f"cannot format a {M.ndim}-D array as rows")
-    if M.shape[1] == 0:
-        return [""] * len(M)
-    step = max(1, _CHUNK // M.shape[1])
-    return [row for start in range(0, len(M), step) for row in _format_chunk(M[start : start + step], sep)]
+    return "".join(_row_chunks(M, sep)).split("\n")[:-1]
 
 
 def _float_row(row, sep: str) -> str:
@@ -221,39 +231,74 @@ def _scalar(v) -> str:
     raise TypeError(f"cannot serialize {type(v)!r}")
 
 
-def render_json(obj, indent: int = 0) -> str:
-    """Fixed-format JSON: 17 significant digits, insertion-ordered keys."""
+def write_json(write, obj, indent: int = 0) -> None:
+    """Fixed-format JSON of obj, passed to write piece by piece: 17 significant digits, insertion-ordered keys.
+
+    A 2-D float array is formatted and written one _CHUNK of whole rows at a
+    time, so no text of a whole matrix is ever held.
+    """
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
-        items = [
-            f"{pad}  {json.dumps(str(k))}: {render_json(v, indent + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
+            write("{}")
+            return
+        lead = "{\n"
+        for k, v in obj.items():
+            write(f"{lead}{pad}  {json.dumps(str(k))}: ")
+            write_json(write, v, indent + 1)
+            lead = ",\n"
+        write("\n" + pad + "}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
         if _is_float_row(obj):
-            return "[" + _float_row(obj, ", ") + "]"
-        if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "f" and len(obj):
-            items = [f"{pad}  [{row}]" for row in _format_rows(obj, ", ")]
-            return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        if any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq):
-            items = [f"{pad}  {render_json(v, indent + 1)}" for v in seq]
-            return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-        return "[" + ", ".join(_scalar(v) for v in seq) + "]"
-    return _scalar(obj)
+            write("[" + _float_row(obj, ", ") + "]")
+        elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "f" and len(obj):
+            lead, between = f"[\n{pad}  [", f"],\n{pad}  ["
+            for text in _row_chunks(np.asarray(obj, dtype=float), ", "):
+                write(lead + text[:-1].replace("\n", between))
+                lead = between
+            write("]\n" + pad + "]")
+        else:
+            seq = list(obj)
+            if not seq:
+                write("[]")
+            elif any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq):
+                lead = "[\n"
+                for v in seq:
+                    write(f"{lead}{pad}  ")
+                    write_json(write, v, indent + 1)
+                    lead = ",\n"
+                write("\n" + pad + "]")
+            else:
+                write("[" + ", ".join(_scalar(v) for v in seq) + "]")
+    else:
+        write(_scalar(obj))
+
+
+def write_csv(write, rows) -> None:
+    """A plain numeric grid with a header row of vertex indices, passed to write one _CHUNK of rows at a time."""
+    rows = np.asarray(rows, dtype=float)
+    header = ",".join(str(j) for j in range(rows.shape[1]))
+    if rows.ndim != 2:
+        raise TypeError(f"cannot format a {rows.ndim}-D array as rows")
+    write(header + "\n")
+    for text in _row_chunks(rows, ","):
+        write(text)
+
+
+def _collected(writer, obj) -> str:
+    parts: list[str] = []
+    writer(parts.append, obj)
+    return "".join(parts)
+
+
+def render_json(obj) -> str:
+    """write_json's text of obj as one string."""
+    return _collected(write_json, obj)
 
 
 def render_csv(rows) -> str:
-    """Plain numeric grid with a header row of vertex indices."""
-    rows = np.asarray(rows, dtype=float)
-    lines = [",".join(str(j) for j in range(rows.shape[1]))]
-    lines += _format_rows(rows, ",")
-    return "\n".join(lines) + "\n"
+    """write_csv's text of rows as one string."""
+    return _collected(write_csv, rows)
 
 
 def _residuals(names, checks) -> dict[str, float]:
@@ -263,7 +308,7 @@ def _residuals(names, checks) -> dict[str, float]:
 
 def _matrix(args, target, rows, residuals):
     if args.format == "csv":
-        return render_csv(rows)
+        return functools.partial(write_csv, rows=rows)
     return {"n": len(rows), "target": target, "rows": rows, "residuals": residuals}
 
 
@@ -344,9 +389,9 @@ def _target_rules(label: str, chain) -> Rules:
 
 
 # ---------------------------------------------------------------------------
-# commands: each maps (args, chain) to (output, checks), where output is text
-# or a JSON value, and checks are the (name, residual, limit) triples that
-# decide exit status 2
+# commands: each maps (args, chain) to (output, checks), where output is text,
+# a JSON value, or a function that writes it, and checks are the (name,
+# residual, limit) triples that decide exit status 2
 
 
 def _cmd_hitting(args, chain):
@@ -548,7 +593,15 @@ def main(argv=None) -> int:
             return 2
         # a check the library raised while computing ends the command before any output
         output, checks = "", [exc.check]
-    sys.stdout.write(output if isinstance(output, str) else render_json(output) + "\n")
+    # every check is decided by now: the output is written as it is formatted
+    write = sys.stdout.write
+    if isinstance(output, str):
+        write(output)
+    elif callable(output):
+        output(write)
+    else:
+        write_json(write, output)
+        write("\n")
     failures = [check for check in checks if failed(check)]
     for check in failures:
         sys.stderr.write(f"FAIL {describe(check)}\n")

@@ -238,8 +238,9 @@ def _tree_structure(tree: WeightedDigraph, root: int):
     parent = np.full(tree.n, -1, dtype=int)
     order = [root]
     seen = {root}
+    adjacent = tree.weights > 0
     for v in order:  # order grows as the queue
-        for u in np.flatnonzero(tree.weights[v] > 0).tolist():
+        for u in np.flatnonzero(adjacent[v]).tolist():
             if u not in seen:
                 seen.add(u)
                 parent[u] = v

@@ -107,12 +107,11 @@ class WeightedDigraph:
         """vol(G), the sum of all degrees."""
         return float(self.degrees.sum())
 
-    @cached_property
+    @property
     def weights(self) -> np.ndarray:
-        # dense n x n matrix, materialized lazily so large arc lists stay cheap
+        """The dense n x n weight matrix, built afresh on each access: a chain holds its own P, not W."""
         W = np.zeros((self.n, self.n))
         np.add.at(W, (self.src, self.dst), self.w)
-        W.setflags(write=False)
         return W
 
 
@@ -135,6 +134,7 @@ class TransitionMatrix:
 
     P = beta * I + (1 - beta) * P0 where P0 row-normalizes the weights.
     ``graph`` keeps the source digraph when the chain came from one.
+    ``probs`` is taken over, not copied, and made read-only.
     """
 
     probs: np.ndarray
@@ -144,7 +144,7 @@ class TransitionMatrix:
     def __post_init__(self):
         if not 0.0 <= self.beta < 1.0:
             raise ValidationError("laziness beta must lie in [0, 1)")
-        probs = np.array(self.probs, dtype=float)
+        probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 2 or probs.shape[0] != probs.shape[1]:
             raise ValidationError("transition matrix must be square")
         if not np.isfinite(probs).all():
@@ -421,10 +421,20 @@ def transition_matrix(g: WeightedDigraph, beta: float = 0.0) -> TransitionMatrix
     periodicity, which matters mainly for simulation.
     """
     validate_out_degrees(g)
-    base = g.weights / g.degrees[:, None]
-    with np.errstate(invalid="ignore"):  # an infinite beta blends to nan; TransitionMatrix rejects it
-        probs = beta * np.eye(g.n) + (1.0 - beta) * base
+    probs = g.weights
+    probs /= g.degrees[:, None]
+    if beta:
+        with np.errstate(invalid="ignore"):  # an infinite beta blends to nan; TransitionMatrix rejects it
+            probs *= 1.0 - beta
+            probs.flat[:: g.n + 1] += beta
     return TransitionMatrix(probs, beta=beta, graph=g)
+
+
+def walk_laplacian(P: TransitionMatrix) -> np.ndarray:
+    """A fresh C-ordered I - P, equal bit for bit to np.eye(n) - P.probs, with no identity built."""
+    L = np.subtract(0.0, P.probs, order="C")
+    L.flat[:: P.n + 1] += 1.0
+    return L
 
 
 def _reaches_all(support: np.ndarray, symmetric: bool) -> bool:
@@ -471,7 +481,8 @@ def stationary_distribution(P: TransitionMatrix) -> Distribution:
     if undirected:
         return Distribution(g.degrees / g.volume)
     n = P.n
-    M = P.probs.T - np.eye(n)
+    M = P.probs.T.copy()
+    M.flat[:: n + 1] -= 1.0
     # any single equation is redundant for an irreducible chain
     M[-1, :] = 1.0
     rhs = np.zeros(n)

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import tolerance
 from .errors import Check, require
-from .graph import Distribution, TransitionMatrix
+from .graph import Distribution, TransitionMatrix, walk_laplacian
 from .hitting import HittingTimeMatrix
 
 if TYPE_CHECKING:
@@ -52,7 +52,8 @@ class ExitFrequencyMatrix:
     Row i holds the exit frequencies of an optimal rule carrying the
     singleton start i to ``target``; ``access`` holds the rule lengths,
     which equal the row sums. Every row contains a zero (a halting state),
-    which is what certifies optimality.
+    which is what certifies optimality. Both arrays are taken over, not
+    copied, and made read-only.
     """
 
     values: np.ndarray
@@ -61,7 +62,7 @@ class ExitFrequencyMatrix:
 
     def __post_init__(self):
         for name in ("values", "access"):
-            array = np.array(getattr(self, name), dtype=float)
+            array = np.asarray(getattr(self, name), dtype=float)
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 
@@ -120,7 +121,8 @@ def greens_general(rules: Rules) -> GreensMatrix:
     Entry (i, j) is pi_j (H(tau, j) - H(i, j)). With tau = pi this is the
     classical Green's function; rows always sum to zero.
     """
-    values = rules.stationary.probs[None, :] * (rules.from_target[None, :] - rules.hitting.values)
+    values = rules.from_target[None, :] - rules.hitting.values
+    values *= rules.stationary.probs
     G = GreensMatrix(values, target=rules.target)
     require("greens_row_sum", G.row_sum, tolerance.bound(G.n, rules.entry_scale, tolerance.RESIDUAL))
     return G
@@ -135,10 +137,12 @@ def exit_frequency_matrix(rules: Rules) -> ExitFrequencyMatrix:
     entries below zero by no more than the limit are rounding, set to zero.
     """
     H, pi, h = rules.hitting, rules.stationary, rules.access
-    values = pi.probs[None, :] * (h[:, None] + rules.from_target[None, :] - H.values)
+    values = h[:, None] + rules.from_target[None, :]
+    values -= H.values
+    values *= pi.probs
     limit = tolerance.bound(H.n, rules.entry_scale, tolerance.RESIDUAL)
     require("exit_negative", -values.min(), limit)
-    X = ExitFrequencyMatrix(np.maximum(values, 0.0), target=rules.target, access=h)
+    X = ExitFrequencyMatrix(np.maximum(values, 0.0, out=values), target=rules.target, access=h)
     require("exit_row_min", X.row_min, limit)
     require("exit_row_sums", X.access_gap, tolerance.bound(H.n, H.time_scale, tolerance.RESIDUAL))
     return X
@@ -149,11 +153,15 @@ def verify_green_constraints(M: GreensMatrix | ExitFrequencyMatrix, P: Transitio
 
     Diagnostic only; nothing is raised. An exit-frequency matrix
     X_tau = G_tau + h pi^T meets it as its conservation law, since
-    pi^T (I - P) = 0.
+    pi^T (I - P) = 0. I - 1 target^T is subtracted on the diagonal and by
+    broadcast, rounded as the n x n array would be.
     """
-    n = P.n
-    lhs = M.values @ (np.eye(n) - P.probs) - (np.eye(n) - np.outer(np.ones(n), M.target.probs))
-    return float(np.abs(lhs).max())
+    lhs = M.values @ walk_laplacian(P)
+    tau = M.target.probs
+    diagonal = lhs.diagonal() - (1.0 - tau)
+    lhs += tau  # lhs - (0 - tau_j) off the diagonal
+    np.fill_diagonal(lhs, diagonal)
+    return float(np.abs(lhs, out=lhs).max())
 
 
 def green_checks(chain: ChainAnalysis, M: GreensMatrix, name: str = "greens") -> list[Check]:
@@ -167,7 +175,8 @@ def green_checks(chain: ChainAnalysis, M: GreensMatrix, name: str = "greens") ->
 
 def hitting_from_greens(M: GreensMatrix, pi: Distribution) -> HittingTimeMatrix:
     """Recover hitting times as (G(j,j) - G(i,j)) / pi_j from a classical Green's function."""
-    values = (np.diag(M.values)[None, :] - M.values) / pi.probs[None, :]
+    values = np.diag(M.values)[None, :] - M.values
+    values /= pi.probs
     return HittingTimeMatrix(values)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tolerance
 from .errors import NumericalError, ValidationError, require
-from .graph import Distribution, TransitionMatrix
+from .graph import Distribution, TransitionMatrix, walk_laplacian
 
 if TYPE_CHECKING:
     from .greens import Rules
@@ -31,14 +31,17 @@ class HittingTimeMatrix:
 
     ``first_step`` is the residual of the first-step equations when
     ``hitting_times`` or ``reversed_hitting_times`` built the matrix, and
-    None otherwise.
+    None otherwise. A writable ``values`` is taken over, not copied: its
+    diagonal is zeroed in place and it is made read-only.
     """
 
     values: np.ndarray
     first_step: float | None = None
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        if not values.flags.writeable:  # shared with its owner: zero the diagonal of a copy
+            values = values.copy()
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValidationError("hitting-time matrix must be square")
         if not np.all(np.isfinite(values)):
@@ -65,8 +68,8 @@ class HittingTimeMatrix:
 
 def _solve_fundamental(P: TransitionMatrix, pi: Distribution, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(A, A^{-1} rhs) with A = I - P + 1 pi^T, the system every fundamental-matrix route solves."""
-    n = P.n
-    A = np.eye(n) - P.probs + np.outer(np.ones(n), pi.probs)
+    A = walk_laplacian(P)
+    A += pi.probs  # the rank-one term 1 pi^T, by broadcast
     try:
         return A, np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
@@ -79,7 +82,9 @@ def fundamental_matrix(P: TransitionMatrix, pi: Distribution) -> np.ndarray:
     A, Z = _solve_fundamental(P, pi, np.eye(n))
     limit = tolerance.bound(n, np.abs(Z).max(), tolerance.RESIDUAL)
     # the solve controls the residual A Z - I; Z A - I can exceed it by up to cond(A) (Higham, ch. 14)
-    require("fundamental", np.abs(A @ Z - np.eye(n)).max(), limit, NumericalError)
+    R = A @ Z
+    R.flat[:: n + 1] -= 1.0
+    require("fundamental", np.abs(R, out=R).max(), limit, NumericalError)
     return Z
 
 
@@ -125,7 +130,9 @@ def hitting_times(P: TransitionMatrix, pi: Distribution) -> HittingTimeMatrix:
         H(i, j) = 1 + sum_k P(i, k) H(k, j) for i != j.
     """
     Z = fundamental_matrix(P, pi)
-    return _confirmed((np.diag(Z)[None, :] - Z) / pi.probs[None, :], P)
+    H = np.subtract(Z.diagonal().copy(), Z, out=Z)  # Z_jj - Z_ij, in Z's place
+    H /= pi.probs
+    return _confirmed(H, P)
 
 
 def reversed_hitting_times(rules: Rules, P_rev: TransitionMatrix) -> HittingTimeMatrix:
@@ -137,16 +144,18 @@ def reversed_hitting_times(rules: Rules, P_rev: TransitionMatrix) -> HittingTime
     equations of P_rev itself, as ``hitting_times`` validates a solved matrix.
     """
     h_pi = rules.from_target
-    return _confirmed(rules.hitting.values.T + h_pi[None, :] - h_pi[:, None], P_rev)
+    H = rules.hitting.values.T + h_pi
+    H -= h_pi[:, None]
+    return _confirmed(H, P_rev)
 
 
 def _confirmed(H: np.ndarray, P: TransitionMatrix) -> HittingTimeMatrix:
     """H as a HittingTimeMatrix of P, once the first-step equations hold to working accuracy."""
-    R = H - 1.0 - P.probs @ H
+    R = H - 1.0
+    R -= P.probs @ H
     np.fill_diagonal(R, 0.0)
-    residual = float(np.abs(R).max())
-    hits = HittingTimeMatrix(H, residual)
-    require("first_step", residual, tolerance.bound(P.n, hits.time_scale, tolerance.ROUTE), NumericalError)
+    hits = HittingTimeMatrix(H, float(np.abs(R, out=R).max()))
+    require("first_step", hits.first_step, tolerance.bound(P.n, hits.time_scale, tolerance.ROUTE), NumericalError)
     return hits
 
 
@@ -172,7 +181,7 @@ def check_cycle_identities(rules: Rules) -> tuple[float, float]:
     asserted: directed chains genuinely violate both.
     """
     Hv, hpi, n = rules.hitting.values, rules.from_target, rules.hitting.n
-    pair = float(np.abs(hpi[:, None] + Hv - hpi[None, :] - Hv.T).max())
+    pair = tolerance.gap(hpi[:, None] + Hv - hpi[None, :], Hv.T)
     D = Hv - Hv.T
     if n <= 50:
         triple = float(np.abs(D[:, :, None] + D[None, :, :] - D[:, None, :]).max())

@@ -145,9 +145,9 @@ def spectral_routes(
     n, H, G = chain.transition.n, chain.hitting, chain.greens
     factor = 1.0 / (1.0 - chain.transition.beta)  # laziness rescales every expected time
     times = tolerance.bound(n, H.time_scale, tolerance.ROUTE)
-    gap_h = float(np.abs(spectral_hitting(dec).values * factor - H.values).max())
-    gap_g = float(np.abs(spectral_greens(dec).values * factor - G.values).max())
-    gap_a = float(np.abs(spectral_access_from_stationary(dec) * factor - chain.pi_rules.from_target).max())
+    gap_h = tolerance.gap(spectral_hitting(dec).values * factor, H.values)
+    gap_g = tolerance.gap(spectral_greens(dec).values * factor, G.values)
+    gap_a = tolerance.gap(spectral_access_from_stationary(dec) * factor, chain.pi_rules.from_target)
     entries = tolerance.bound(n, chain.entry_scale, tolerance.ROUTE)
     checks = [("spectral_hitting", gap_h, times), ("spectral_greens", gap_g, entries)]
     checks.append(("spectral_access", gap_a, times))
@@ -175,9 +175,9 @@ def verify_checks(chain: ChainAnalysis) -> list[Check]:
         ("random_target", random_target, times),
         *green_checks(chain, G),
         ("trace_vs_hit", abs(float(np.trace(G.values)) - t_hit), times),
-        ("hitting_roundtrip", float(np.abs(hitting_from_greens(G, pi).values - H.values).max()), times),
+        ("hitting_roundtrip", tolerance.gap(hitting_from_greens(G, pi).values, H.values), times),
         *exit_checks(chain, X),
-        ("greens_from_exit", float(np.abs(X.values - np.outer(X.access, pi.probs) - G.values).max()), entries),
+        ("greens_from_exit", tolerance.gap(X.values - np.outer(X.access, pi.probs), G.values), entries),
     ]
     for tag, tau in (("uniform", Distribution.uniform(g.n)), ("vertex", Distribution.point_mass(g.n, 0))):
         checks += green_checks(chain, greens_general(Rules(H, pi, tau)), f"greens_{tag}")
@@ -192,15 +192,18 @@ def verify_checks(chain: ChainAnalysis) -> list[Check]:
     if P.beta == 0.0:
         # laziness never moves pi, so the lazy chain reuses it; its hitting times are solved anew
         lazy = ChainAnalysis(transition_matrix(g, 0.5), pi)
-        checks.append(("laziness_scaling", float(np.abs(lazy.hitting.values * 0.5 - H.values).max()), routes))
+        checks.append(("laziness_scaling", tolerance.gap(lazy.hitting.values * 0.5, H.values), routes))
+        del lazy  # its P and H go once the residual is read
 
     if g.undirected:
         triple, pair = check_cycle_identities(chain.pi_rules)
         weighted = pi.probs[:, None] * G.values
+        symmetry = tolerance.gap(weighted, weighted.T)
+        del weighted
         checks += [
             ("cycle_triple", triple, routes),
             ("cycle_pair", pair, routes),
-            ("greens_symmetry", float(np.abs(weighted - weighted.T).max()), entries),
+            ("greens_symmetry", symmetry, entries),
             *spectral_routes(chain, decompose(g), mixing)[1],
         ]
     return checks + duality_checks(chain).checks

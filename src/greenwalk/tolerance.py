@@ -19,6 +19,7 @@ import numpy as np
 
 RESIDUAL = 16.0
 ROUTE = 5e3
+_BLOCK = 1 << 15  # entries per row block of gap
 
 
 def bound(n: int, scale: float, c: float) -> float:
@@ -28,4 +29,18 @@ def bound(n: int, scale: float, c: float) -> float:
 
 def time_scale(*values) -> float:
     """T: max(1, largest magnitude in values), the scale of expected-step quantities."""
-    return max([1.0] + [float(np.abs(v).max()) for v in map(np.asarray, values) if v.size])
+    # max(max v, -min v) is max |v| with no temporary the size of v
+    return max([1.0] + [float(max(v.max(), -v.min())) for v in map(np.asarray, values) if v.size])
+
+
+def gap(a, b) -> float:
+    """max |a - b| of two arrays of one shape: the residual of two routes to one quantity.
+
+    Matrices are reduced a block of rows at a time, so no n x n difference
+    is built; a NaN anywhere still makes the result NaN.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim != 2:
+        return float(np.abs(a - b).max())
+    step = max(1, _BLOCK // max(1, a.shape[1]))
+    return float(np.max([np.abs(a[i : i + step] - b[i : i + step]).max() for i in range(0, len(a), step)]))

@@ -1,7 +1,10 @@
-"""The matrix renderers against the per-scalar renderer they replaced, and the
-float-formatting kernel against "%.17g" itself."""
+"""The matrix renderers against the per-scalar renderer they replaced, the
+float-formatting kernel against "%.17g" itself, and the writer that streams
+every command's output against both."""
 
+import io
 import json
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from greenwalk.cli import _CHUNK, _format_rows, render_csv, render_json
+import greenwalk.errors
+import greenwalk.hitting
+from greenwalk.cli import _CHUNK, _format_rows, main, render_csv, render_json, write_csv, write_json
+from greenwalk.generators import random_strongly_connected_digraph
+from greenwalk.pipeline import analyze
 
 # ---------------------------------------------------------------------------
 # reference: the per-scalar renderer, kept verbatim
@@ -228,3 +235,119 @@ class TestFormatRows:
         wide = rng.standard_normal((2, _CHUNK + 7)) * 10.0 ** rng.integers(-8, 18, size=(2, _CHUNK + 7))
         assert_exact(tall)
         assert_exact(wide)
+
+
+# ---------------------------------------------------------------------------
+# the writer: the pieces main passes to stdout, one chunk of rows at most
+
+
+def pieces(writer, obj) -> list[str]:
+    parts: list[str] = []
+    writer(parts.append, obj)
+    return parts
+
+
+def streamed(writer, obj) -> str:
+    return "".join(pieces(writer, obj))
+
+
+def chunk_rows(cols: int) -> int:
+    return max(1, _CHUNK // max(1, cols))
+
+
+class TestWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(payloads)
+    def test_json_matches_reference(self, obj):
+        assert outcome(lambda o: streamed(write_json, o), obj) == outcome(reference_render_json, obj)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=5), elements=floats)
+        | hnp.arrays(st.sampled_from([np.float32, np.int64]), hnp.array_shapes(min_dims=1, max_dims=2, max_side=4))
+    )
+    def test_csv_matches_reference(self, rows):
+        assert outcome(lambda r: streamed(write_csv, r), rows) == outcome(reference_render_csv, rows)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 3), (1, _CHUNK + 5), (4, 0), (0, 4), (2 * _CHUNK // 7 + 3, 7), (3, 2 * _CHUNK + 1)],
+        ids=lambda shape: "x".join(map(str, shape)),
+    )
+    def test_matrices_go_a_chunk_at_a_time(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        M = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 18, size=shape)
+        M.ravel()[::3] = rng.integers(0, 2**64, size=M.ravel()[::3].size, dtype=np.uint64).view(np.float64)
+        single = rng.standard_normal(shape).astype(np.float32)
+        nested = {"rows": M, "pair": [M[::-1], {"f32": single, "t": M.T}], "n": len(M)}
+        for obj in (M, nested):
+            parts = pieces(write_json, obj)
+            assert "".join(parts) == reference_render_json(obj)
+            assert max(part.count("\n") for part in parts) <= chunk_rows(min(shape)) + 1
+        parts = pieces(write_csv, M)
+        assert "".join(parts) == reference_render_csv(M)
+        assert max(part.count("\n") for part in parts) <= chunk_rows(shape[1])
+
+
+class Recorder(io.StringIO):
+    """A stdout that keeps every piece written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.pieces: list[str] = []
+
+    def write(self, text):
+        self.pieces.append(text)
+        return super().write(text)
+
+
+class TestMainStreams:
+    N = 90  # 8100 cells: the matrix spans two chunks
+
+    @pytest.fixture(scope="class")
+    def graph_file(self, tmp_path_factory):
+        g = random_strongly_connected_digraph(self.N, 3, extra=0.05)
+        path = tmp_path_factory.mktemp("streams") / "g.json"
+        path.write_text(json.dumps({"n": g.n, "arcs": [list(arc) for arc in g.arcs]}))
+        return str(path), analyze(g)
+
+    def run(self, monkeypatch, argv):
+        out = Recorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        code = main(argv)
+        return code, out
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_hitting_is_written_as_formatted(self, monkeypatch, capsys, graph_file, fmt):
+        path, chain = graph_file
+        code, out = self.run(monkeypatch, ["hitting", "--input", path, "--format", fmt])
+        H = chain.hitting.values
+        if fmt == "csv":
+            expected = reference_render_csv(H)
+        else:
+            t_hit, residual = chain.hit_time
+            payload = {"n": self.N, "target": chain.stationary.probs, "rows": H,
+                       "residuals": {"t_hit": t_hit, "random_target": residual}}
+            expected = reference_render_json(payload) + "\n"
+        assert code == 0 and capsys.readouterr().err == ""
+        assert out.getvalue() == expected
+        assert max(piece.count("\n") for piece in out.pieces) <= chunk_rows(self.N) + 1
+
+    def test_dual_is_written_as_formatted(self, monkeypatch, capsys, graph_file):
+        path, _ = graph_file
+        code, out = self.run(monkeypatch, ["dual", "--input", path])
+        assert code == 0 and capsys.readouterr().err == ""
+        assert out.getvalue() == reference_render_json(json.loads(out.getvalue())) + "\n"
+        assert max(piece.count("\n") for piece in out.pieces) <= chunk_rows(self.N) + 1
+
+    @pytest.mark.parametrize("command", ["hitting", "dual", "verify"])
+    def test_a_check_raised_before_output_writes_nothing(self, monkeypatch, capsys, graph_file, command):
+        real = greenwalk.errors.require
+
+        def require(name, residual, limit, *error):
+            real(name, residual, -1.0 if name == "first_step" else limit, *error)
+
+        monkeypatch.setattr(greenwalk.hitting, "require", require)
+        code, out = self.run(monkeypatch, [command, "--input", graph_file[0]])
+        assert code == 2 and out.getvalue() == "" and "".join(out.pieces) == ""
+        assert capsys.readouterr().err.startswith("FAIL first_step: residual ")

@@ -20,6 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ["tolerance_sweep.py", "--n", "60"],
         ["render_sweep.py", "--sizes", "50"],
         ["parse_sweep.py", "--sizes", "50"],
+        ["scale_sweep.py", "--sizes", "30"],
         ["duality_demo.py"],
         ["family_tour.py"],
     ],

@@ -56,7 +56,7 @@ def test_command_exits_zero(capsys, monkeypatch, name, lazy, command):
     chain = _chain(name, lazy)
     monkeypatch.setattr(greenwalk.cli, "load_graph", lambda path, fmt: chain.graph)
     monkeypatch.setattr(greenwalk.cli, "analyze", lambda g, beta: chain)
-    monkeypatch.setattr(greenwalk.cli, "render_json", lambda obj: "")
+    monkeypatch.setattr(greenwalk.cli, "write_json", lambda write, obj: None)
     code = main([command, "--input", name, "--lazy", str(lazy)])
     assert (code, capsys.readouterr().err) == (0, "")
 
