@@ -4,7 +4,7 @@
 For each n, writes the directed graph random_strongly_connected_digraph(n, 1,
 extra=0.02) and the undirected random_connected_graph(n, 1, extra=0.02) as
 edge lists, then runs ``python -m greenwalk.cli COMMAND --input FILE`` once
-per command, graph and repeat, each in a fresh interpreter with
+for each of COMMANDS on each graph, each in a fresh interpreter with
 OPENBLAS_NUM_THREADS=1. Each run records its wall time, the child's peak RSS
 (from wait4), the bytes it wrote to stdout with their sha256, and its exit
 status; stdout is hashed as it arrives and never held. The rest of the
@@ -12,7 +12,7 @@ environment passes through to the children, so a MALLOC_MMAP_THRESHOLD_ set
 by the caller reaches every run; the sweep records it, with the numpy
 version and BLAS build. The last line is the sweep as one JSON document.
 
-Usage: python3 scripts/scale_sweep.py [--sizes N ...] [--commands C ...] [--repeat R] [--dir DIR]
+Usage: python3 scripts/scale_sweep.py [--sizes N ...] [--dir DIR]
 """
 
 import argparse
@@ -34,6 +34,7 @@ GRAPHS = {
     "directed": lambda n: random_strongly_connected_digraph(n, 1, extra=0.02),
     "undirected": lambda n: random_connected_graph(n, 1, extra=0.02),
 }
+COMMANDS = ("hitting", "dual", "verify")
 
 
 def write_edge_list(g, path: Path) -> None:
@@ -80,8 +81,6 @@ def blas() -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[250, 500, 1000, 2000])
-    parser.add_argument("--commands", nargs="+", default=["hitting", "dual", "verify"])
-    parser.add_argument("--repeat", type=int, default=1)
     parser.add_argument("--dir", default=None, help="where to write the graphs (default: a temporary directory)")
     args = parser.parse_args()
 
@@ -97,14 +96,13 @@ def main() -> None:
             for kind, build in GRAPHS.items():
                 path = folder / f"{kind}-{n}.edges"
                 write_edge_list(build(n), path)
-                for command in args.commands:
-                    for _ in range(args.repeat):
-                        row = {"n": n, "graph": kind, "command": command, **run([command, "--input", str(path)], env)}
-                        rows.append(row)
-                        print(
-                            f"{n:>6}{kind:>12}{command:>9}{row['exit']:>5}{row['wall_s']:>9.3f}"
-                            f"{row['peak_rss_mb']:>9.1f}{row['stdout_bytes'] / 2**20:>9.2f}  {row['stdout_sha256'][:16]}"
-                        )
+                for command in COMMANDS:
+                    row = {"n": n, "graph": kind, "command": command, **run([command, "--input", str(path)], env)}
+                    rows.append(row)
+                    print(
+                        f"{n:>6}{kind:>12}{command:>9}{row['exit']:>5}{row['wall_s']:>9.3f}"
+                        f"{row['peak_rss_mb']:>9.1f}{row['stdout_bytes'] / 2**20:>9.2f}  {row['stdout_sha256'][:16]}"
+                    )
     sweep = {
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -22,8 +22,6 @@ from .greens import (
 if TYPE_CHECKING:
     from .pipeline import ChainAnalysis
 
-_BLOCK = 1 << 15  # entries per row block of _conjugated's ratio
-
 
 @dataclass(frozen=True)
 class DualityReport:
@@ -114,11 +112,8 @@ def _conjugated(values: np.ndarray, p: np.ndarray) -> np.ndarray:
     The blocks keep the n x n ratio from being built whole; each entry is
     rounded as it would be there.
     """
-    n = len(p)
-    out = np.empty((n, n))
-    step = max(1, _BLOCK // n)
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
+    out = np.empty(values.shape)
+    for rows in tolerance.row_blocks(out.shape):
         np.multiply(values.T[rows], p[None, :] / p[rows, None], out=out[rows])
     return out
 

@@ -134,7 +134,8 @@ class TransitionMatrix:
 
     P = beta * I + (1 - beta) * P0 where P0 row-normalizes the weights.
     ``graph`` keeps the source digraph when the chain came from one.
-    ``probs`` is taken over, not copied, and made read-only.
+    ``probs`` is taken over, not copied, and made read-only once it passes
+    the checks; a rejected one is left as it was.
     """
 
     probs: np.ndarray
@@ -151,10 +152,10 @@ class TransitionMatrix:
             raise ValidationError("transition probabilities must be finite")
         if probs.size and probs.min() < 0:
             raise ValidationError("transition probabilities must be nonnegative")
-        probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
         if self.row_sum > tolerance.bound(self.n, 1.0, tolerance.RESIDUAL):
             raise ValidationError(f"rows must sum to 1, worst residual {self.row_sum:.3e}")
+        probs.setflags(write=False)
 
     @property
     def n(self) -> int:

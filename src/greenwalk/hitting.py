@@ -31,8 +31,9 @@ class HittingTimeMatrix:
 
     ``first_step`` is the residual of the first-step equations when
     ``hitting_times`` or ``reversed_hitting_times`` built the matrix, and
-    None otherwise. A writable ``values`` is taken over, not copied: its
-    diagonal is zeroed in place and it is made read-only.
+    None otherwise. A writable ``values`` that passes the checks is taken
+    over, not copied: its diagonal is zeroed in place and it is made
+    read-only. A read-only one is copied, and a rejected one is left as it was.
     """
 
     values: np.ndarray
@@ -40,18 +41,21 @@ class HittingTimeMatrix:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if not values.flags.writeable:  # shared with its owner: zero the diagonal of a copy
-            values = values.copy()
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValidationError("hitting-time matrix must be square")
         if not np.all(np.isfinite(values)):
             raise ValidationError("hitting times must be finite")
         diag = float(np.abs(np.diag(values)).max()) if values.size else 0.0
+        # a diagonal within the limit is far below max(1, T), so it leaves T as it is after zeroing
+        scale = tolerance.time_scale(values)
+        if diag > tolerance.bound(len(values), scale, tolerance.RESIDUAL):
+            raise ValidationError(f"diagonal must be zero, found {diag:.3e}")
+        if not values.flags.writeable:  # shared with its owner: zero the diagonal of a copy
+            values = values.copy()
         np.fill_diagonal(values, 0.0)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        if diag > tolerance.bound(self.n, self.time_scale, tolerance.RESIDUAL):
-            raise ValidationError(f"diagonal must be zero, found {diag:.3e}")
+        self.__dict__["time_scale"] = scale
 
     @property
     def n(self) -> int:

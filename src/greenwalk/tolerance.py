@@ -14,12 +14,13 @@ Numerical Algorithms*, ch. 9). ``scripts/tolerance_sweep.py`` measures both.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
 RESIDUAL = 16.0
 ROUTE = 5e3
-_BLOCK = 1 << 15  # entries per row block of gap
+_BLOCK = 1 << 15  # entries per row block of a matrix reduction
 
 
 def bound(n: int, scale: float, c: float) -> float:
@@ -42,5 +43,10 @@ def gap(a, b) -> float:
     a, b = np.asarray(a), np.asarray(b)
     if a.ndim != 2:
         return float(np.abs(a - b).max())
-    step = max(1, _BLOCK // max(1, a.shape[1]))
-    return float(np.max([np.abs(a[i : i + step] - b[i : i + step]).max() for i in range(0, len(a), step)]))
+    return float(np.max([np.abs(a[rows] - b[rows]).max() for rows in row_blocks(a.shape)]))
+
+
+def row_blocks(shape: tuple[int, int]) -> Iterator[slice]:
+    """Slices of whole rows that cover a matrix of this shape, about _BLOCK entries each."""
+    step = max(1, _BLOCK // max(1, shape[1]))
+    return (slice(i, i + step) for i in range(0, shape[0], step))

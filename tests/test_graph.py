@@ -169,6 +169,15 @@ class TestTransitionMatrix:
         with pytest.raises(ValidationError, match="must be finite"):
             TransitionMatrix(np.array([[0.5, 0.5], [bad, 0.5]]))
 
+    def test_takes_over_an_accepted_array_and_leaves_a_rejected_one(self):
+        probs = np.array([[0.5, 0.5], [0.25, 0.75]])
+        assert TransitionMatrix(probs).probs is probs
+        assert not probs.flags.writeable
+        rejected = np.array([[0.5, 0.4], [0.5, 0.5]])
+        with pytest.raises(ValidationError, match="sum to 1"):
+            TransitionMatrix(rejected)
+        assert rejected.flags.writeable
+
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(2, 20), seed=st.integers(0, 10**6), beta=st.floats(0.0, 0.9))
     def test_rows_stochastic(self, n, seed, beta):

@@ -9,13 +9,14 @@ from test_range_sweep import sweep_edges
 
 from greenwalk import families, pipeline, tolerance
 from greenwalk.duality import reverse_chain
-from greenwalk.errors import NumericalError
+from greenwalk.errors import NumericalError, ValidationError
 from greenwalk.generators import random_connected_graph, random_strongly_connected_digraph
 from greenwalk.graph import Distribution, load_graph, parse_graph, stationary_distribution, transition_matrix
 from greenwalk.greens import Rules
 from greenwalk.hitting import (
     CYCLE_SAMPLES,
     CYCLE_SEED,
+    HittingTimeMatrix,
     check_cycle_identities,
     fundamental_matrix,
     hit_time,
@@ -72,6 +73,26 @@ class TestHittingTimes:
 
     def test_diagonal_zero(self, directed_triangle):
         assert np.all(np.diag(directed_triangle.hitting.values) == 0.0)
+
+    def test_takes_over_a_writable_array(self):
+        values = np.array([[1e-15, 2.0], [3.0, 0.0]])
+        H = HittingTimeMatrix(values)
+        assert H.values is values
+        assert not values.flags.writeable
+        assert values[0, 0] == 0.0 and H.time_scale == 3.0
+
+    def test_copies_a_read_only_array_and_leaves_it_untouched(self):
+        values = np.array([[1e-15, 2.0], [3.0, 0.0]])
+        values.setflags(write=False)
+        H = HittingTimeMatrix(values)
+        assert H.values is not values and H.values[0, 0] == 0.0
+        assert values[0, 0] == 1e-15
+
+    def test_leaves_a_rejected_array_as_it_was(self):
+        values = np.array([[0.5, 2.0], [3.0, 0.0]])
+        with pytest.raises(ValidationError, match="diagonal must be zero"):
+            HittingTimeMatrix(values)
+        assert values[0, 0] == 0.5 and values.flags.writeable
 
     def test_first_step_equations_large_graph(self):
         P, pi = chain(random_strongly_connected_digraph(200, seed=0))
