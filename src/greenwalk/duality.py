@@ -132,9 +132,9 @@ def duality_checks(chain: ChainAnalysis) -> DualityReport:
     Probabilities (1, RESIDUAL): the reverse chain's involution and
     stationarity. Expected times (the forward T, ROUTE): the reset/forget
     exchange both ways and the core decomposition. Entries of G and X
-    (``entry_scale``, ROUTE): the exit conjugation, its image's conservation
-    and zero row minima, and both Green's function duals. Nothing is raised
-    here; ``errors.failed`` decides the checks.
+    (``entry_scale``, ROUTE): the exit conjugation, its image's conservation,
+    and both Green's function duals. Nothing is raised here;
+    ``errors.failed`` decides the checks.
     """
     P, pi, rev = chain.transition, chain.stationary, chain.reverse
     n, p = P.n, pi.probs
@@ -157,7 +157,6 @@ def duality_checks(chain: ChainAnalysis) -> DualityReport:
     exit_conjugation = tolerance.gap(X_rev_mu.values, dual_image)
     del X_rev_mu
     conservation = verify_green_constraints(GreensMatrix(dual_image, mu_hat), rev.transition)
-    image_row_min = float(dual_image.min(axis=1).max())
     del dual_image
     forget_dual = tolerance.gap(greens_general(rev.forget_rules).values, _green_dual(G.values, p, mix - t_reset))
     core_shift = acc_rev_mu - float(p @ acc_rev_mu)
@@ -172,7 +171,6 @@ def duality_checks(chain: ChainAnalysis) -> DualityReport:
         ("dual_forget_equals_reverse_reset", abs(t_forget - t_reset_rev), times),
         ("dual_exit_conjugation", exit_conjugation, entries),
         ("dual_dual_image_conservation", conservation, entries),
-        ("dual_dual_image_row_min", image_row_min, entries),
         ("dual_greens_forget_dual", forget_dual, entries),
         ("dual_greens_core_dual", core_dual, entries),
         ("dual_core_decomposition", float(np.abs(mix - core_mix).max()), times),

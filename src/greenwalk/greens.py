@@ -133,17 +133,16 @@ def exit_frequency_matrix(rules: Rules) -> ExitFrequencyMatrix:
 
     Entry (i, j) is pi_j (H(i, tau) + H(tau, j) - H(i, j)). Entries are
     nonnegative with at least one zero per row; row i sums to H(i, tau).
-    A violation signals a wrong access time and raises IntegrityError;
-    entries below zero by no more than the limit are rounding, set to zero.
+    A row with no zero or a row sum off H(i, tau) signals a wrong access
+    time and raises IntegrityError. H(i, tau) is a row maximum, so entries
+    below zero are rounding, set to zero.
     """
     H, pi, h = rules.hitting, rules.stationary, rules.access
     values = h[:, None] + rules.from_target[None, :]
     values -= H.values
     values *= pi.probs
-    limit = tolerance.bound(H.n, rules.entry_scale, tolerance.RESIDUAL)
-    require("exit_negative", -values.min(), limit)
     X = ExitFrequencyMatrix(np.maximum(values, 0.0, out=values), target=rules.target, access=h)
-    require("exit_row_min", X.row_min, limit)
+    require("exit_row_min", X.row_min, tolerance.bound(H.n, rules.entry_scale, tolerance.RESIDUAL))
     require("exit_row_sums", X.access_gap, tolerance.bound(H.n, H.time_scale, tolerance.RESIDUAL))
     return X
 
@@ -193,24 +192,29 @@ class MixingReport:
     mixing_pessimal: tuple[int, ...]
 
 
+def trace_gap(chain: ChainAnalysis) -> float:
+    """|tr G - T_hit|, trace_vs_hit's residual: G's diagonal is pi_j H(pi, j) bit for bit, so no G is built."""
+    return abs(float((chain.pi_rules.from_target * chain.stationary.probs).sum()) - chain.hit_time[0])
+
+
 def mixing_report(chain: ChainAnalysis) -> MixingReport:
     """Assemble T_mix, T_reset, T_hit, pessimal vertices, and halting states of a chain.
 
     H(i, pi) is the access vector of the chain's rules toward pi. T_hit is the
-    trace of G and must match the chain's stationary-pair hitting time. On
-    an undirected graph, both pessimal-vertex formulas
+    chain's stationary-pair hitting time, and must match the trace of G
+    (``trace_gap``). On an undirected graph, both pessimal-vertex formulas
     H(i, pi) = H(i', i) - H(pi, i) = H(i, i') - H(pi, i') are cross-checked
     and a failure raises IntegrityError naming the vertex. The halting
     states are read off the chain's X_pi.
     """
-    H, G, pi, rules = chain.hitting, chain.greens, chain.stationary, chain.pi_rules
+    H, pi, rules = chain.hitting, chain.stationary, chain.pi_rules
     Hv = H.values
     mix = rules.access
     t_mix = float(mix.max())
     t_reset = float(pi.probs @ mix)
     t_hit, _ = chain.hit_time
     limit = tolerance.bound(H.n, H.time_scale, tolerance.RESIDUAL)
-    require("trace_vs_hit", abs(float(np.trace(G.values)) - t_hit), limit)
+    require("trace_vs_hit", trace_gap(chain), limit)
     pess = Hv.argmax(axis=0)
     pess.setflags(write=False)
     if chain.graph is not None and chain.graph.undirected:

@@ -288,7 +288,7 @@ class TestRaisedChecks:
             ("stationary", ["hitting", "--input", "DIRECTED"]),
             ("fundamental", ["hitting", "--input", "DIRECTED"]),
             ("first_step", ["hitting", "--input", "DIRECTED"]),
-            ("exit_negative", ["exitfreq", "--input", "DIRECTED"]),
+            ("exit_row_min", ["mixing", "--input", "DIRECTED"]),
             ("exit_row_min", ["exitfreq", "--input", "DIRECTED"]),
             ("exit_row_sums", ["exitfreq", "--input", "DIRECTED"]),
             ("greens_row_sum", ["green", "--input", "DIRECTED"]),
@@ -653,10 +653,10 @@ class TestDualityCallCounts:
     the access vector H(., tau)."""
 
     NAMES = ("forget_distribution", "pi_core", "reverse_chain", "reversed_hitting_times")
-    # (H(tau, .) row products, H(., tau) reductions): dual's pairs are each chain
+    # (H(tau, .) row products, H(., tau) reductions): the pairs are each chain
     # toward pi and toward its forget distribution, and the forward chain toward
-    # its core; verify adds the forward chain's G toward uniform and vertex 0
-    RULES = {"dual": (5, 5), "verify": (7, 5)}
+    # its core; verify builds no G toward any other target
+    RULES = {"dual": (5, 5), "verify": (5, 5)}
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -707,7 +707,7 @@ class TestDualityCallCounts:
 
 class TestHitTimeCalls:
     """The stationary-pair hitting time is computed once per chain: verify's
-    random_target check and the mixing report's trace_vs_hit read the same one."""
+    trace_vs_hit check and the mixing report's read the same one."""
 
     @pytest.fixture
     def calls(self, monkeypatch):

@@ -182,6 +182,12 @@ class TestHittingRoundTrip:
         back = hitting_from_greens(directed_triangle.greens, directed_triangle.stationary)
         assert np.all(np.diag(back.values) == 0.0)
 
+    def test_directed_entry_by_entry(self):
+        # H of a random digraph is neither symmetric nor circulant, so a transposed recovery fails here
+        sol = analyze(random_strongly_connected_digraph(8, seed=3))
+        back = hitting_from_greens(sol.greens, sol.stationary)
+        assert np.abs(back.values - sol.hitting.values).max() <= 1e-10 * sol.hitting.time_scale
+
 
 class TestMixingReport:
     def test_path_hand_values(self, p3):
@@ -246,11 +252,10 @@ class TestMixingReport:
         assert halting == expected
         assert all(type(k) is int for row in halting for k in row)
 
-    def test_tampered_greens_raises(self, p3):
-        values = p3.greens.values.copy()
-        values[0, 0] += 0.1
+    def test_tampered_hit_time_raises(self, p3):
+        t_hit, residual = p3.hit_time
         tampered = pipeline.ChainAnalysis(p3.transition, p3.stationary)
-        tampered.__dict__["greens"] = GreensMatrix(values, p3.stationary)
+        tampered.__dict__["hit_time"] = (t_hit + 0.1, residual)
         with pytest.raises(IntegrityError) as exc:
             mixing_report(tampered)
         assert exc.value.check[0] == "trace_vs_hit"

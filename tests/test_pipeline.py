@@ -7,10 +7,11 @@ keeps are read-only, so no caller can change what is derived from them later.
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from greenwalk.graph import load_graph
-from greenwalk.greens import mixing_report
+from greenwalk.greens import mixing_report, trace_gap
 from greenwalk.pipeline import analyze, verify_checks
 from greenwalk.spectral import decompose
 
@@ -28,11 +29,18 @@ def test_verify_reports_the_builders_residuals(chain):
     assert checks["greens_row_sum"] is chain.greens.row_sum
     assert checks["exit_row_min"] is chain.exit_pi.row_min
     assert checks["exit_row_sums"] is chain.exit_pi.access_gap
-    assert checks["random_target"] is chain.hit_time[1]
+    assert checks["first_step"] is chain.hitting.first_step
 
 
 def test_mixing_report_reads_the_chains_hit_time(chain):
     assert mixing_report(chain).t_hit is chain.hit_time[0]
+
+
+def test_mixing_builds_no_greens_matrix(chain):
+    # trace_vs_hit reads tr G off G's diagonal, pi_j H(pi, j), bit for bit
+    mixing_report(chain)
+    assert "greens" not in vars(chain)
+    assert trace_gap(chain) == abs(float(np.trace(chain.greens.values)) - chain.hit_time[0])
 
 
 def test_cached_results_are_read_only(chain):
