@@ -4,13 +4,17 @@
 For each n, writes the directed graph random_strongly_connected_digraph(n, 1,
 extra=0.02) and the undirected random_connected_graph(n, 1, extra=0.02) as
 edge lists, then runs ``python -m greenwalk.cli COMMAND --input FILE`` once
-for each of COMMANDS on each graph, each in a fresh interpreter with
-OPENBLAS_NUM_THREADS=1. Each run records its wall time, the child's peak RSS
-(from wait4), the bytes it wrote to stdout with their sha256, and its exit
-status; stdout is hashed as it arrives and never held. The rest of the
-environment passes through to the children, so a MALLOC_MMAP_THRESHOLD_ set
-by the caller reaches every run; the sweep records it, with the numpy
-version and BLAS build. The last line is the sweep as one JSON document.
+for every chain command on each graph, each in a fresh interpreter with
+OPENBLAS_NUM_THREADS=1: hitting, green, exitfreq, mixing, dual, verify and
+``simulate --start 0 --stop n-1`` (with SIMULATE_TRIALS walks) on both, and
+spectral on the undirected graph only. Each run records its wall time, the
+child's peak RSS (from wait4), the bytes it wrote to stdout with their
+sha256, and its exit status; stdout is hashed as it arrives and never held.
+The rest of the environment passes through to the children, so a
+MALLOC_MMAP_THRESHOLD_ set by the caller reaches every run; the sweep
+records it, with the numpy version and BLAS build. The last line is the
+sweep as one JSON document, and the exit status is 1 when any run did not
+exit 0.
 
 Usage: python3 scripts/scale_sweep.py [--sizes N ...] [--dir DIR]
 """
@@ -34,7 +38,16 @@ GRAPHS = {
     "directed": lambda n: random_strongly_connected_digraph(n, 1, extra=0.02),
     "undirected": lambda n: random_connected_graph(n, 1, extra=0.02),
 }
-COMMANDS = ("hitting", "dual", "verify")
+SIMULATE_TRIALS = 100  # each walk takes about n steps in a Python loop; the default 10000 would take 100 times as long
+
+
+def commands(n: int, kind: str) -> list[list[str]]:
+    """The arguments of every chain command on a graph of this kind with n vertices."""
+    argv = [[command] for command in ("hitting", "green", "exitfreq", "mixing", "dual", "verify")]
+    if kind == "undirected":
+        argv.append(["spectral"])
+    argv.append(["simulate", "--start", "0", "--stop", str(n - 1), "--trials", str(SIMULATE_TRIALS)])
+    return argv
 
 
 def write_edge_list(g, path: Path) -> None:
@@ -78,7 +91,7 @@ def blas() -> str:
         return "unknown"
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[250, 500, 1000, 2000])
     parser.add_argument("--dir", default=None, help="where to write the graphs (default: a temporary directory)")
@@ -96,8 +109,9 @@ def main() -> None:
             for kind, build in GRAPHS.items():
                 path = folder / f"{kind}-{n}.edges"
                 write_edge_list(build(n), path)
-                for command in COMMANDS:
-                    row = {"n": n, "graph": kind, "command": command, **run([command, "--input", str(path)], env)}
+                for command, *options in commands(n, kind):
+                    argv = [command, "--input", str(path), *options]
+                    row = {"n": n, "graph": kind, "command": command, "options": options, **run(argv, env)}
                     rows.append(row)
                     print(
                         f"{n:>6}{kind:>12}{command:>9}{row['exit']:>5}{row['wall_s']:>9.3f}"
@@ -112,7 +126,8 @@ def main() -> None:
         "runs": rows,
     }
     print(json.dumps(sweep))
+    return int(any(row["exit"] != 0 for row in rows))
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -102,7 +102,7 @@ def pi_core(chain: ChainAnalysis) -> tuple[Distribution, ExitFrequencyMatrix, np
 
     formula = _forget_weights(chain.reverse, chain.reverse.forget_rules)
     limit = tolerance.bound(P.n, chain.entry_scale, tolerance.ROUTE)
-    require("core_routes", np.abs(formula - core_weights).max(), limit)
+    require("core_routes", tolerance.gap(formula, core_weights), limit)
     return core, core_exit, b
 
 
@@ -166,14 +166,14 @@ def duality_checks(chain: ChainAnalysis) -> DualityReport:
 
     checks = [
         ("dual_reverse_involution", tolerance.gap(reverse_chain(rev.transition, pi).probs, P.probs), probs),
-        ("dual_reverse_stationary", float(np.abs(p @ rev.transition.probs - p).max()), probs),
+        ("dual_reverse_stationary", tolerance.gap(p @ rev.transition.probs, p), probs),
         ("dual_reset_equals_reverse_forget", abs(t_reset - float(acc_rev_mu.max())), times),
         ("dual_forget_equals_reverse_reset", abs(t_forget - t_reset_rev), times),
         ("dual_exit_conjugation", exit_conjugation, entries),
         ("dual_dual_image_conservation", conservation, entries),
         ("dual_greens_forget_dual", forget_dual, entries),
         ("dual_greens_core_dual", core_dual, entries),
-        ("dual_core_decomposition", float(np.abs(mix - core_mix).max()), times),
+        ("dual_core_decomposition", tolerance.gap(mix, core_mix), times),
     ]
     return DualityReport(
         forget=mu,

@@ -118,9 +118,9 @@ def compare_with_pipeline(report: OracleReport) -> dict[str, float]:
     chain = pipeline.analyze(report.graph)
     residuals: dict[str, float] = {}
     if report.hitting is not None:
-        residuals["hitting"] = float(np.abs(report.hitting - chain.hitting.values).max())
+        residuals["hitting"] = tolerance.gap(report.hitting, chain.hitting.values)
     if report.greens is not None:
-        residuals["greens"] = float(np.abs(report.greens - chain.greens.values).max())
+        residuals["greens"] = tolerance.gap(report.greens, chain.greens.values)
     for key, value in report.measures.items():
         residuals[key] = abs(value - _SOLVED[key](chain, report))
     return residuals
@@ -216,7 +216,7 @@ def cycle_oracle(n: int) -> OracleReport:
     poly = (access_zero - row_H) / n
     k = np.arange(1, n, dtype=float)
     trig = np.cos(2.0 * np.pi * np.outer(j, k) / n) @ (1.0 / (1.0 - np.cos(2.0 * np.pi * k / n))) / n
-    gap = float(np.abs(poly - trig).max())
+    gap = tolerance.gap(poly, trig)
     require("cycle_poly_vs_trig", gap, tolerance.bound(n, tolerance.time_scale(row_H), tolerance.ROUTE))
     shift = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
     H = row_H[shift]

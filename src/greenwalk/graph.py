@@ -495,5 +495,5 @@ def stationary_distribution(P: TransitionMatrix) -> Distribution:
     if x.min() <= 0:
         raise NumericalError("solved stationary vector is not strictly positive")
     x = x / x.sum()
-    require("stationary", np.abs(x @ P.probs - x).max(), tolerance.bound(n, 1.0, tolerance.RESIDUAL), NumericalError)
+    require("stationary", tolerance.gap(x @ P.probs, x), tolerance.bound(n, 1.0, tolerance.RESIDUAL), NumericalError)
     return Distribution(x)

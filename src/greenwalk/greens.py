@@ -78,7 +78,7 @@ class ExitFrequencyMatrix:
     @cached_property
     def access_gap(self) -> float:
         """The max-abs gap between the row sums and ``access``."""
-        return float(np.abs(self.values.sum(axis=1) - self.access).max())
+        return tolerance.gap(self.values.sum(axis=1), self.access)
 
     def __getitem__(self, idx) -> float:
         return float(self.values[idx])

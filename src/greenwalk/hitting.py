@@ -70,12 +70,19 @@ class HittingTimeMatrix:
         return float(self.values[idx])
 
 
-def _solve_fundamental(P: TransitionMatrix, pi: Distribution, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(A, A^{-1} rhs) with A = I - P + 1 pi^T, the system every fundamental-matrix route solves."""
+def _solve_fundamental(
+    P: TransitionMatrix, pi: Distribution, rhs: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(A, A^{-1} rhs) with A = I - P + 1 pi^T, the system every fundamental-matrix route solves.
+
+    With no rhs it is (A, A^{-1}): ``inv`` runs LAPACK's solve against an
+    identity it builds itself, so the result is bit for bit
+    ``solve(A, eye(n))`` with one n x n array fewer held.
+    """
     A = walk_laplacian(P)
     A += pi.probs  # the rank-one term 1 pi^T, by broadcast
     try:
-        return A, np.linalg.solve(A, rhs)
+        return A, np.linalg.inv(A) if rhs is None else np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"fundamental matrix solve failed: {exc}") from None
 
@@ -83,7 +90,7 @@ def _solve_fundamental(P: TransitionMatrix, pi: Distribution, rhs: np.ndarray) -
 def fundamental_matrix(P: TransitionMatrix, pi: Distribution) -> np.ndarray:
     """Z = (I - P + 1 pi^T)^{-1}, confirmed to working accuracy: one solve serves every hitting time."""
     n = P.n
-    A, Z = _solve_fundamental(P, pi, np.eye(n))
+    A, Z = _solve_fundamental(P, pi)
     limit = tolerance.bound(n, np.abs(Z).max(), tolerance.RESIDUAL)
     # the solve controls the residual A Z - I; Z A - I can exceed it by up to cond(A) (Higham, ch. 14)
     R = A @ Z
@@ -171,7 +178,7 @@ def hit_time(H: HittingTimeMatrix, pi: Distribution) -> tuple[float, float]:
     """
     row = H.values @ pi.probs
     t = float(pi.probs @ row)
-    return t, float(np.abs(row - t).max())
+    return t, tolerance.gap(row, t)
 
 
 def check_cycle_identities(rules: Rules) -> tuple[float, float]:

@@ -46,9 +46,17 @@ def normalized_laplacian(g: WeightedDigraph) -> np.ndarray:
         raise ValidationError("spectral formulas require an undirected graph")
     validate_out_degrees(g)
     d = g.degrees
-    L = np.eye(g.n) - g.weights / np.sqrt(np.outer(d, d))
-    require("laplacian_symmetry", np.abs(L - L.T).max(), tolerance.bound(g.n, 1.0, tolerance.RESIDUAL), NumericalError)
-    return (L + L.T) / 2.0
+    root = np.outer(d, d)
+    L = g.weights
+    L /= np.sqrt(root, out=root)
+    del root
+    # I minus the quotient, as graph.walk_laplacian builds I - P: bit for bit np.eye(n) minus it
+    np.subtract(0.0, L, out=L)
+    L.flat[:: g.n + 1] += 1.0
+    require("laplacian_symmetry", tolerance.gap(L, L.T), tolerance.bound(g.n, 1.0, tolerance.RESIDUAL), NumericalError)
+    L += L.T  # numpy buffers the overlapping operand, so this is L + L.T
+    L /= 2.0
+    return L
 
 
 def decompose(g: WeightedDigraph) -> SpectralDecomposition:
@@ -71,12 +79,12 @@ def decompose(g: WeightedDigraph) -> SpectralDecomposition:
     if zero_modes > 1:
         raise NumericalError("graph disconnected: repeated zero eigenvalue")
     # the eigenvectors' orthogonality degrades with clustered eigenvalues: it carries their conditioning
-    orthonormality = np.abs(phi.T @ phi - np.eye(n)).max()
+    orthonormality = tolerance.gap(phi.T @ phi, np.eye(n))
     require("eigen_orthonormality", orthonormality, tolerance.bound(n, 1.0, tolerance.ROUTE), NumericalError)
-    require("eigen_reconstruction", np.abs((phi * lam[None, :]) @ phi.T - L).max(), limit, NumericalError)
+    require("eigen_reconstruction", tolerance.gap((phi * lam[None, :]) @ phi.T, L), limit, NumericalError)
     root = np.sqrt(g.degrees)
     root /= np.linalg.norm(root)
-    drift = min(float(np.abs(phi[:, 0] - root).max()), float(np.abs(phi[:, 0] + root).max()))
+    drift = min(tolerance.gap(phi[:, 0], root), tolerance.gap(phi[:, 0], -root))
     gap = lam[1] if n > 1 else 1.0  # an eigenvector's error grows as 1 / (distance to the next eigenvalue)
     require("zero_mode_drift", drift, tolerance.bound(n, 1.0 / gap, tolerance.RESIDUAL), NumericalError)
     lam.setflags(write=False)

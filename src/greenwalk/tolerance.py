@@ -35,12 +35,13 @@ def time_scale(*values) -> float:
 
 
 def gap(a, b) -> float:
-    """max |a - b| of two arrays of one shape: the residual of two routes to one quantity.
+    """max |a - b|, the residual of two routes to one quantity: b has a's shape, or is a scalar.
 
     Matrices are reduced a block of rows at a time, so no n x n difference
     is built; a NaN anywhere still makes the result NaN.
     """
-    a, b = np.asarray(a), np.asarray(b)
+    a = np.asarray(a)
+    b = np.broadcast_to(b, a.shape)
     if a.ndim != 2:
         return float(np.abs(a - b).max())
     return float(np.max([np.abs(a[rows] - b[rows]).max() for rows in row_blocks(a.shape)]))

@@ -316,12 +316,21 @@ class TestRaisedChecks:
         assert re.fullmatch(re.escape(f"FAIL {check}: residual ") + r"[0-9.e+-]+ exceeds -1\.000000e\+00\n", err)
 
     def test_verify_reports_the_raised_mixing_residual(self, capsys, monkeypatch):
-        # verify turns a raised mixing check into its mixing_formulas check, at verify's own limit
+        # verify lists trace_vs_hit itself, at its own limit, so the raised copy is not listed again
         _lower_limit(monkeypatch, "trace_vs_hit")
         code, out, err = run(capsys, "verify", "--input", str(GOLDEN / "directed.edges"))
         checks = json.loads(out)["checks"]
         assert code == 0 and err == ""
-        assert checks["mixing_formulas"] == checks["trace_vs_hit"]
+        assert "mixing_formulas" not in checks
+        assert checks["trace_vs_hit"]["ok"] and checks["trace_vs_hit"]["limit"] > 0
+
+    def test_verify_lists_a_raised_mixing_check_under_its_own_name(self, capsys, monkeypatch):
+        _lower_limit(monkeypatch, "pessimal_formulas_0")
+        code, out, err = run(capsys, "verify", "--input", str(GOLDEN / "undirected.edges"))
+        checks = json.loads(out)["checks"]
+        assert code == 2 and "mixing_formulas" not in checks
+        assert checks["pessimal_formulas_0"]["limit"] == -1.0 and not checks["pessimal_formulas_0"]["ok"]
+        assert re.fullmatch(r"FAIL pessimal_formulas_0: residual [0-9.e+-]+ exceeds -1\.000000e\+00\n", err)
 
     def test_verify_skips_spectral_mixing_after_a_raised_mixing_check(self, capsys, monkeypatch):
         # on an undirected graph the spectral routes need the mixing report: without one, only
@@ -330,7 +339,7 @@ class TestRaisedChecks:
         code, out, err = run(capsys, "verify", "--input", str(GOLDEN / "undirected.edges"))
         assert code == 0 and err == ""
         checks = json.loads(out)["checks"]
-        assert checks["mixing_formulas"] == checks["trace_vs_hit"]
+        assert "mixing_formulas" not in checks and checks["trace_vs_hit"]["ok"]
         assert "spectral_hitting" in checks and "spectral_greens" in checks
         assert not {"spectral_t_mix", "spectral_t_reset", "spectral_t_hit"} & set(checks)
 
@@ -361,18 +370,19 @@ class TestLinearAlgebraFailures:
     command exits 2 with no output."""
 
     CASES = [
-        pytest.param("solve", "stationary solve failed", "directed", "hitting", id="stationary"),
-        # the undirected stationary distribution is deg/vol, so the one solve is Z's
-        pytest.param("solve", "fundamental matrix solve failed", "undirected", "hitting", id="fundamental"),
-        pytest.param("eigh", "eigendecomposition failed", "undirected", "spectral", id="eigh"),
+        pytest.param(("solve",), "stationary solve failed", "directed", "hitting", id="stationary"),
+        # the undirected stationary distribution is deg/vol, so the one LAPACK call is Z's inverse
+        pytest.param(("solve", "inv"), "fundamental matrix solve failed", "undirected", "hitting", id="fundamental"),
+        pytest.param(("eigh",), "eigendecomposition failed", "undirected", "spectral", id="eigh"),
     ]
 
-    @pytest.mark.parametrize("routine, message, graph, command", CASES)
-    def test_library_raises(self, monkeypatch, routine, message, graph, command):
+    @pytest.mark.parametrize("routines, message, graph, command", CASES)
+    def test_library_raises(self, monkeypatch, routines, message, graph, command):
         g = greenwalk.graph.load_graph(str(GOLDEN / f"{graph}.edges"))
         P = greenwalk.graph.transition_matrix(g)
         pi = greenwalk.graph.stationary_distribution(P)
-        monkeypatch.setattr(np.linalg, routine, _singular)
+        for routine in routines:
+            monkeypatch.setattr(np.linalg, routine, _singular)
         steps = {
             "stationary solve failed": lambda: greenwalk.graph.stationary_distribution(P),
             "fundamental matrix solve failed": lambda: greenwalk.hitting.fundamental_matrix(P, pi),
@@ -382,9 +392,10 @@ class TestLinearAlgebraFailures:
             steps[message]()
         assert info.value.check is None
 
-    @pytest.mark.parametrize("routine, message, graph, command", CASES)
-    def test_command_exits_two(self, capsys, monkeypatch, routine, message, graph, command):
-        monkeypatch.setattr(np.linalg, routine, _singular)
+    @pytest.mark.parametrize("routines, message, graph, command", CASES)
+    def test_command_exits_two(self, capsys, monkeypatch, routines, message, graph, command):
+        for routine in routines:
+            monkeypatch.setattr(np.linalg, routine, _singular)
         code, out, err = run(capsys, command, "--input", str(GOLDEN / f"{graph}.edges"))
         assert (code, out, err) == (2, "", f"integrity error: {message}: Singular matrix\n")
 

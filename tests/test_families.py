@@ -1,5 +1,6 @@
 import math
 from collections import deque
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +261,50 @@ class TestCycle:
         for n in (3, 5, 8, 17):
             rep = families.cycle_oracle(n)
             assert rep.details["poly_vs_trig"] <= 1e-10
+
+
+HOLDING_N = 40
+HOLDING_LOOPS = {"unit": np.ones(HOLDING_N, dtype=int)} | {
+    f"seed{seed}": np.random.default_rng(seed).integers(1, 10, size=HOLDING_N) for seed in range(10)
+}
+
+
+class TestHoldingCycle:
+    """A directed, non-reversible chain against exact closed forms.
+
+    Vertex k of a 40-cycle has an arc of weight 1 to k + 1 and a self-loop of
+    weight s_k, so it holds for 1 + s_k steps on average: pi_k is proportional
+    to 1 + s_k, H(i, j) sums 1 + s_k over k from i to j - 1 around the cycle,
+    and G(i, j) = pi_j (H(pi, j) - H(i, j)). The closed forms are exact
+    Fractions; the solver must meet each within the RESIDUAL limit at its own
+    scale. The unit loops are a d = 0 shape; the seeded ones draw s_k from 1-9.
+    """
+
+    @staticmethod
+    def closed_forms(loops):
+        n = len(loops)
+        hold = [1 + int(s) for s in loops]
+        total = sum(hold)
+        pi = [Fraction(h, total) for h in hold]
+        prefix = [0]
+        for h in hold + hold:
+            prefix.append(prefix[-1] + h)
+        H = [[prefix[i + (j - i) % n] - prefix[i] for j in range(n)] for i in range(n)]
+        h_pi = [sum(pi[i] * H[i][j] for i in range(n)) for j in range(n)]
+        G = [[pi[j] * (h_pi[j] - H[i][j]) for j in range(n)] for i in range(n)]
+        return tuple(np.array(x, dtype=float) for x in (pi, H, G))
+
+    @pytest.mark.parametrize("loops", list(HOLDING_LOOPS.values()), ids=list(HOLDING_LOOPS))
+    def test_solver_meets_the_closed_forms(self, loops):
+        n, k = HOLDING_N, np.arange(HOLDING_N)
+        g = WeightedDigraph.from_columns(n, np.r_[k, k], np.r_[(k + 1) % n, k], np.r_[np.ones(n), loops])
+        chain = pipeline.analyze(g)
+        pi, H, G = self.closed_forms(loops)
+        T = tolerance.time_scale(H)
+        limits = [tolerance.bound(n, scale, tolerance.RESIDUAL) for scale in (1.0, T, pi.max() * T)]
+        solved = (chain.stationary.probs, chain.hitting.values, chain.greens.values)
+        gaps = [tolerance.gap(a, b) for a, b in zip(solved, (pi, H, G))]
+        assert all(gap <= limit for gap, limit in zip(gaps, limits)), (gaps, limits)
 
 
 class TestHypercube:

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from greenwalk import greens
 from greenwalk.graph import load_graph
 from greenwalk.greens import mixing_report, trace_gap
 from greenwalk.pipeline import analyze, verify_checks
@@ -30,6 +31,19 @@ def test_verify_reports_the_builders_residuals(chain):
     assert checks["exit_row_min"] is chain.exit_pi.row_min
     assert checks["exit_row_sums"] is chain.exit_pi.access_gap
     assert checks["first_step"] is chain.hitting.first_step
+
+
+def test_verify_lists_each_check_once(chain, monkeypatch):
+    # trace_vs_hit raised inside the mixing report is the check verify already lists
+    real = greens.require
+
+    def require(name, residual, limit, *error):
+        real(name, residual, -1.0 if name == "trace_vs_hit" else limit, *error)
+
+    monkeypatch.setattr(greens, "require", require)
+    names = [name for name, _, _ in verify_checks(chain)]
+    assert len(names) == len(set(names)) and "mixing_formulas" not in names
+    assert "trace_vs_hit" in names
 
 
 def test_mixing_report_reads_the_chains_hit_time(chain):
