@@ -32,7 +32,7 @@ from .greens import (
 )
 from .hitting import (
     HittingTimeMatrix,
-    check_cycle_identities,
+    cycle_pair,
     fundamental_matrix,
     hit_time,
     hitting_column,

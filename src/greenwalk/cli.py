@@ -574,6 +574,14 @@ def _cmd_verify(args, chain):
     return payload, checks
 
 
+def _computed(args):
+    """The command's (output, checks). The chain it reads goes out of scope on return, so only the
+    printed arrays stay alive while main writes them."""
+    # only the commands that read a chain take --lazy
+    chain = analyze(load_graph(args.input, args.input_format), args.lazy) if "lazy" in args else None
+    return args.run(args, chain)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -581,9 +589,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        # only the commands that read a chain take --lazy
-        chain = analyze(load_graph(args.input, args.input_format), args.lazy) if "lazy" in args else None
-        output, checks = args.run(args, chain)
+        output, checks = _computed(args)
     except (ParseError, ValidationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -21,10 +21,6 @@ from .graph import Distribution, TransitionMatrix, walk_laplacian
 if TYPE_CHECKING:
     from .greens import Rules
 
-CYCLE_SAMPLES = 10000  # random triples check_cycle_identities draws above n = 50
-CYCLE_SEED = 0
-
-
 @dataclass(frozen=True)
 class HittingTimeMatrix:
     """All pairwise expected first-arrival times, zero on the diagonal.
@@ -181,23 +177,14 @@ def hit_time(H: HittingTimeMatrix, pi: Distribution) -> tuple[float, float]:
     return t, tolerance.gap(row, t)
 
 
-def check_cycle_identities(rules: Rules) -> tuple[float, float]:
-    """Max residuals of the triple and pair reversal identities of the chain of ``rules`` toward pi.
+def cycle_pair(rules: Rules) -> float:
+    """Max residual of the pair reversal identity of the chain of ``rules`` toward pi.
 
-    The triple identity is H(i,j) + H(j,k) + H(k,i) = H(j,i) + H(i,k) + H(k,j);
-    averaging it against pi gives the pair form
-    H(pi,i) + H(i,j) = H(pi,j) + H(j,i), read with the rules' cached H(pi, .).
-    All triples are checked up to n = 50, after which CYCLE_SAMPLES random
-    triples seeded with CYCLE_SEED are drawn. Residuals are reported, never
-    asserted: directed chains genuinely violate both.
+    A reversible chain satisfies H(pi,i) + H(i,j) = H(pi,j) + H(j,i), read
+    with the rules' cached H(pi, .). The triple form H(i,j) + H(j,k) + H(k,i)
+    = H(j,i) + H(i,k) + H(k,j) is the sum of three pair residuals, so it
+    adds nothing. The residual is reported, never asserted: directed chains
+    genuinely violate it.
     """
-    Hv, hpi, n = rules.hitting.values, rules.from_target, rules.hitting.n
-    pair = tolerance.gap(hpi[:, None] + Hv - hpi[None, :], Hv.T)
-    D = Hv - Hv.T
-    if n <= 50:
-        triple = float(np.abs(D[:, :, None] + D[None, :, :] - D[:, None, :]).max())
-    else:
-        rng = np.random.default_rng(CYCLE_SEED)
-        i, j, k = rng.integers(0, n, size=(3, CYCLE_SAMPLES))
-        triple = float(np.abs(D[i, j] + D[j, k] + D[k, i]).max())
-    return triple, pair
+    Hv, hpi = rules.hitting.values, rules.from_target
+    return tolerance.gap(hpi[:, None] + Hv - hpi[None, :], Hv.T)

@@ -32,7 +32,7 @@ from .greens import (
     trace_gap,
     verify_green_constraints,
 )
-from .hitting import HittingTimeMatrix, check_cycle_identities, hit_time, hitting_times, reversed_hitting_times
+from .hitting import HittingTimeMatrix, cycle_pair, hit_time, hitting_times, reversed_hitting_times
 from .spectral import SpectralDecomposition, decompose, spectral_greens, spectral_hitting, spectral_mixing
 from .spectral import spectral_access_from_stationary
 
@@ -188,14 +188,7 @@ def verify_checks(chain: ChainAnalysis) -> list[Check]:
         del lazy  # its P and H go once the residual is read
 
     if g.undirected:
-        triple, pair = check_cycle_identities(chain.pi_rules)
-        weighted = pi.probs[:, None] * G.values
-        symmetry = tolerance.gap(weighted, weighted.T)
-        del weighted
-        checks += [
-            ("cycle_triple", triple, routes),
-            ("cycle_pair", pair, routes),
-            ("greens_symmetry", symmetry, tolerance.bound(n, chain.entry_scale, tolerance.RESIDUAL)),
-            *spectral_routes(chain, decompose(g), mixing)[1],
-        ]
+        # the one statement of reversibility: the triple form and pi-weighted symmetry of G restate it
+        checks.append(("cycle_pair", cycle_pair(chain.pi_rules), routes))
+        checks += spectral_routes(chain, decompose(g), mixing)[1]
     return checks + duality_checks(chain).checks

@@ -53,9 +53,6 @@ def normalized_laplacian(g: WeightedDigraph) -> np.ndarray:
     # I minus the quotient, as graph.walk_laplacian builds I - P: bit for bit np.eye(n) minus it
     np.subtract(0.0, L, out=L)
     L.flat[:: g.n + 1] += 1.0
-    require("laplacian_symmetry", tolerance.gap(L, L.T), tolerance.bound(g.n, 1.0, tolerance.RESIDUAL), NumericalError)
-    L += L.T  # numpy buffers the overlapping operand, so this is L + L.T
-    L /= 2.0
     return L
 
 

@@ -298,7 +298,7 @@ class TestRaisedChecks:
             ("forget_negative_mass", ["dual", "--input", "DIRECTED"]),
             ("core_negative_mass", ["dual", "--input", "DIRECTED"]),
             ("core_routes", ["dual", "--input", "DIRECTED"]),
-            ("laplacian_symmetry", ["spectral", "--input", "UNDIRECTED"]),
+            ("core_routes", ["verify", "--input", "DIRECTED"]),
             ("eigen_orthonormality", ["spectral", "--input", "UNDIRECTED"]),
             ("eigen_reconstruction", ["spectral", "--input", "UNDIRECTED"]),
             ("zero_mode_drift", ["spectral", "--input", "UNDIRECTED"]),

@@ -9,7 +9,7 @@ in a command when it fails there. A mutation counts only on a chain where it
 changes something a command prints other than a residual: a fault in code that
 only a check reads reaches no output, so catching it guards nothing.
 
-Fifteen checks were candidates for deletion (``CANDIDATES``). One stays when, in
+Eighteen checks were candidates for deletion (``CANDIDATES``). One stays when, in
 some command, it is the only check that catches a mutation that counts;
 ``KEPT`` names that command and mutation. The others are deleted from the
 library. ``RETIRED`` evaluates each of them here, in the commands that made it,
@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from greenwalk import cli, duality, errors, graph, greens, hitting, pipeline, tolerance
+from greenwalk import cli, duality, errors, graph, greens, hitting, pipeline, spectral, tolerance
 from greenwalk.errors import GreenWalkError, failed
 from greenwalk.graph import Distribution, TransitionMatrix, load_graph
 from greenwalk.hitting import HittingTimeMatrix
@@ -59,7 +59,7 @@ CANDIDATES = {
     "exit_negative", "exit_row_min", "greens_from_exit", "hitting_roundtrip", "trace_vs_hit",
     "dual_dual_image_row_min", "random_target", "greens_row_sum", "exit_row_sums", "greens_uniform_row_sum",
     "greens_vertex_row_sum", "greens_constraint", "exit_conservation", "greens_uniform_constraint",
-    "greens_vertex_constraint",
+    "greens_vertex_constraint", "cycle_triple", "greens_symmetry", "laplacian_symmetry",
 }
 
 
@@ -217,8 +217,14 @@ def _dual_image_row_min(chain, rep):
     return [("dual_dual_image_row_min", image.min(axis=1).max(), limit)]
 
 
+def _laplacian_symmetry(g, L):
+    """The asymmetry of the normalized Laplacian, which the mirrored arcs of an undirected graph make exactly 0."""
+    return [("laplacian_symmetry", tolerance.gap(L, L.T), tolerance.bound(g.n, 1.0, tolerance.RESIDUAL))]
+
+
 def _verify_restatements(chain, _checks):
-    """Verify's checks of what G, X_pi and H(., pi) restate of one another, and of G toward two more targets."""
+    """Verify's checks of what G, X_pi and H(., pi) restate of one another, and of G toward two more targets;
+    on an undirected chain, also the two restatements of cycle_pair: its triple form and pi-weighted G symmetry."""
     H, G, X, pi = chain.hitting, chain.greens, chain.exit_pi, chain.stationary
     times = tolerance.bound(H.n, H.time_scale, tolerance.RESIDUAL)
     entries = tolerance.bound(H.n, chain.entry_scale, tolerance.RESIDUAL)
@@ -229,12 +235,22 @@ def _verify_restatements(chain, _checks):
     ]
     for tag, tau in (("uniform", Distribution.uniform(H.n)), ("vertex", Distribution.point_mass(H.n, 0))):
         restated += greens.green_checks(chain, greens.greens_general(greens.Rules(H, pi, tau)), f"greens_{tag}")
+    if chain.graph.undirected:
+        # triple(i, j, k) = pair(i, j) + pair(j, k) + pair(k, i), and pi_i G(i, j) - pi_j G(j, i) = -pi_i pi_j pair(i, j)
+        D = H.values - H.values.T
+        weighted = pi.probs[:, None] * G.values
+        restated += [
+            ("cycle_triple", float(np.abs(D[:, :, None] + D[None, :, :] - D[:, None, :]).max()),
+             tolerance.bound(H.n, H.time_scale, tolerance.ROUTE)),
+            ("greens_symmetry", tolerance.gap(weighted, weighted.T), entries),
+        ]
     return restated
 
 
 # (module, function, probe): probe(*arguments, result) gives the retired checks the function made
 RETIRED = [
     (greens, "exit_frequency_matrix", _exit_negative),
+    (spectral, "normalized_laplacian", _laplacian_symmetry),
     (duality, "duality_checks", _dual_image_row_min),
     (pipeline, "verify_checks", _verify_restatements),
 ]

@@ -35,6 +35,18 @@ class TestNormalizedLaplacian:
         assert np.allclose(np.diag(L), 1.0)
         assert L[0, 1] == pytest.approx(-1.0 / np.sqrt(2.0))
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 40), extra=st.integers(0, 80), seed=st.integers(0, 10**6))
+    def test_exactly_symmetric(self, n, extra, seed):
+        # each arc is stored right before its mirror, so W(i, j) and W(j, i) add the same weights in the
+        # same order; parallel arcs, self-loops and weights 10^U(-6, 6) included, not one bit differs
+        rng = np.random.default_rng(seed)
+        ends = np.concatenate([np.stack([np.arange(n - 1), np.arange(1, n)]), rng.integers(0, n, size=(2, extra))], axis=1)
+        w = 10.0 ** rng.uniform(-6.0, 6.0, size=ends.shape[1])
+        g = WeightedDigraph.from_columns(n, ends[0], ends[1], w, undirected=True)
+        W, L = g.weights, normalized_laplacian(g)
+        assert np.array_equal(W, W.T) and np.array_equal(L, L.T)
+
     def test_directed_rejected(self):
         g = WeightedDigraph(3, ((0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)))
         with pytest.raises(ValidationError):
