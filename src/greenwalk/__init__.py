@@ -41,14 +41,6 @@ from .hitting import (
 )
 from .montecarlo import SimStats, empirical_hitting, empirical_random_target
 from .pipeline import ChainAnalysis, analyze, verify_checks
-from .spectral import (
-    SpectralDecomposition,
-    decompose,
-    normalized_laplacian,
-    spectral_access_from_stationary,
-    spectral_greens,
-    spectral_hitting,
-    spectral_mixing,
-)
+from .spectral import SpectralDecomposition, decompose, normalized_laplacian, spectral_greens
 
 __version__ = "0.1.0"

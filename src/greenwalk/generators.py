@@ -34,15 +34,20 @@ def random_strongly_connected_digraph(
     )
 
 
-def random_tree(n: int, seed: int, weighted: bool = False) -> WeightedDigraph:
-    """A uniform random attachment tree on n vertices."""
-    rng = np.random.default_rng(seed)
+def _attachment_tree(n: int, rng, weighted: bool) -> list[tuple[int, int, float]]:
+    """A random attachment tree: each v > 0 joins a uniform earlier vertex, in order; one vertex gets a self-loop."""
     arcs = []
     for v in range(1, n):
         parent = int(rng.integers(0, v))
         arcs.append((parent, v, _weight(rng, weighted)))
     if n == 1:
         arcs.append((0, 0, 1.0))
+    return arcs
+
+
+def random_tree(n: int, seed: int, weighted: bool = False) -> WeightedDigraph:
+    """A uniform random attachment tree on n vertices."""
+    arcs = _attachment_tree(n, np.random.default_rng(seed), weighted)
     return WeightedDigraph(n, tuple(arcs), undirected=True)
 
 
@@ -51,14 +56,9 @@ def random_connected_graph(
 ) -> WeightedDigraph:
     """A random spanning tree plus extra undirected edges."""
     rng = np.random.default_rng(seed)
-    arcs = []
-    for v in range(1, n):
-        parent = int(rng.integers(0, v))
-        arcs.append((parent, v, _weight(rng, weighted)))
+    arcs = _attachment_tree(n, rng, weighted)
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < extra:
                 arcs.append((i, j, _weight(rng, weighted)))
-    if n == 1:
-        arcs.append((0, 0, 1.0))
     return WeightedDigraph(n, tuple(arcs), undirected=True)

@@ -10,6 +10,8 @@ import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from . import tolerance
 from .duality import duality_checks, forget_distribution, reverse_chain
 from .errors import Check, IntegrityError
@@ -28,13 +30,13 @@ from .greens import (
     exit_frequency_matrix,
     green_checks,
     greens_general,
+    hitting_from_greens,
     mixing_report,
     trace_gap,
     verify_green_constraints,
 )
 from .hitting import HittingTimeMatrix, cycle_pair, hit_time, hitting_times, reversed_hitting_times
-from .spectral import SpectralDecomposition, decompose, spectral_greens, spectral_hitting, spectral_mixing
-from .spectral import spectral_access_from_stationary
+from .spectral import SpectralDecomposition, decompose, spectral_greens
 
 
 @dataclass(frozen=True)
@@ -139,20 +141,29 @@ def spectral_routes(
 ) -> tuple[tuple[float, float, float] | None, list[Check]]:
     """The spectral (T_mix, T_reset, T_hit) of a chain, and the gap of each spectral route to the solved one.
 
-    The mixing measures need the chain's mixing report ``rep``; without it they are None and go unchecked.
+    Every spectral quantity but T_hit = sum_{k>=1} 1 / lambda_k is read off the
+    spectral G with its pi: H(i, j) = (G(j, j) - G(i, j)) / pi_j, so
+    H(pi, j) = G(j, j) / pi_j and H(i, pi) = H(i', i) - H(pi, i) = -G(i', i) / pi_i
+    for a pessimal vertex i' of i. The mixing measures need the chain's mixing
+    report ``rep`` for i'; without it they are None and go unchecked.
     """
-    n, H, G = chain.transition.n, chain.hitting, chain.greens
+    n, H = chain.transition.n, chain.hitting
     factor = 1.0 / (1.0 - chain.transition.beta)  # laziness rescales every expected time
     times = tolerance.bound(n, H.time_scale, tolerance.ROUTE)
-    gap_h = tolerance.gap(spectral_hitting(dec).values * factor, H.values)
-    gap_g = tolerance.gap(spectral_greens(dec).values * factor, G.values)
-    gap_a = tolerance.gap(spectral_access_from_stationary(dec) * factor, chain.pi_rules.from_target)
+    G_spec = spectral_greens(dec)
+    pi = G_spec.target.probs
+    gap_h = tolerance.gap(hitting_from_greens(G_spec, G_spec.target).values * factor, H.values)
+    # the chain's G is read once the spectral H is gone: the two are never held together
+    gap_g = tolerance.gap(G_spec.values * factor, chain.greens.values)
+    gap_a = tolerance.gap(np.diag(G_spec.values) / pi * factor, chain.pi_rules.from_target)
     entries = tolerance.bound(n, chain.entry_scale, tolerance.ROUTE)
     checks = [("spectral_hitting", gap_h, times), ("spectral_greens", gap_g, entries)]
     checks.append(("spectral_access", gap_a, times))
     if rep is None:
         return None, checks
-    spectral = tuple(v * factor for v in spectral_mixing(dec, rep.pessimal))
+    mix = -G_spec.values[rep.pessimal, np.arange(n)] / pi  # H(i, pi) for every i
+    t_hit = float((1.0 / dec.eigenvalues[1:]).sum())
+    spectral = tuple(v * factor for v in (float(mix.max()), float(pi @ mix), t_hit))
     for key, value, solved in zip(("t_mix", "t_reset", "t_hit"), spectral, (rep.t_mix, rep.t_reset, rep.t_hit)):
         checks.append((f"spectral_{key}", abs(value - solved), times))
     return spectral, checks

@@ -1,9 +1,8 @@
-"""Eigensystem of the symmetric normalized Laplacian and the spectral route to H, G, and the mixing measures."""
+"""Eigensystem of the symmetric normalized Laplacian, and the spectral Green's function built from it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -11,7 +10,6 @@ from . import tolerance
 from .errors import NumericalError, ValidationError, require
 from .graph import Distribution, WeightedDigraph, validate_out_degrees
 from .greens import GreensMatrix
-from .hitting import HittingTimeMatrix
 
 
 @dataclass(frozen=True)
@@ -19,25 +17,14 @@ class SpectralDecomposition:
     """Ascending eigensystem of I - D^{-1/2} W D^{-1/2} with graph data attached.
 
     Eigenvectors are orthonormal columns; the zero mode is proportional to
-    sqrt(deg). Degrees and volume ride along because every downstream
-    formula needs them.
+    sqrt(deg). Degrees and volume ride along because ``spectral_greens``
+    needs them: D^{1/2} conjugates the eigen-sum, and pi = deg / vol.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     degrees: np.ndarray
     volume: float
-
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.size
-
-    @cached_property
-    def _inverse_pool(self) -> np.ndarray:
-        # M_ij = sum_{k >= 1} phi_ki phi_kj / lambda_k; the zero mode is excluded
-        lam = self.eigenvalues[1:]
-        phi = self.eigenvectors[:, 1:]
-        return (phi / lam[None, :]) @ phi.T
 
 
 def normalized_laplacian(g: WeightedDigraph) -> np.ndarray:
@@ -76,8 +63,10 @@ def decompose(g: WeightedDigraph) -> SpectralDecomposition:
     if zero_modes > 1:
         raise NumericalError("graph disconnected: repeated zero eigenvalue")
     # the eigenvectors' orthogonality degrades with clustered eigenvalues: it carries their conditioning
-    orthonormality = tolerance.gap(phi.T @ phi, np.eye(n))
-    require("eigen_orthonormality", orthonormality, tolerance.bound(n, 1.0, tolerance.ROUTE), NumericalError)
+    R = phi.T @ phi
+    R.flat[:: n + 1] -= 1.0  # phi^T phi - I, I subtracted on the diagonal as in fundamental_matrix
+    require("eigen_orthonormality", np.abs(R, out=R).max(), tolerance.bound(n, 1.0, tolerance.ROUTE), NumericalError)
+    del R
     require("eigen_reconstruction", tolerance.gap((phi * lam[None, :]) @ phi.T, L), limit, NumericalError)
     root = np.sqrt(g.degrees)
     root /= np.linalg.norm(root)
@@ -89,49 +78,15 @@ def decompose(g: WeightedDigraph) -> SpectralDecomposition:
     return SpectralDecomposition(lam, phi, g.degrees, g.volume)
 
 
-def spectral_hitting(dec: SpectralDecomposition) -> HittingTimeMatrix:
-    """Hitting times from the eigensystem alone.
-
-    H(i, j) = vol * sum_{k>=1} (phi_kj^2 / deg(j)
-              - phi_ki phi_kj / sqrt(deg(i) deg(j))) / lambda_k.
-    """
-    M = dec._inverse_pool
-    d = dec.degrees
-    H = dec.volume * (np.diag(M)[None, :] / d[None, :] - M / np.sqrt(np.outer(d, d)))
-    np.fill_diagonal(H, 0.0)
-    return HittingTimeMatrix(H)
-
-
 def spectral_greens(dec: SpectralDecomposition) -> GreensMatrix:
-    """Green's function from the eigensystem alone.
+    """Green's function from the eigensystem alone: the route every other spectral quantity is read off.
 
-    G(i, j) = sqrt(deg(j) / deg(i)) * sum_{k>=1} phi_ki phi_kj / lambda_k.
+    G = D^{-1/2} (sum_{k>=1} phi_k phi_k^T / lambda_k) D^{1/2}, so
+    G(i, j) = sqrt(deg(j) / deg(i)) * sum_{k>=1} phi_ki phi_kj / lambda_k;
+    the zero mode is excluded.
     """
-    M = dec._inverse_pool
+    phi = dec.eigenvectors[:, 1:]
+    values = (phi / dec.eigenvalues[None, 1:]) @ phi.T
     root = np.sqrt(dec.degrees)
-    values = (root[None, :] / root[:, None]) * M
+    values *= root[None, :] / root[:, None]
     return GreensMatrix(values, target=Distribution(dec.degrees / dec.volume))
-
-
-def spectral_access_from_stationary(dec: SpectralDecomposition) -> np.ndarray:
-    """H(pi, j) for every j, read off the diagonal spectral sums."""
-    M = dec._inverse_pool
-    return dec.volume / dec.degrees * np.diag(M)
-
-
-def spectral_mixing(dec: SpectralDecomposition, pessimal: np.ndarray) -> tuple[float, float, float]:
-    """(T_mix, T_reset, T_hit) from the eigensystem and a pessimal-vertex map.
-
-    ``pessimal`` maps each vertex i to a vertex maximizing H(., i); the
-    worst-start and average mixing formulas need it, while
-    T_hit = sum_{k>=1} 1 / lambda_k does not.
-    """
-    M = dec._inverse_pool
-    d = dec.degrees
-    ip = np.asarray(pessimal, dtype=int)
-    vals = M[np.arange(dec.n), ip]
-    per_vertex = -dec.volume / np.sqrt(d * d[ip]) * vals
-    t_mix = float(per_vertex.max())
-    t_reset = float(-(np.sqrt(d / d[ip]) * vals).sum())
-    t_hit = float((1.0 / dec.eigenvalues[1:]).sum())
-    return t_mix, t_reset, t_hit

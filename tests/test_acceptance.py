@@ -21,13 +21,14 @@ from greenwalk.greens import (
     Rules,
     exit_frequency_matrix,
     greens_general,
+    hitting_from_greens,
     mixing_report,
     verify_green_constraints,
 )
 from greenwalk.hitting import hit_time, hitting_times
 from greenwalk.montecarlo import empirical_hitting, empirical_random_target
-from greenwalk.pipeline import ChainAnalysis
-from greenwalk.spectral import decompose, spectral_greens, spectral_hitting, spectral_mixing
+from greenwalk.pipeline import ChainAnalysis, spectral_routes
+from greenwalk.spectral import decompose, spectral_greens
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -126,10 +127,11 @@ def test_06_spectral_equivalence():
         sol = pipeline.analyze(g)
         dec = decompose(g)
         scale = max(1.0, float(np.abs(sol.hitting.values).max()))
-        gap_h = float(np.abs(spectral_hitting(dec).values - sol.hitting.values).max())
-        gap_g = float(np.abs(spectral_greens(dec).values - sol.greens.values).max())
+        G = spectral_greens(dec)
+        gap_h = float(np.abs(hitting_from_greens(G, G.target).values - sol.hitting.values).max())
+        gap_g = float(np.abs(G.values - sol.greens.values).max())
         rep = mixing_report(sol)
-        t_mix, t_reset, t_hit = spectral_mixing(dec, rep.pessimal)
+        (t_mix, t_reset, t_hit), _ = spectral_routes(sol, dec, rep)
         by_trace = float(np.trace(sol.greens.values))
         by_pairs, _ = hit_time(sol.hitting, sol.stationary)
         gaps = [

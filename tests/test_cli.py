@@ -207,8 +207,8 @@ def _first_constraint_is_nan(real):
     return lambda M, P: float("nan")
 
 
-def _zero_spectral_hitting(dec):
-    return HittingTimeMatrix(np.zeros((dec.n, dec.n)))
+def _zero_hitting_from_greens(M, pi):
+    return HittingTimeMatrix(np.zeros((M.n, M.n)))
 
 
 def _core_decomposition_is_one(real):
@@ -245,7 +245,7 @@ class TestCheckFailures:
                 "conservation", 1.0, "exit_conservation", id="exitfreq",
             ),
             pytest.param(
-                "spectral-undirected", greenwalk.pipeline, "spectral_hitting", lambda real: _zero_spectral_hitting,
+                "spectral-undirected", greenwalk.pipeline, "hitting_from_greens", lambda real: _zero_hitting_from_greens,
                 "hitting_route", _largest_hitting_time("hitting-undirected"), "spectral_hitting", id="spectral",
             ),
             pytest.param(

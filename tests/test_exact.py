@@ -6,7 +6,8 @@ undirected, for n from 3 to 8. ``fractions.Fraction`` solves it exactly:
 pi, Z = (I - P + 1 pi^T)^{-1}, H(i, j) = (Z_jj - Z_ij) / pi_j, and from H
 the Green's functions, exit frequencies and mixing measures by their
 defining formulas. ``hitting``, ``green``, ``exitfreq`` and ``mixing`` run
-through ``cli.main`` and their stdout is parsed back, formatting included.
+through ``cli.main``, and ``spectral`` on the undirected chains, and their
+stdout is parsed back, formatting included.
 Each must exit 0, which bounds its residuals; every other continuous value it
 prints must be within its tolerance limit of the exact one; and the vertex
 sets ``pessimal``, ``mixing_pessimal`` and ``halting_states`` must match
@@ -91,6 +92,12 @@ class Exact:
         return sum(p * q * Hij for p, row in zip(self.pi, self.H) for q, Hij in zip(self.pi, row))
 
     @property
+    def measures(self) -> list[Fraction]:
+        """[T_mix, T_reset, T_hit]: the largest and the pi-average of H(i, pi), and T_hit."""
+        mix = self.access(self.pi)
+        return [max(mix), sum(p * h for p, h in zip(self.pi, mix)), self.t_hit]
+
+    @property
     def times(self) -> float:
         """The limit of an expected time: tolerance's ROUTE bound at T, the largest hitting time."""
         return tolerance.bound(self.n, max(map(max, self.H)), tolerance.ROUTE)
@@ -169,12 +176,16 @@ def test_exitfreq(printed, undirected, seed, target):
 def test_mixing(printed, undirected, seed):
     ref, out = exact(undirected, seed), printed(undirected, seed, "mixing")
     mix = ref.access(ref.pi)
-    t_mix = max(mix)
-    t_reset = sum(p * h for p, h in zip(ref.pi, mix))
-    assert gap([out["t_mix"], out["t_reset"], out["t_hit"]], [t_mix, t_reset, ref.t_hit]) <= ref.times
+    assert gap([out["t_mix"], out["t_reset"], out["t_hit"]], ref.measures) <= ref.times
     assert gap(out["mixing_times"], mix) <= ref.times
     # argmax_j H(j, i), ties to the lowest j; the times H(i, pi) equal to T_mix; the zeros of each row of X_pi
     columns = [[row[i] for row in ref.H] for i in range(ref.n)]
     assert out["pessimal"] == [column.index(max(column)) for column in columns]
-    assert out["mixing_pessimal"] == [i for i, h in enumerate(mix) if h == t_mix]
+    assert out["mixing_pessimal"] == [i for i, h in enumerate(mix) if h == max(mix)]
     assert out["halting_states"] == [[j for j, x in enumerate(row) if x == 0] for row in ref.exit(ref.pi)]
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=lambda seed: f"undirected-{seed}")
+def test_spectral(printed, seed):
+    ref, out = exact(True, seed), printed(True, seed, "spectral")
+    assert gap([out["t_mix"], out["t_reset"], out["t_hit"]], ref.measures) <= ref.times

@@ -402,8 +402,8 @@ def test_retired_candidate_never_alone_catches_a_mutation(check):
 
 
 def test_only_check_code_mutations_reach_no_output():
-    """hitting_from_greens fed only hitting_roundtrip, and _conjugated feeds only the dual checks; the lazy
-    blend reaches output on the lazy chain alone."""
+    """hitting_from_greens feeds only spectral_hitting's residual (hitting_roundtrip, retired, read it too), and
+    _conjugated feeds only the dual checks; the lazy blend reaches output on the lazy chain alone."""
     m = matrix()
     moot = {(c, mutation.name) for c in CHAINS for mutation in MUTATIONS} - m.live
     only_checks = {"hitting_from_greens transposed", "conjugation inverted"}

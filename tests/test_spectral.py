@@ -4,19 +4,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenwalk import families, pipeline
-from greenwalk.errors import NumericalError, ValidationError
+from greenwalk.errors import NumericalError, ValidationError, failed
 from greenwalk.generators import random_connected_graph
 from greenwalk.graph import WeightedDigraph
-from greenwalk.greens import mixing_report
+from greenwalk.greens import hitting_from_greens, mixing_report
 from greenwalk.hitting import hit_time
-from greenwalk.spectral import (
-    decompose,
-    normalized_laplacian,
-    spectral_access_from_stationary,
-    spectral_greens,
-    spectral_hitting,
-    spectral_mixing,
-)
+from greenwalk.spectral import decompose, normalized_laplacian, spectral_greens
+
+
+def spectral_hitting(dec):
+    """H read off the spectral G with the paper's formula H(i, j) = (G(j, j) - G(i, j)) / pi_j."""
+    G = spectral_greens(dec)
+    return hitting_from_greens(G, G.target)
+
+
+def spectral_measures(g, sol):
+    """The spectral (T_mix, T_reset, T_hit), read off the spectral G at the solver's pessimal vertices."""
+    measures, _ = pipeline.spectral_routes(sol, decompose(g), mixing_report(sol))
+    return measures
 
 
 class TestNormalizedLaplacian:
@@ -112,16 +117,14 @@ class TestSpectralMixing:
         g = families.cycle_graph(4)
         sol = pipeline.analyze(g)
         rep = mixing_report(sol)
-        t_mix, t_reset, t_hit = spectral_mixing(decompose(g), rep.pessimal)
+        t_mix, t_reset, t_hit = spectral_measures(g, sol)
         assert t_hit == pytest.approx(2.5, abs=1e-10)  # 1 + 1 + 1/2
         assert t_mix == pytest.approx(1.5, abs=1e-10)
         assert t_reset == pytest.approx(rep.t_reset, abs=1e-10)
 
     def test_complete_hit_time(self):
         g = families.complete_graph(3)
-        sol = pipeline.analyze(g)
-        rep = mixing_report(sol)
-        _, _, t_hit = spectral_mixing(decompose(g), rep.pessimal)
+        _, _, t_hit = spectral_measures(g, pipeline.analyze(g))
         assert t_hit == pytest.approx(4.0 / 3.0, abs=1e-12)
 
 
@@ -136,7 +139,8 @@ class TestRouteEquivalence:
         assert np.abs(spectral_hitting(dec).values - sol.hitting.values).max() <= 1e-8 * scale
         assert np.abs(spectral_greens(dec).values - sol.greens.values).max() <= 1e-8 * scale
         rep = mixing_report(sol)
-        t_mix, t_reset, t_hit = spectral_mixing(dec, rep.pessimal)
+        (t_mix, t_reset, t_hit), checks = pipeline.spectral_routes(sol, dec, rep)
+        assert not [check for check in checks if failed(check)]
         assert abs(t_mix - rep.t_mix) <= 1e-8 * scale
         assert abs(t_reset - rep.t_reset) <= 1e-8 * scale
         assert abs(t_hit - rep.t_hit) <= 1e-8 * scale
@@ -156,5 +160,6 @@ class TestRouteEquivalence:
         g = random_connected_graph(15, seed=4)
         sol = pipeline.analyze(g)
         hpi = sol.stationary.probs @ sol.hitting.values
-        lemma = spectral_access_from_stationary(decompose(g))
+        G = spectral_greens(decompose(g))
+        lemma = np.diag(G.values) / G.target.probs  # H(pi, j) = G(j, j) / pi_j
         assert np.abs(lemma - hpi).max() <= 1e-8 * max(1.0, hpi.max())
