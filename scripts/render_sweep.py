@@ -1,19 +1,18 @@
 #!/usr/bin/env python3
-"""Time the float kernel against the per-row '%' join, and the streaming writer on whole payloads.
+"""Time the float kernel against a per-row '%' join, and the streaming writer on whole payloads.
 
 For each n, solves random_strongly_connected_digraph(n, 1, extra=0.02) once.
-It formats the hitting times with greenwalk.cli._format_rows, the kernel the
-writer prints matrices with, and with one greenwalk.cli._float_row per row,
-the "%.17g" join it prints vectors with; it asserts that both give the same
-rows and prints the time per float of each (best of --repeat).
+It formats the hitting times with greenwalk.cli._row_chunks, the kernel the
+writers print every float array with, and with one "%.17g" join per row;
+it asserts that both give the same text and prints the time per float of
+each (best of --repeat).
 
 Then, for the payloads `greenwalk hitting` and `greenwalk dual` print, it
-runs greenwalk.cli.write_json, the writer main streams stdout through, three
-ways: into a sink that discards the text (its time, best of --repeat, and
-the peak memory tracemalloc sees), into an io.StringIO that keeps it (the
-peak when a caller holds the output), and through render_json, which joins
-the pieces into one string (its time and peak). It asserts that the text the
-sink receives equals render_json's. The last line is the table as JSON.
+runs greenwalk.cli.write_json, the writer main streams stdout through, two
+ways: into a sink that counts and discards the text (the output size, the
+time, best of --repeat, and the peak memory tracemalloc sees), and into an
+io.StringIO that keeps it (the peak when a caller holds the output). The
+last line is the table as JSON.
 
 Usage: python3 scripts/render_sweep.py [--sizes N ...] [--repeat R]
 """
@@ -24,36 +23,28 @@ import json
 import time
 import tracemalloc
 
-from greenwalk.cli import _cmd_dual, _cmd_hitting, _float_row, _format_rows, render_json, write_json
+from greenwalk.cli import _cmd_dual, _cmd_hitting, _row_chunks, write_json
 from greenwalk.generators import random_strongly_connected_digraph
 from greenwalk.pipeline import analyze
 
 
 class Discard(io.TextIOBase):
-    """A stdout that drops what it is given, so only the writer's own memory is traced."""
+    """A stdout that counts and drops what it is given, so only the writer's own memory is traced."""
+
+    def __init__(self):
+        self.size = 0
 
     def write(self, text):
+        self.size += len(text)
         return len(text)
 
 
-class Digest(io.TextIOBase):
-    """A stdout that compares what it is given with an expected text, piece by piece."""
-
-    def __init__(self, expected: str):
-        self.expected, self.at = expected, 0
-
-    def write(self, text):
-        assert self.expected.startswith(text, self.at), f"the streamed text departs at offset {self.at}"
-        self.at += len(text)
-        return len(text)
+def row_join(H) -> str:
+    return "".join(", ".join(["%.17g"] * len(row)) % tuple(row) + "\n" for row in (H + 0.0).tolist())
 
 
-def row_join(H) -> list[str]:
-    return [_float_row(row, ", ") for row in H]
-
-
-def kernel(H) -> list[str]:
-    return _format_rows(H, ", ")
+def kernel(H) -> str:
+    return "".join(_row_chunks(H, ", "))
 
 
 def payloads(n: int) -> dict:
@@ -93,7 +84,7 @@ def main() -> None:
     args = parser.parse_args()
 
     header = f"{'n':>6}{'payload':>9}{'MB out':>9}{'row_join ns/f':>15}{'kernel ns/f':>13}"
-    header += f"{'write s':>9}{'peak MB':>9}{'held MB':>9}{'render_json s':>15}{'peak MB':>9}"
+    header += f"{'write s':>9}{'peak MB':>9}{'held MB':>9}"
     print(header)
     print("-" * len(header))
     table = []
@@ -105,17 +96,12 @@ def main() -> None:
                 assert kernel(H) == row_join(H), f"n = {n}: the formatters disagree"
                 for label, fmt in (("row_join", row_join), ("kernel", kernel)):
                     row[f"{label}_ns_per_float"] = best_time(fmt, H, repeat=args.repeat) / (n * n) * 1e9
-            text = render_json(payload)
-            digest = Digest(text)
-            write_json(digest.write, payload)
-            assert digest.at == len(text), f"n = {n}: the streamed {name} text stops short"
-            row["output_mb"] = len(text) / 2**20
-            del text
+            sink = Discard()
+            write_json(sink.write, payload)
+            row["output_mb"] = sink.size / 2**20
             row["write_s"] = best_time(write_into(Discard), payload, repeat=args.repeat)
             row["write_peak_traced_mb"] = peak_traced_mb(write_into(Discard), payload)
             row["held_peak_traced_mb"] = peak_traced_mb(write_into(io.StringIO), payload)
-            row["render_json_s"] = best_time(render_json, payload, repeat=args.repeat)
-            row["render_json_peak_traced_mb"] = peak_traced_mb(render_json, payload)
             table.append(row)
             joins = "".join(
                 f"{row[key]:>{width}.1f}" if key in row else f"{'':>{width}}"
@@ -124,7 +110,6 @@ def main() -> None:
             print(
                 f"{n:>6}{name:>9}{row['output_mb']:>9.2f}{joins}{row['write_s']:>9.3f}"
                 f"{row['write_peak_traced_mb']:>9.2f}{row['held_peak_traced_mb']:>9.2f}"
-                f"{row['render_json_s']:>15.3f}{row['render_json_peak_traced_mb']:>9.2f}"
             )
     print(json.dumps(table))
 

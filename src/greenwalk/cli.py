@@ -41,7 +41,7 @@ def _fmt(x) -> str:
     return format(float(x) + 0.0, ".17g")
 
 
-# _format_rows prints whole float matrices as _fmt would, with array arithmetic
+# _row_chunks prints float arrays as _fmt would, with array arithmetic
 # instead of one dtoa call per float. A cell with 1e-6 < |x| < 1e17 has a decimal
 # exponent e = floor(log10|x|) in [-6, 16], so 10^(16 - e) is an exact double and
 # Dekker's two-product gives |x| * 10^(16 - e) exactly as hi + lo (Dekker 1971,
@@ -195,26 +195,11 @@ def _row_chunks(M, sep: str):
         yield _format_chunk(M[start : start + step], sep)
 
 
-def _format_rows(M, sep: str) -> list[str]:
-    """Each row of a 1-D or 2-D float array as its "%.17g" % (x + 0.0) cells joined by sep."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim == 1:
-        M = M.reshape(1, -1)
-    if M.ndim != 2:
-        raise TypeError(f"cannot format a {M.ndim}-D array as rows")
-    return "".join(_row_chunks(M, sep)).split("\n")[:-1]
-
-
-def _float_row(row, sep: str) -> str:
-    """A flat float row as its "%.17g" % (x + 0.0) cells joined by sep."""
-    values = (np.asarray(row, dtype=float) + 0.0).tolist()
-    return sep.join(["%.17g"] * len(values)) % tuple(values)
-
-
-def _is_float_row(obj) -> bool:
+def _float_array(obj):
+    """obj as a float64 array if it is a float array of 1 or 2 dims or a flat sequence of Python floats, else None."""
     if isinstance(obj, np.ndarray):
-        return obj.ndim == 1 and obj.dtype.kind == "f"
-    return all(type(v) is float for v in obj)
+        return np.asarray(obj, dtype=float) if obj.ndim in (1, 2) and obj.dtype.kind == "f" else None
+    return np.array(obj, dtype=float) if all(type(v) is float for v in obj) else None
 
 
 def _scalar(v) -> str:
@@ -234,8 +219,9 @@ def _scalar(v) -> str:
 def write_json(write, obj, indent: int = 0) -> None:
     """Fixed-format JSON of obj, passed to write piece by piece: 17 significant digits, insertion-ordered keys.
 
-    A 2-D float array is formatted and written one _CHUNK of whole rows at a
-    time, so no text of a whole matrix is ever held.
+    Every float array and flat float sequence is formatted by _row_chunks; a
+    matrix is written one _CHUNK of whole rows at a time, so no text of a
+    whole matrix is ever held.
     """
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -249,14 +235,18 @@ def write_json(write, obj, indent: int = 0) -> None:
             lead = ",\n"
         write("\n" + pad + "}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        if _is_float_row(obj):
-            write("[" + _float_row(obj, ", ") + "]")
-        elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "f" and len(obj):
-            lead, between = f"[\n{pad}  [", f"],\n{pad}  ["
-            for text in _row_chunks(np.asarray(obj, dtype=float), ", "):
-                write(lead + text[:-1].replace("\n", between))
-                lead = between
-            write("]\n" + pad + "]")
+        M = _float_array(obj)
+        if M is not None:
+            if M.ndim == 1:
+                write("[" + next(_row_chunks(M[None], ", "))[:-1] + "]")
+            elif not len(M):
+                write("[]")
+            else:
+                lead, between = f"[\n{pad}  [", f"],\n{pad}  ["
+                for text in _row_chunks(M, ", "):
+                    write(lead + text[:-1].replace("\n", between))
+                    lead = between
+                write("]\n" + pad + "]")
         else:
             seq = list(obj)
             if not seq:
@@ -277,28 +267,11 @@ def write_json(write, obj, indent: int = 0) -> None:
 def write_csv(write, rows) -> None:
     """A plain numeric grid with a header row of vertex indices, passed to write one _CHUNK of rows at a time."""
     rows = np.asarray(rows, dtype=float)
-    header = ",".join(str(j) for j in range(rows.shape[1]))
     if rows.ndim != 2:
         raise TypeError(f"cannot format a {rows.ndim}-D array as rows")
-    write(header + "\n")
+    write(",".join(str(j) for j in range(rows.shape[1])) + "\n")
     for text in _row_chunks(rows, ","):
         write(text)
-
-
-def _collected(writer, obj) -> str:
-    parts: list[str] = []
-    writer(parts.append, obj)
-    return "".join(parts)
-
-
-def render_json(obj) -> str:
-    """write_json's text of obj as one string."""
-    return _collected(write_json, obj)
-
-
-def render_csv(rows) -> str:
-    """write_csv's text of rows as one string."""
-    return _collected(write_csv, rows)
 
 
 def _residuals(names, checks) -> dict[str, float]:

@@ -149,12 +149,17 @@ def spectral_routes(
     """
     n, H = chain.transition.n, chain.hitting
     factor = 1.0 / (1.0 - chain.transition.beta)  # laziness rescales every expected time
+
+    def scaled(M):
+        # x * 1.0 is x bit for bit, so a chain that is not lazy needs no scaled copy
+        return M if factor == 1.0 else M * factor
+
     times = tolerance.bound(n, H.time_scale, tolerance.ROUTE)
     G_spec = spectral_greens(dec)
     pi = G_spec.target.probs
-    gap_h = tolerance.gap(hitting_from_greens(G_spec, G_spec.target).values * factor, H.values)
+    gap_h = tolerance.gap(scaled(hitting_from_greens(G_spec, G_spec.target).values), H.values)
     # the chain's G is read once the spectral H is gone: the two are never held together
-    gap_g = tolerance.gap(G_spec.values * factor, chain.greens.values)
+    gap_g = tolerance.gap(scaled(G_spec.values), chain.greens.values)
     gap_a = tolerance.gap(np.diag(G_spec.values) / pi * factor, chain.pi_rules.from_target)
     entries = tolerance.bound(n, chain.entry_scale, tolerance.ROUTE)
     checks = [("spectral_hitting", gap_h, times), ("spectral_greens", gap_g, entries)]

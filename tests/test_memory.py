@@ -6,7 +6,7 @@ discards it, the peak counts what the command holds and formats. With stdout
 held in an ``io.StringIO``, it also counts the text a caller keeps, so the
 chain must be gone before the first byte is written. tracemalloc sees every
 numpy array; a peak is counted in units of one n x n float64 array. Each
-bound is the measured count plus about 0.5 of slack, 0.3 for ``spectral``.
+bound is the measured count plus 0.4 to 0.6 of slack.
 """
 
 import contextlib
@@ -20,8 +20,8 @@ from greenwalk.cli import main
 from greenwalk.generators import random_connected_graph, random_strongly_connected_digraph
 
 N = 300
-# measured: 4.4, 5.1, 10.9, 10.9 and 7.96; spectral's bound has about 0.3 of slack
-DISCARDED = {"hitting": 5.0, "green": 5.6, "verify": 11.5, "dual": 11.5, "spectral": 8.3}
+# measured: 4.4, 5.1, 10.9, 10.9 and 6.86
+DISCARDED = {"hitting": 5.0, "green": 5.6, "verify": 11.5, "dual": 11.5, "spectral": 7.3}
 # measured: 4.5, 5.1 and 10.9
 HELD = {"hitting": 5.0, "green": 5.6, "dual": 11.4}
 

@@ -316,7 +316,9 @@ def _run(recorder: _Recorder, chain_name: str, argv: list[str], mutation: Mutati
         chain = mutation.chain(analyze(load_graph(str(GOLDEN / f"{name}.edges")), beta))
         args = cli._build_parser().parse_args([argv[0], "--input", name, *argv[1:]])
         output, checks = args.run(args, chain)
-        printed = cli.render_json({key: value for key, value in output.items() if key != "residuals"})
+        pieces: list[str] = []
+        cli.write_json(pieces.append, {key: value for key, value in output.items() if key != "residuals"})
+        printed = "".join(pieces)
     except GreenWalkError as exc:
         checks, printed = [(type(exc).__name__, np.inf, 0.0)], repr(exc)
     return printed, recorder.checks + checks

@@ -1,6 +1,6 @@
-"""The matrix renderers against the per-scalar renderer they replaced, the
-float-formatting kernel against "%.17g" itself, and the writer that streams
-every command's output against both."""
+"""The writers against the per-scalar renderer they replaced, the
+float-formatting kernel they print every float array with against "%.17g"
+itself, and main's streamed output against both."""
 
 import io
 import json
@@ -9,13 +9,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import greenwalk.errors
 import greenwalk.hitting
-from greenwalk.cli import _CHUNK, _format_rows, main, render_csv, render_json, write_csv, write_json
+from greenwalk.cli import _CHUNK, main, write_csv, write_json
 from greenwalk.generators import random_strongly_connected_digraph
 from greenwalk.pipeline import analyze
 
@@ -41,13 +41,13 @@ def _ref_scalar(v) -> str:
     raise TypeError(f"cannot serialize {type(v)!r}")
 
 
-def reference_render_json(obj, indent: int = 0) -> str:
+def reference_json(obj, indent: int = 0) -> str:
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = [
-            f"{pad}  {json.dumps(str(k))}: {reference_render_json(v, indent + 1)}"
+            f"{pad}  {json.dumps(str(k))}: {reference_json(v, indent + 1)}"
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
@@ -56,18 +56,30 @@ def reference_render_json(obj, indent: int = 0) -> str:
         if not seq:
             return "[]"
         if any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq):
-            items = [f"{pad}  {reference_render_json(v, indent + 1)}" for v in seq]
+            items = [f"{pad}  {reference_json(v, indent + 1)}" for v in seq]
             return "[\n" + ",\n".join(items) + "\n" + pad + "]"
         return "[" + ", ".join(_ref_scalar(v) for v in seq) + "]"
     return _ref_scalar(obj)
 
 
-def reference_render_csv(rows) -> str:
+def reference_csv(rows) -> str:
     rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2:
+        raise TypeError(f"cannot format a {rows.ndim}-D array as rows")
     lines = [",".join(str(j) for j in range(rows.shape[1]))]
     for row in rows:
         lines.append(",".join(_ref_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def pieces(writer, obj) -> list[str]:
+    parts: list[str] = []
+    writer(parts.append, obj)
+    return parts
+
+
+def streamed(writer, obj) -> str:
+    return "".join(pieces(writer, obj))
 
 
 def outcome(fn, obj):
@@ -116,53 +128,37 @@ payloads = st.recursive(
 
 
 class TestRenderJson:
-    @settings(max_examples=300, deadline=None)
-    @given(payloads)
-    def test_matches_reference(self, obj):
-        assert outcome(render_json, obj) == outcome(reference_render_json, obj)
-
     def test_special_values(self):
         row = [-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e308, 0.1]
         expected = "[0, nan, inf, -inf, 4.9406564584124654e-324, 1e+308, 0.10000000000000001]"
-        assert render_json(row) == expected
-        assert render_json(np.array(row)) == expected
-        assert render_json({"a": [], "b": [1, True, None], "c": {}}) == reference_render_json(
-            {"a": [], "b": [1, True, None], "c": {}}
-        )
+        assert streamed(write_json, row) == expected
+        assert streamed(write_json, np.array(row)) == expected
+        mixed = {"a": [], "b": [1, True, None], "c": {}}
+        assert streamed(write_json, mixed) == reference_json(mixed)
 
-    @pytest.mark.parametrize("length", [1, 2, 150, 510])
+    @pytest.mark.parametrize("length", [1, 2, 150, 510, 5000])
     def test_flat_rows(self, length):
-        # 1-D rows take the "%" join, at every length
+        # a 1-D row is one row of the kernel, also when it is longer than _CHUNK
         rng = np.random.default_rng(length)
         row = rng.standard_normal(length) * 10.0 ** rng.integers(-8, 18, size=length)
         row[::5] = rng.integers(0, 2**64, size=len(row[::5]), dtype=np.uint64).view(np.float64)
         row[1::11] = -0.0
         for obj in (row, row.tolist(), tuple(row.tolist()), {"v": [row, row[::-1]]}):
-            assert render_json(obj) == reference_render_json(obj)
-
-
-class TestRenderCsv:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=5), elements=floats)
-        | hnp.arrays(st.sampled_from([np.float32, np.int64]), hnp.array_shapes(min_dims=1, max_dims=2, max_side=4))
-    )
-    def test_matches_reference(self, rows):
-        assert outcome(render_csv, rows) == outcome(reference_render_csv, rows)
-        assert outcome(render_csv, rows.tolist()) == outcome(reference_render_csv, rows.tolist())
+            assert streamed(write_json, obj) == reference_json(obj)
 
 
 # ---------------------------------------------------------------------------
-# the kernel, cell by cell against "%.17g"
-
-
-def reference_rows(M, sep):
-    return [sep.join("%.17g" % (v + 0.0) for v in row) for row in np.atleast_2d(np.asarray(M, float)).tolist()]
+# the kernel, cell by cell against "%.17g", through both writers
 
 
 def assert_exact(M):
-    for sep in (", ", ","):
-        assert _format_rows(M, sep) == reference_rows(M, sep)
+    """write_csv and write_json print the rows of M as the references do, and write_json a 1-D M as one row too."""
+    M = np.asarray(M, dtype=float)
+    rows = np.atleast_2d(M)
+    assert streamed(write_csv, rows) == reference_csv(rows)
+    assert streamed(write_json, rows) == reference_json(rows)
+    if M.ndim == 1:
+        assert streamed(write_json, M) == reference_json(M)
 
 
 def half_way_ties():
@@ -222,12 +218,14 @@ class TestFormatRows:
     def test_fallback_and_kernel_cells_in_one_row(self):
         row = [1e-7, 0.5, float("nan"), -3.25e-300, 123.456, 0.0, 2e17, -1e-5, float("-inf"), 7.0]
         assert_exact(row)
-        assert _format_rows(row, ", ")[0].startswith("9.9999999999999995e-08, 0.5, nan, -3.2499999999999999e-300")
+        assert streamed(write_json, row).startswith("[9.9999999999999995e-08, 0.5, nan, -3.2499999999999999e-300")
 
     def test_empty_sides(self):
-        assert _format_rows(np.empty((0, 4)), ",") == []
-        assert _format_rows(np.empty((3, 0)), ",") == ["", "", ""]
-        assert _format_rows(np.empty(0), ",") == [""]
+        assert streamed(write_csv, np.empty((0, 4))) == "0,1,2,3\n"
+        assert streamed(write_csv, np.empty((3, 0))) == "\n" * 4
+        assert streamed(write_json, np.empty((0, 4))) == "[]"
+        assert streamed(write_json, np.empty((3, 0))) == "[\n  [],\n  [],\n  []\n]"
+        assert streamed(write_json, np.empty(0)) == "[]"
 
     def test_rows_across_chunks(self):
         rng = np.random.default_rng(5)
@@ -241,16 +239,6 @@ class TestFormatRows:
 # the writer: the pieces main passes to stdout, one chunk of rows at most
 
 
-def pieces(writer, obj) -> list[str]:
-    parts: list[str] = []
-    writer(parts.append, obj)
-    return parts
-
-
-def streamed(writer, obj) -> str:
-    return "".join(pieces(writer, obj))
-
-
 def chunk_rows(cols: int) -> int:
     return max(1, _CHUNK // max(1, cols))
 
@@ -259,15 +247,18 @@ class TestWriter:
     @settings(max_examples=300, deadline=None)
     @given(payloads)
     def test_json_matches_reference(self, obj):
-        assert outcome(lambda o: streamed(write_json, o), obj) == outcome(reference_render_json, obj)
+        assert outcome(lambda o: streamed(write_json, o), obj) == outcome(reference_json, obj)
 
     @settings(max_examples=200, deadline=None)
     @given(
         hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=5), elements=floats)
         | hnp.arrays(st.sampled_from([np.float32, np.int64]), hnp.array_shapes(min_dims=1, max_dims=2, max_side=4))
     )
+    @example(np.zeros(3))  # raises TypeError, as every input that is not 2-D does
+    @example(np.zeros((2, 2, 2)))
     def test_csv_matches_reference(self, rows):
-        assert outcome(lambda r: streamed(write_csv, r), rows) == outcome(reference_render_csv, rows)
+        for obj in (rows, rows.tolist()):
+            assert outcome(lambda r: streamed(write_csv, r), obj) == outcome(reference_csv, obj)
 
     @pytest.mark.parametrize(
         "shape",
@@ -282,10 +273,10 @@ class TestWriter:
         nested = {"rows": M, "pair": [M[::-1], {"f32": single, "t": M.T}], "n": len(M)}
         for obj in (M, nested):
             parts = pieces(write_json, obj)
-            assert "".join(parts) == reference_render_json(obj)
+            assert "".join(parts) == reference_json(obj)
             assert max(part.count("\n") for part in parts) <= chunk_rows(min(shape)) + 1
         parts = pieces(write_csv, M)
-        assert "".join(parts) == reference_render_csv(M)
+        assert "".join(parts) == reference_csv(M)
         assert max(part.count("\n") for part in parts) <= chunk_rows(shape[1])
 
 
@@ -323,12 +314,12 @@ class TestMainStreams:
         code, out = self.run(monkeypatch, ["hitting", "--input", path, "--format", fmt])
         H = chain.hitting.values
         if fmt == "csv":
-            expected = reference_render_csv(H)
+            expected = reference_csv(H)
         else:
             t_hit, residual = chain.hit_time
             payload = {"n": self.N, "target": chain.stationary.probs, "rows": H,
                        "residuals": {"t_hit": t_hit, "random_target": residual}}
-            expected = reference_render_json(payload) + "\n"
+            expected = reference_json(payload) + "\n"
         assert code == 0 and capsys.readouterr().err == ""
         assert out.getvalue() == expected
         assert max(piece.count("\n") for piece in out.pieces) <= chunk_rows(self.N) + 1
@@ -337,7 +328,7 @@ class TestMainStreams:
         path, _ = graph_file
         code, out = self.run(monkeypatch, ["dual", "--input", path])
         assert code == 0 and capsys.readouterr().err == ""
-        assert out.getvalue() == reference_render_json(json.loads(out.getvalue())) + "\n"
+        assert out.getvalue() == reference_json(json.loads(out.getvalue())) + "\n"
         assert max(piece.count("\n") for piece in out.pieces) <= chunk_rows(self.N) + 1
 
     @pytest.mark.parametrize("command", ["hitting", "dual", "verify"])
