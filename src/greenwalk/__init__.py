@@ -32,7 +32,6 @@ from .greens import (
 )
 from .hitting import (
     HittingTimeMatrix,
-    cycle_pair,
     fundamental_matrix,
     hit_time,
     hitting_column,

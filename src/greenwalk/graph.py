@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -297,18 +298,24 @@ def _read_arc_columns(text: str):
 _LINE_BLOCK = 1 << 20
 
 
+def _blocks(text: str):
+    """The text in pieces of whole lines, about _LINE_BLOCK characters each."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _LINE_BLOCK) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
 def _lines(text: str):
     """The lines of text, split a block at a time so that no list holds them all.
 
     numpy's reader takes a text only as a file path or as an iterable of
     lines; a StringIO is iterated line by line too, after copying the text
-    into a buffer of four bytes per character.
+    into a buffer of four bytes per character. The lines are chained in C, so
+    no Python frame resumes per line, only per block.
     """
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _LINE_BLOCK) + 1 or len(text)
-        yield from text[start:end].splitlines()
-        start = end
+    return itertools.chain.from_iterable(map(str.splitlines, _blocks(text)))
 
 
 def _parse_edge_list_lines(text: str) -> WeightedDigraph:

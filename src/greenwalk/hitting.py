@@ -175,16 +175,3 @@ def hit_time(H: HittingTimeMatrix, pi: Distribution) -> tuple[float, float]:
     row = H.values @ pi.probs
     t = float(pi.probs @ row)
     return t, tolerance.gap(row, t)
-
-
-def cycle_pair(rules: Rules) -> float:
-    """Max residual of the pair reversal identity of the chain of ``rules`` toward pi.
-
-    A reversible chain satisfies H(pi,i) + H(i,j) = H(pi,j) + H(j,i), read
-    with the rules' cached H(pi, .). The triple form H(i,j) + H(j,k) + H(k,i)
-    = H(j,i) + H(i,k) + H(k,j) is the sum of three pair residuals, so it
-    adds nothing. The residual is reported, never asserted: directed chains
-    genuinely violate it.
-    """
-    Hv, hpi = rules.hitting.values, rules.from_target
-    return tolerance.gap(hpi[:, None] + Hv - hpi[None, :], Hv.T)

@@ -35,7 +35,7 @@ from .greens import (
     trace_gap,
     verify_green_constraints,
 )
-from .hitting import HittingTimeMatrix, cycle_pair, hit_time, hitting_times, reversed_hitting_times
+from .hitting import HittingTimeMatrix, hit_time, hitting_times, reversed_hitting_times
 from .spectral import SpectralDecomposition, decompose, spectral_greens
 
 
@@ -182,7 +182,6 @@ def verify_checks(chain: ChainAnalysis) -> list[Check]:
     times = tolerance.bound(n, T, tolerance.RESIDUAL)
     routes = tolerance.bound(n, T, tolerance.ROUTE)
     checks = [
-        ("row_stochastic", P.row_sum, probs),
         ("stationary", tolerance.gap(pi.probs @ P.probs, pi.probs), probs),
         ("first_step", H.first_step, routes),
         *green_checks(chain, G),
@@ -204,7 +203,5 @@ def verify_checks(chain: ChainAnalysis) -> list[Check]:
         del lazy  # its P and H go once the residual is read
 
     if g.undirected:
-        # the one statement of reversibility: the triple form and pi-weighted symmetry of G restate it
-        checks.append(("cycle_pair", cycle_pair(chain.pi_rules), routes))
         checks += spectral_routes(chain, decompose(g), mixing)[1]
     return checks + duality_checks(chain).checks

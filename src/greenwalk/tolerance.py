@@ -1,14 +1,14 @@
 """The one tolerance policy: every limit a check uses is c · n · ε · max(1, scale).
 
 n is the number of states and ε the double-precision machine epsilon. The
-scale is a magnitude the caller already has: 1 for probability rows, pi,
-the Laplacian and its eigenbasis; pi_max · T for the entries of G, X and Z;
-T (``time_scale`` of the hitting times) for expected times; 1 / lambda_1
-for the drift of the zero mode. c is RESIDUAL for an identity evaluated on
-computed data, and ROUTE for a gap that also carries the conditioning of a
-solve or an eigenproblem: two independent routes to one quantity, or an
-identity only the exact solution meets (Higham, *Accuracy and Stability of
-Numerical Algorithms*, ch. 9). ``scripts/tolerance_sweep.py`` measures both.
+scale is a magnitude the caller already has: 1 for probability rows, pi
+and the Laplacian's eigenvalues; pi_max · T for the entries of G, X and Z;
+T (``time_scale`` of the hitting times) for expected times. c is RESIDUAL
+for an identity evaluated on computed data, and ROUTE for a gap that also
+carries the conditioning of a solve or an eigenproblem: two independent
+routes to one quantity, or an identity only the exact solution meets
+(Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 9).
+``scripts/tolerance_sweep.py`` measures both.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from greenwalk.graph import (
     transition_matrix,
     validate_out_degrees,
 )
-from greenwalk import families
+from greenwalk import families, graph
 
 
 class TestParsing:
@@ -113,6 +113,12 @@ class TestLoadGraph:
     def test_stdin_json(self, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(self.JSON))
         assert load_graph("-", "json").weights[1, 0] == 1.0
+
+    @pytest.mark.parametrize("block", [1, 4, 7, 1 << 20])
+    @pytest.mark.parametrize("text", ["", "0 1\n", "0 1", "0 1 2.5\n\n1 0\n# c\n2 0 1e-3", "\n\n0 1\n1 2\n2 0\n"])
+    def test_lines_split_a_block_at_a_time_as_splitlines_does(self, monkeypatch, text, block):
+        monkeypatch.setattr(graph, "_LINE_BLOCK", block)
+        assert list(graph._lines(text)) == text.splitlines()
 
 
 class TestAccumulation:

@@ -18,12 +18,15 @@ import pytest
 
 from greenwalk.cli import main
 from greenwalk.generators import random_connected_graph, random_strongly_connected_digraph
+from greenwalk.spectral import decompose
 
 N = 300
-# measured: 4.4, 5.1, 10.9, 10.9 and 6.86
-DISCARDED = {"hitting": 5.0, "green": 5.6, "verify": 11.5, "dual": 11.5, "spectral": 7.3}
-# measured: 4.5, 5.1 and 10.9
-HELD = {"hitting": 5.0, "green": 5.6, "dual": 11.4}
+# measured: 4.2, 5.1, 8.9, 7.9 and 6.86
+DISCARDED = {"hitting": 5.0, "green": 5.6, "verify": 9.4, "dual": 8.4, "spectral": 7.3}
+# measured: 4.5, 5.1 and 9.75
+HELD = {"hitting": 5.0, "green": 5.6, "dual": 10.2}
+# measured: 2.01 (L and the eigenvectors; spectral's own peak, 6.86, is in spectral_routes)
+DECOMPOSE = 2.5
 
 
 class Discard(io.TextIOBase):
@@ -69,3 +72,15 @@ def test_peak_in_matrices(graph_files, command):
 @pytest.mark.parametrize("command", list(HELD))
 def test_peak_with_output_held(graph_files, command):
     assert peak_in_matrices(graph_files, command, io.StringIO()) <= HELD[command]
+
+
+def test_decompose_peak():
+    g = random_connected_graph(N, 1, extra=0.02)
+    g.degrees  # cached on the graph before the count starts, as a chain would have it
+    tracemalloc.start()
+    try:
+        decompose(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * N * N) <= DECOMPOSE

@@ -6,15 +6,20 @@ every check the command makes counts: the ones its builders raise through
 ``errors.require`` and the ones it returns. The raised ones are recorded, never
 raised, so no check hides the checks behind it. A check *catches* a mutation
 in a command when it fails there. A mutation counts only on a chain where it
-changes something a command prints other than a residual: a fault in code that
-only a check reads reaches no output, so catching it guards nothing.
+changes something a command prints other than a residual, and in a command
+only where it changes what that command prints: a fault in code that only a
+check reads reaches no output, so catching it guards nothing. ``verify`` prints
+checks alone; a mutation counts there on every chain where it counts at all.
 
-Eighteen checks were candidates for deletion (``CANDIDATES``). One stays when, in
-some command, it is the only check that catches a mutation that counts;
-``KEPT`` names that command and mutation. The others are deleted from the
-library. ``RETIRED`` evaluates each of them here, in the commands that made it,
-so its row still shows that every mutation it catches is caught by another
-check too.
+Every check name the commands make, or made before its deletion, is a
+candidate (``CANDIDATES``). A candidate stays when, in some command, it is the
+only check the library makes that catches a mutation that counts; ``KEPT``
+names that chain, mutation and command. ``RULES`` keeps a few whatever their
+rows say, and names why. ``DEFERRED`` holds the candidates the matrix would
+delete but the library still makes. The others are deleted from the library.
+``RETIRED`` evaluates each of them here, in the commands that made it, so its
+row still shows that every mutation it catches is caught by a check the
+library still makes.
 
 Run directly to print the check x mutation table of each chain:
 
@@ -26,6 +31,7 @@ from __future__ import annotations
 import __future__
 import contextlib
 import functools
+import importlib.util
 import inspect
 import re
 import sys
@@ -44,7 +50,8 @@ from greenwalk.graph import Distribution, TransitionMatrix, load_graph
 from greenwalk.hitting import HittingTimeMatrix
 from greenwalk.pipeline import ChainAnalysis, analyze
 
-GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 CHAINS = {"directed": ("directed", 0.0), "undirected": ("undirected", 0.0), "undirected-lazy": ("undirected", 0.5)}
 COMMANDS = [
     ["hitting"],
@@ -56,10 +63,21 @@ COMMANDS = [
     ["verify"],
 ]
 CANDIDATES = {
-    "exit_negative", "exit_row_min", "greens_from_exit", "hitting_roundtrip", "trace_vs_hit",
-    "dual_dual_image_row_min", "random_target", "greens_row_sum", "exit_row_sums", "greens_uniform_row_sum",
-    "greens_vertex_row_sum", "greens_constraint", "exit_conservation", "greens_uniform_constraint",
-    "greens_vertex_constraint", "cycle_triple", "greens_symmetry", "laplacian_symmetry",
+    # the builders' checks of one solve: Z, H, pi and P
+    "fundamental", "first_step", "laziness_scaling", "stationary", "row_stochastic", "reverse_row_sum",
+    # G, X and the mixing measures read off H
+    "exit_negative", "exit_row_min", "exit_row_sums", "exit_conservation", "greens_row_sum", "greens_constraint",
+    "greens_from_exit", "hitting_roundtrip", "random_target", "trace_vs_hit", "pessimal_formulas",
+    "greens_uniform_row_sum", "greens_uniform_constraint", "greens_vertex_row_sum", "greens_vertex_constraint",
+    "cycle_pair", "cycle_triple", "greens_symmetry",
+    # the reverse chain, the forget distributions and the pi-core
+    "core_routes", "core_negative_mass", "forget_negative_mass", "dual_reverse_involution", "dual_reverse_stationary",
+    "dual_reset_equals_reverse_forget", "dual_forget_equals_reverse_reset", "dual_exit_conjugation",
+    "dual_dual_image_conservation", "dual_dual_image_row_min", "dual_greens_forget_dual", "dual_greens_core_dual",
+    "dual_core_decomposition",
+    # the eigensystem and the spectral routes
+    "laplacian_symmetry", "eigen_orthonormality", "eigen_reconstruction", "zero_mode_drift",
+    "spectral_hitting", "spectral_greens", "spectral_access", "spectral_t_mix", "spectral_t_reset", "spectral_t_hit",
 }
 
 
@@ -124,6 +142,8 @@ def _p_moved(chain):
 
 
 _T = "self.hitting.time_scale"
+_SOLVED = "A, Z = _solve_fundamental(P, pi)"
+_EIGH = "lam, phi = np.linalg.eigh(normalized_laplacian(g))"
 MUTATIONS = [
     Mutation("H entry +1e-6T", _hitting(lambda H, T: _plus(H, np.s_[0, -1], 1e-6 * T))),
     Mutation("H column +1e-3T", _hitting(lambda H, T: _plus(H, np.s_[:, 1], 1e-3 * T))),
@@ -142,9 +162,13 @@ MUTATIONS = [
     Mutation("hitting_from_greens transposed", source=(greens, "hitting_from_greens", "HittingTimeMatrix(values)", "HittingTimeMatrix(values.T)")),
     Mutation("hit_time uniform weights", source=(hitting, "hit_time", "H.values @ pi.probs", "H.values @ np.full(H.n, 1.0 / H.n)")),
     Mutation("reversed H untransposed", source=(hitting, "reversed_hitting_times", "rules.hitting.values.T + h_pi", "rules.hitting.values + h_pi")),
-    Mutation("conjugation inverted", source=(duality, "_conjugated", "p[None, :] / p[rows, None]", "p[rows, None] / p[None, :]")),
     Mutation("core offsets row minima", source=(duality, "pi_core", "b = X.values.min(axis=0)", "b = X.values.min(axis=1)")),
     Mutation("lazy blend into column 0", source=(graph, "transition_matrix", "probs.flat[:: g.n + 1] += beta", "probs[:, 0] += beta")),
+    Mutation("Z entry +1e-6 max|Z|", source=(hitting, "fundamental_matrix", _SOLVED, f"{_SOLVED}; Z[0, -1] += 1e-6 * np.abs(Z).max()")),
+    Mutation("Z + 1c^T, c = -diag Z", source=(hitting, "fundamental_matrix", _SOLVED, f"{_SOLVED}; Z -= Z.diagonal().copy()")),
+    Mutation("eigenvector entry +1e-6", source=(spectral, "decompose", _EIGH, f"{_EIGH}; phi[0, 1] += 1e-6")),
+    Mutation("reverse drift kept", source=(duality, "reverse_chain", "probs /= sums[:, None]", "pass")),
+    Mutation("forget weights forward", source=(duality, "forget_distribution", "rev = chain.reverse", "rev = chain")),
 ]
 
 
@@ -199,7 +223,27 @@ KEPT = {
     "greens_constraint": ("directed", "H scaled 1+1e-6", "green --target pi"),
     "greens_row_sum": ("undirected", "H transposed", "green --target pi"),
     "trace_vs_hit": ("directed", "hit_time uniform weights", "mixing"),
+    "first_step": ("directed", "pi moved 1e-6", "hitting"),
+    "pessimal_formulas": ("undirected", "H row swap", "mixing"),
+    "core_routes": ("directed", "core offsets row minima", "dual"),
 }
+
+ONLY_ROUTE = "the only independent route to a value that spectral prints"
+# candidate -> why it stays whatever its row says: a reason, or the wide-weight
+# run of scripts/range_sweep.py (shape, d, seed, --lazy, command) whose first FAIL it is
+RULES = {
+    **dict.fromkeys(
+        ["spectral_hitting", "spectral_greens", "spectral_access", "spectral_t_mix", "spectral_t_reset", "spectral_t_hit"],
+        ONLY_ROUTE,
+    ),
+    "fundamental": "the solve's own residual A Z - I, from which an error bound on H is to be read",
+    "dual_reverse_involution": ("holding", 6, 1, "0", "dual"),
+    "laziness_scaling": ("holding", 6, 0, "0", "verify"),
+}
+
+# Never the only catcher, so the matrix would delete them; each is a raised guard
+# with its own exit-2 case in tests/test_cli.py, and they go in a change of their own.
+DEFERRED = {"stationary", "reverse_row_sum", "forget_negative_mass", "core_negative_mass"}
 
 
 def _exit_negative(rules, X):
@@ -210,25 +254,74 @@ def _exit_negative(rules, X):
     return [("exit_negative", -values.min(), tolerance.bound(X.n, rules.entry_scale, tolerance.RESIDUAL))]
 
 
-def _dual_image_row_min(chain, rep):
-    """The largest row minimum of the dual image, X_pi less its column minima, conjugated."""
-    image = duality._conjugated(rep.core_exit.values, chain.stationary.probs)
-    limit = tolerance.bound(chain.transition.n, chain.entry_scale, tolerance.ROUTE)
-    return [("dual_dual_image_row_min", image.min(axis=1).max(), limit)]
-
-
 def _laplacian_symmetry(g, L):
     """The asymmetry of the normalized Laplacian, which the mirrored arcs of an undirected graph make exactly 0."""
     return [("laplacian_symmetry", tolerance.gap(L, L.T), tolerance.bound(g.n, 1.0, tolerance.RESIDUAL))]
 
 
+def _eigen_residuals(g, dec):
+    """decompose's checks of its basis: orthonormality, the reconstruction of L, and the zero mode against sqrt(deg)."""
+    n, lam, phi = g.n, dec.eigenvalues, dec.eigenvectors
+    root = np.sqrt(g.degrees)
+    root /= np.linalg.norm(root)
+    drift = min(tolerance.gap(phi[:, 0], root), tolerance.gap(phi[:, 0], -root))
+    spread = lam[1] if n > 1 else 1.0  # an eigenvector's error grows as 1 / (distance to the next eigenvalue)
+    probs = tolerance.bound(n, 1.0, tolerance.RESIDUAL)
+    return [
+        ("eigen_orthonormality", tolerance.gap(phi.T @ phi, np.eye(n)), tolerance.bound(n, 1.0, tolerance.ROUTE)),
+        ("eigen_reconstruction", tolerance.gap((phi * lam[None, :]) @ phi.T, spectral.normalized_laplacian(g)), probs),
+        ("zero_mode_drift", drift, tolerance.bound(n, 1.0 / spread, tolerance.RESIDUAL)),
+    ]
+
+
+def _conjugated(values, p):
+    """values^T scaled by p_j / p_i."""
+    return values.T * (p[None, :] / p[:, None])
+
+
+def _dual_identities(chain, rep):
+    """The reverse-chain identities dual returned besides the involution: the reverse chain's stationarity, the
+    reset/forget exchange both ways, the exit conjugation and its image's conservation and row minima, both Green's
+    function duals, and the core decomposition H(., pi) = H(., core) + H(core, pi)."""
+    P, pi, rev, H = chain.transition, chain.stationary, chain.reverse, chain.hitting
+    n, p = P.n, pi.probs
+    probs = tolerance.bound(n, 1.0, tolerance.RESIDUAL)
+    times = tolerance.bound(n, H.time_scale, tolerance.ROUTE)
+    entries = tolerance.bound(n, chain.entry_scale, tolerance.ROUTE)
+    mix = chain.pi_rules.access
+    t_reset = float(p @ mix)
+    X_rev_mu = greens.exit_frequency_matrix(rev.forget_rules)
+    acc_rev_mu = X_rev_mu.access  # Hrev(i, mu_hat)
+    image = _conjugated(rep.core_exit.values, p)
+    core_rules = greens.Rules(H, pi, rep.core)
+    core_shift = acc_rev_mu - float(p @ acc_rev_mu)
+    forget_dual = _conjugated(chain.greens.values, p) + p * (mix - t_reset)
+    core_dual = _conjugated(rev.greens.values, p) + p * core_shift
+    core_mix = core_rules.access + float((core_rules.from_target - chain.pi_rules.from_target).max())
+    return [
+        ("dual_reverse_stationary", tolerance.gap(p @ rev.transition.probs, p), probs),
+        ("dual_reset_equals_reverse_forget", abs(t_reset - float(acc_rev_mu.max())), times),
+        ("dual_forget_equals_reverse_reset", abs(rep.t_forget - float(p @ rev.pi_rules.access)), times),
+        ("dual_exit_conjugation", tolerance.gap(X_rev_mu.values, image), entries),
+        ("dual_dual_image_conservation",
+         greens.verify_green_constraints(greens.GreensMatrix(image, rep.reverse_forget), rev.transition), entries),
+        ("dual_dual_image_row_min", image.min(axis=1).max(), entries),
+        ("dual_greens_forget_dual", tolerance.gap(greens.greens_general(rev.forget_rules).values, forget_dual), entries),
+        ("dual_greens_core_dual", tolerance.gap(greens.greens_general(core_rules).values, core_dual), entries),
+        ("dual_core_decomposition", tolerance.gap(mix, core_mix), times),
+    ]
+
+
 def _verify_restatements(chain, _checks):
-    """Verify's checks of what G, X_pi and H(., pi) restate of one another, and of G toward two more targets;
-    on an undirected chain, also the two restatements of cycle_pair: its triple form and pi-weighted G symmetry."""
+    """Verify's checks of what G, X_pi and H(., pi) restate of one another, of G toward two more targets, and of P's
+    row sums, which TransitionMatrix bounds as it is built; on an undirected chain, also reversibility: the pair
+    identity H(pi, i) + H(i, j) = H(pi, j) + H(j, i), its triple form, and pi-weighted G symmetry."""
     H, G, X, pi = chain.hitting, chain.greens, chain.exit_pi, chain.stationary
     times = tolerance.bound(H.n, H.time_scale, tolerance.RESIDUAL)
     entries = tolerance.bound(H.n, chain.entry_scale, tolerance.RESIDUAL)
+    routes = tolerance.bound(H.n, H.time_scale, tolerance.ROUTE)
     restated = [
+        ("row_stochastic", chain.transition.row_sum, tolerance.bound(H.n, 1.0, tolerance.RESIDUAL)),
         ("random_target", chain.hit_time[1], times),
         ("hitting_roundtrip", tolerance.gap(greens.hitting_from_greens(G, pi).values, H.values), times),
         ("greens_from_exit", tolerance.gap(X.values - np.outer(X.access, pi.probs), G.values), entries),
@@ -237,11 +330,12 @@ def _verify_restatements(chain, _checks):
         restated += greens.green_checks(chain, greens.greens_general(greens.Rules(H, pi, tau)), f"greens_{tag}")
     if chain.graph.undirected:
         # triple(i, j, k) = pair(i, j) + pair(j, k) + pair(k, i), and pi_i G(i, j) - pi_j G(j, i) = -pi_i pi_j pair(i, j)
+        h_pi = chain.pi_rules.from_target
         D = H.values - H.values.T
         weighted = pi.probs[:, None] * G.values
         restated += [
-            ("cycle_triple", float(np.abs(D[:, :, None] + D[None, :, :] - D[:, None, :]).max()),
-             tolerance.bound(H.n, H.time_scale, tolerance.ROUTE)),
+            ("cycle_pair", tolerance.gap(h_pi[:, None] + H.values - h_pi[None, :], H.values.T), routes),
+            ("cycle_triple", float(np.abs(D[:, :, None] + D[None, :, :] - D[:, None, :]).max()), routes),
             ("greens_symmetry", tolerance.gap(weighted, weighted.T), entries),
         ]
     return restated
@@ -251,21 +345,28 @@ def _verify_restatements(chain, _checks):
 RETIRED = [
     (greens, "exit_frequency_matrix", _exit_negative),
     (spectral, "normalized_laplacian", _laplacian_symmetry),
-    (duality, "duality_checks", _dual_image_row_min),
+    (spectral, "decompose", _eigen_residuals),
+    (duality, "duality_checks", _dual_identities),
     (pipeline, "verify_checks", _verify_restatements),
 ]
-RETIRED_NAMES = CANDIDATES - set(KEPT)
+RETIRED_NAMES = CANDIDATES - set(KEPT) - set(RULES) - DEFERRED
 
 
 def _retired(recorder):
-    """Bindings that make each function of RETIRED also record the checks its probe gives."""
+    """Bindings that make each function of RETIRED also record the checks its probe gives.
+
+    A probe's own calls into the library record nothing: the checks they make
+    are not the library's.
+    """
     bindings = []
     for module, name, probe in RETIRED:
         func = vars(module)[name]
 
         def probing(*args, func=func, probe=probe):
             result = func(*args)
-            for check in probe(*args, result):
+            with recorder.muted():
+                checks = probe(*args, result)
+            for check in checks:
                 recorder(*check)
             return result
 
@@ -282,19 +383,38 @@ class _Recorder:
 
     def __init__(self):
         self.checks = []
+        self.recording = True
 
     def __call__(self, name, residual, limit, *error):
-        self.checks.append((name, float(residual), float(limit)))
+        if self.recording:
+            self.checks.append((name, float(residual), float(limit)))
+
+    @contextlib.contextmanager
+    def muted(self):
+        saved, self.recording = self.recording, False
+        try:
+            yield
+        finally:
+            self.recording = saved
 
 
 @dataclass(frozen=True)
 class Matrix:
-    fired: dict  # (chain, mutation, command) -> the names of the checks that fail
+    fired: dict  # (chain, mutation, command) -> the names of the checks that fail, retired ones included
+    shown: set  # (chain, mutation, command) where the command prints something else
     live: set  # (chain, mutation) where some command prints something else
 
+    def counts(self, key: tuple[str, str, str]) -> bool:
+        """Whether the mutation counts in the command: it changes what the command prints, or verify audits it."""
+        return key in self.shown or (key[2] == "verify" and key[:2] in self.live)
+
     def sole(self, check: str) -> list[tuple[str, str, str]]:
-        """Every (chain, mutation, command) where ``check`` alone catches a mutation that counts."""
-        return sorted(key for key, names in self.fired.items() if names == {check} and key[:2] in self.live)
+        """Every (chain, mutation, command) where a mutation that counts is caught by ``check`` and by no other check
+        the library makes: for a retired check, a fault its deletion left uncaught."""
+        return sorted(
+            key for key, names in self.fired.items()
+            if check in names and not names - RETIRED_NAMES - {check} and self.counts(key)
+        )
 
 
 NONE = Mutation("none")
@@ -324,8 +444,8 @@ def _run(recorder: _Recorder, chain_name: str, argv: list[str], mutation: Mutati
     return printed, recorder.checks + checks
 
 
-def _failing(checks) -> frozenset[str]:
-    return frozenset(re.sub(r"_\d+$", "", check[0]) for check in checks if failed(check))
+def _names(checks) -> frozenset[str]:
+    return frozenset(re.sub(r"_\d+$", "", check[0]) for check in checks)
 
 
 @contextlib.contextmanager
@@ -337,7 +457,7 @@ def _recording():
 
 @functools.cache
 def matrix() -> Matrix:
-    fired, live, base = {}, set(), {}
+    fired, shown, base = {}, set(), {}
     with _recording() as recorder:
         for mutation in [NONE, *MUTATIONS]:
             with _patched(_bindings(mutation)), _patched(_retired(recorder)):
@@ -345,31 +465,60 @@ def matrix() -> Matrix:
                     for argv in _commands(c):
                         command = " ".join(argv)
                         printed, checks = _run(recorder, c, argv, mutation)
-                        fired[c, mutation.name, command] = _failing(checks)
+                        fired[c, mutation.name, command] = _names(filter(failed, checks))
                         base.setdefault((c, command), printed)
                         if argv[0] != "verify" and printed != base[c, command]:
-                            live.add((c, mutation.name))
-    return Matrix(fired, live)
+                            shown.add((c, mutation.name, command))
+    return Matrix(fired, shown, {key[:2] for key in shown})
+
+
+def _tag(name: str) -> str:
+    if name in KEPT:
+        return " (kept)"
+    if name in RULES:
+        return " (rule)"
+    return " (deferred)" if name in DEFERRED else " (retired)"
 
 
 def table(m: Matrix, chain: str) -> str:
-    """Checks against mutations on one chain: in how many commands a check fails, '!' where it alone catches one."""
-    names = sorted(CANDIDATES | {name for (c, _, _), fired in m.fired.items() if c == chain for name in fired})
-    tags = {name: " (kept)" if name in KEPT else " (retired)" for name in CANDIDATES}
-    width = max(len(name + tags.get(name, "")) for name in names) + 2
+    """Checks against mutations on one chain: in how many commands a check fails, '!' where no other check the
+    library makes catches a mutation that counts there."""
+    names = sorted(CANDIDATES)
+    width = max(len(name + _tag(name)) for name in names) + 2
     lines = [f"{chain}: the commands each check fails in, under each mutation"]
     lines += [f"  {k:2d}  {mutation.name}" + ("" if (chain, mutation.name) in m.live else "  (changes no printed value)")
               for k, mutation in enumerate(MUTATIONS)]
     lines.append(" " * width + "".join(f"{k:>4d}" for k in range(len(MUTATIONS))))
     for name in names:
+        sole = {key[1] for key in m.sole(name) if key[0] == chain}
         cells = []
         for mutation in MUTATIONS:
-            keys = [key for key in m.fired if key[:2] == (chain, mutation.name)]
-            count = sum(name in m.fired[key] for key in keys)
-            sole = (chain, mutation.name) in m.live and any(m.fired[key] == {name} for key in keys)
-            cells.append(f"{count or '.'}{'!' if sole else ''}")
-        lines.append(f"{name + tags.get(name, ''):{width}s}" + "".join(f"{cell:>4s}" for cell in cells))
+            count = sum(name in names for key, names in m.fired.items() if key[:2] == (chain, mutation.name))
+            cells.append(f"{count or '.'}{'!' if mutation.name in sole else ''}")
+        lines.append(f"{name + _tag(name):{width}s}" + "".join(f"{cell:>4s}" for cell in cells))
     return "\n".join(lines)
+
+
+def _sweep_module():
+    spec = importlib.util.spec_from_file_location("range_sweep", ROOT / "scripts" / "range_sweep.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def verdict(check: str) -> str:
+    if check in KEPT:
+        chain, mutation, command = KEPT[check]
+        return f"kept: the only check of {command!r} that catches {mutation!r} on the {chain} chain"
+    if check in RULES:
+        rule = RULES[check]
+        if isinstance(rule, str):
+            return f"kept: {rule}"
+        shape, d, seed, lazy, command = rule
+        return f"kept: the first FAIL of {command} --lazy {lazy} on range_sweep's {shape} shape, d = {d}, seed {seed}"
+    if check in DEFERRED:
+        return "deferred: never the only check that catches a mutation"
+    return "retired: never the only check that catches a mutation"
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +532,10 @@ def test_unmutated_chains_pass_every_check():
 
 def test_library_makes_the_kept_candidates_and_no_retired_one():
     with _recording() as recorder:
-        made = {check[0] for c in CHAINS for argv in _commands(c) for check in _run(recorder, c, argv, NONE)[1]}
+        made = {name for c in CHAINS for argv in _commands(c) for name in _names(_run(recorder, c, argv, NONE)[1])}
         with _patched(_retired(recorder)):
-            probed = {check[0] for c in CHAINS for argv in _commands(c) for check in _run(recorder, c, argv, NONE)[1]}
-    assert set(KEPT) <= CANDIDATES and set(KEPT) <= made and not made & RETIRED_NAMES
+            probed = {name for c in CHAINS for argv in _commands(c) for name in _names(_run(recorder, c, argv, NONE)[1])}
+    assert made == CANDIDATES - RETIRED_NAMES
     assert probed - made == RETIRED_NAMES  # the probes make exactly the retired candidates
 
 
@@ -394,8 +543,18 @@ def test_library_makes_the_kept_candidates_and_no_retired_one():
 def test_kept_candidate_alone_catches_its_mutation(check):
     m = matrix()
     chain, mutation, command = KEPT[check]
-    assert (chain, mutation) in m.live
-    assert m.fired[chain, mutation, command] == {check}
+    assert m.counts((chain, mutation, command))
+    assert m.fired[chain, mutation, command] - RETIRED_NAMES == {check}
+
+
+@pytest.mark.parametrize("check", sorted(name for name, rule in RULES.items() if not isinstance(rule, str)))
+def test_rule_kept_check_fails_first_on_its_sweep_run(check, tmp_path):
+    """A fix that lets the run pass fails this test: the check then loses its rule and is scored like any other."""
+    sweep = _sweep_module()
+    shape, d, seed, lazy, command = RULES[check]
+    path = tmp_path / "graph.edges"
+    path.write_text(sweep.SHAPES[shape](sweep.N, seed, d))
+    assert sweep.run([command, "--input", str(path), "--lazy", lazy]) == (2, check)
 
 
 @pytest.mark.parametrize("check", sorted(RETIRED_NAMES))
@@ -403,15 +562,24 @@ def test_retired_candidate_never_alone_catches_a_mutation(check):
     assert matrix().sole(check) == []
 
 
+@pytest.mark.parametrize("check", sorted(DEFERRED))
+def test_deferred_candidate_never_alone_catches_a_mutation(check):
+    assert matrix().sole(check) == []
+
+
 def test_only_check_code_mutations_reach_no_output():
-    """hitting_from_greens feeds only spectral_hitting's residual (hitting_roundtrip, retired, read it too), and
-    _conjugated feeds only the dual checks; the lazy blend reaches output on the lazy chain alone."""
+    """hitting_from_greens feeds only spectral_hitting's residual (hitting_roundtrip, retired, read it too); adding
+    c_j = -Z_jj to column j of Z moves no H(i, j) = (Z_jj - Z_ij) / pi_j by a bit, as fl(a - b) = -fl(b - a), so only
+    fundamental sees it; the lazy blend reaches output on the lazy chain alone, and the eigenvectors on the
+    undirected chains alone. On the lazy chain the reversed rows sum to 1 to the bit, so dividing out their drift
+    moves nothing."""
     m = matrix()
     moot = {(c, mutation.name) for c in CHAINS for mutation in MUTATIONS} - m.live
-    only_checks = {"hitting_from_greens transposed", "conjugation inverted"}
+    only_checks = {"hitting_from_greens transposed", "Z + 1c^T, c = -diag Z"}
     assert moot == {(c, name) for c in CHAINS for name in only_checks} | {
         (c, "lazy blend into column 0") for c in CHAINS if CHAINS[c][1] == 0.0
-    }
+    } | {("directed", "eigenvector entry +1e-6"), ("undirected-lazy", "reverse drift kept")}
+    assert all(m.fired[c, "Z + 1c^T, c = -diag Z", " ".join(argv)] == {"fundamental"} for c in CHAINS for argv in _commands(c))
 
 
 if __name__ == "__main__":
@@ -419,8 +587,4 @@ if __name__ == "__main__":
     for c in CHAINS:
         print(table(m, c), end="\n\n")
     for check in sorted(CANDIDATES):
-        if check in KEPT:
-            chain, mutation, command = KEPT[check]
-            print(f"{check:26s} kept: the only check of {command!r} that catches {mutation!r} on the {chain} chain")
-        else:
-            print(f"{check:26s} retired: never the only check that catches a mutation")
+        print(f"{check:34s} {verdict(check)}")

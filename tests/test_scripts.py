@@ -21,6 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ["render_sweep.py", "--sizes", "50"],
         ["parse_sweep.py", "--sizes", "50"],
         ["scale_sweep.py", "--sizes", "30"],
+        ["range_sweep.py", "--n", "8", "--seeds", "1", "--holding-seeds", "1"],
         ["duality_demo.py"],
         ["family_tour.py"],
     ],
