@@ -9,11 +9,14 @@ those chains at vertex 0 and at argmin pi, whose checks count as
 column_fundamental and column_first_step. Then it runs path_oracle(n),
 cycle_oracle(n), tree_oracle(random_tree(n, 1, weighted=True)),
 hypercube_oracle(10) and toric_oracle((32, 32)). Every
-check counts: the ones the library raises through ``errors.require`` (a
-wrapper records them, passing or not) and the ones commands return. For
-each check name it prints the worst residual/limit and where it occurred;
-``pessimal_formulas_<vertex>`` counts as one name. The last line is the
-table as JSON. Exits 1 when a ratio exceeds 1 or a command raises.
+check counts: the ones the library raises through ``errors.require``, which
+an ``errors.recorded()`` ledger records passing or not, and the ones commands
+return. For each check name it prints the worst residual/limit and where it
+occurred; ``pessimal_formulas_<vertex>`` counts as one name. The last line is
+the table as JSON. Inside the ledger no check raises: a failing one shows in
+the table with a ratio above 1, next to the checks made after it, and the
+``raised:`` lines list only errors that carry no check. Exits 1 when a ratio
+exceeds 1 or a command raises.
 
 At n = 2000 it takes about 1.5 minutes and 0.8 GB on one core of a Xeon
 with OpenBLAS on one thread.
@@ -28,16 +31,6 @@ import sys
 
 from greenwalk import cli, errors, families, hitting
 from greenwalk.generators import random_strongly_connected_digraph, random_tree
-
-_records = []
-
-
-def _recording(real):
-    def require(name, residual, limit, *error):
-        _records.append((name, float(residual), float(limit)))
-        return real(name, residual, limit, *error)
-
-    return require
 
 
 def _commands(undirected: bool):
@@ -56,12 +49,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=2000, help="vertices of the path, cycle and digraph, and of the path, cycle and tree oracles")
     n = parser.parse_args().n
-    # every library module that raises checks binds errors.require at import; cli has imported them all
-    real = errors.require
-    for name, module in list(sys.modules.items()):
-        if name.startswith("greenwalk.") and getattr(module, "require", None) is real:
-            module.require = _recording(real)
-
     worst: dict[str, tuple[float, str]] = {}
     raised = []
 
@@ -80,28 +67,27 @@ def main() -> int:
     }
     for label, g in graphs.items():
         for lazy in (0.0, 0.5):
-            _records.clear()
-            chain = cli.analyze(g, lazy)
-            for argv in _commands(g.undirected):
-                where = f"{' '.join(argv)} {label}" + (" --lazy 0.5" if lazy else "")
-                args = commands.parse_args([argv[0], "--input", label, *argv[1:]])
-                try:
-                    checks = args.run(args, chain)[1]
-                except errors.GreenWalkError as exc:
-                    checks = []
-                    raised.append(f"{where}: {exc}")
-                note(where, _records + checks)
-                _records.clear()
-            pi = chain.stationary.probs
-            for j in sorted({0, int(pi.argmin())}):
-                where = f"hitting_column {j} {label}" + (" --lazy 0.5" if lazy else "")
-                try:
-                    hitting.hitting_column(chain.transition, chain.stationary, j)
-                except errors.GreenWalkError as exc:
-                    raised.append(f"{where}: {exc}")
-                note(where, [(f"column_{name}", residual, limit) for name, residual, limit in _records])
-                _records.clear()
-            del chain
+            with errors.recorded() as ledger:
+                chain = cli.analyze(g, lazy)
+                for argv in _commands(g.undirected):
+                    where = f"{' '.join(argv)} {label}" + (" --lazy 0.5" if lazy else "")
+                    args = commands.parse_args([argv[0], "--input", label, *argv[1:]])
+                    try:
+                        checks = args.run(args, chain)[1]
+                    except errors.GreenWalkError as exc:
+                        checks = []
+                        raised.append(f"{where}: {exc}")
+                    note(where, ledger + checks)
+                    ledger.clear()
+                for j in sorted({0, int(chain.stationary.probs.argmin())}):
+                    where = f"hitting_column {j} {label}" + (" --lazy 0.5" if lazy else "")
+                    try:
+                        hitting.hitting_column(chain.transition, chain.stationary, j)
+                    except errors.GreenWalkError as exc:
+                        raised.append(f"{where}: {exc}")
+                    note(where, [(f"column_{name}", *rest) for name, *rest in ledger])
+                    ledger.clear()
+                del chain
             print(f"done {label}" + (" --lazy 0.5" if lazy else ""), file=sys.stderr, flush=True)
 
     oracles = {
@@ -112,12 +98,12 @@ def main() -> int:
         "toric_oracle((32, 32))": lambda: families.toric_oracle((32, 32)),
     }
     for label, oracle in oracles.items():
-        _records.clear()
-        try:
-            oracle()
-        except errors.GreenWalkError as exc:
-            raised.append(f"{label}: {exc}")
-        note(label, _records)
+        with errors.recorded() as ledger:
+            try:
+                oracle()
+            except errors.GreenWalkError as exc:
+                raised.append(f"{label}: {exc}")
+        note(label, ledger)
         print(f"done {label}", file=sys.stderr, flush=True)
 
     print(f"{'check':34s} {'residual/limit':>14s}  worst at")

@@ -1,6 +1,9 @@
-"""Exception types shared across the toolkit, and the one predicate that decides a residual check."""
+"""Exception types shared across the toolkit, the one predicate that decides a residual check, and its ledger."""
 
 from __future__ import annotations
+
+import contextlib
+from contextvars import ContextVar
 
 Check = tuple[str, float, float]  # (name, residual, limit)
 
@@ -45,8 +48,24 @@ class RunawayError(GreenWalkError):
     """A simulated walk exceeded its step cap."""
 
 
+_ledger: ContextVar[list[Check] | None] = ContextVar("ledger", default=None)
+
+
+@contextlib.contextmanager
+def recorded():
+    """Every check ``require`` makes in this context, in call order, raising none; an inner context keeps its own."""
+    token = _ledger.set([])
+    try:
+        yield _ledger.get()
+    finally:
+        _ledger.reset(token)
+
+
 def require(name: str, residual, limit, error: type[GreenWalkError] = IntegrityError) -> None:
-    """Raise ``error`` carrying the check (name, residual, limit) when it fails."""
+    """Raise ``error`` carrying the check (name, residual, limit) when it fails; inside ``recorded()``, record it."""
     check = (name, float(residual), float(limit))
-    if failed(check):
+    ledger = _ledger.get()
+    if ledger is not None:
+        ledger.append(check)
+    elif failed(check):
         raise error(describe(check), check)

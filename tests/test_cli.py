@@ -13,7 +13,6 @@ import pytest
 import greenwalk.cli
 import greenwalk.duality
 import greenwalk.errors
-import greenwalk.families
 import greenwalk.graph
 import greenwalk.greens
 import greenwalk.hitting
@@ -265,19 +264,6 @@ class TestCheckFailures:
         assert re.fullmatch(re.escape(f"FAIL {check}: residual {residual:.6e} exceeds ") + r"[0-9.e+-]+\n", err)
 
 
-def _lower_limit(monkeypatch, target):
-    """Drop the limit of the check named ``target`` below zero wherever the library calls require."""
-    real = greenwalk.errors.require
-
-    def require(name, residual, limit, *error):
-        real(name, residual, -1.0 if name == target else limit, *error)
-
-    for module in (
-        greenwalk.graph, greenwalk.hitting, greenwalk.greens, greenwalk.duality, greenwalk.families
-    ):
-        monkeypatch.setattr(module, "require", require)
-
-
 class TestRaisedChecks:
     """A check the library raises while computing exits 2 with no output, and
     stderr names it as it names a returned check."""
@@ -312,34 +298,34 @@ class TestRaisedChecks:
             ),
         ],
     )
-    def test_guard_exits_two(self, capsys, monkeypatch, check, argv):
-        _lower_limit(monkeypatch, check)
+    def test_guard_exits_two(self, capsys, lower_limit, check, argv):
+        lower_limit(check)
         graphs = {"DIRECTED": str(GOLDEN / "directed.edges"), "UNDIRECTED": str(GOLDEN / "undirected.edges")}
         code, out, err = run(capsys, *[graphs.get(a, a) for a in argv])
         assert code == 2 and out == ""
         assert re.fullmatch(re.escape(f"FAIL {check}: residual ") + r"[0-9.e+-]+ exceeds -1\.000000e\+00\n", err)
 
-    def test_verify_reports_the_raised_mixing_residual(self, capsys, monkeypatch):
+    def test_verify_reports_the_raised_mixing_residual(self, capsys, lower_limit):
         # verify lists trace_vs_hit itself, at its own limit, so the raised copy is not listed again
-        _lower_limit(monkeypatch, "trace_vs_hit")
+        lower_limit("trace_vs_hit")
         code, out, err = run(capsys, "verify", "--input", str(GOLDEN / "directed.edges"))
         checks = json.loads(out)["checks"]
         assert code == 0 and err == ""
         assert "mixing_formulas" not in checks
         assert checks["trace_vs_hit"]["ok"] and checks["trace_vs_hit"]["limit"] > 0
 
-    def test_verify_lists_a_raised_mixing_check_under_its_own_name(self, capsys, monkeypatch):
-        _lower_limit(monkeypatch, "pessimal_formulas_0")
+    def test_verify_lists_a_raised_mixing_check_under_its_own_name(self, capsys, lower_limit):
+        lower_limit("pessimal_formulas_0")
         code, out, err = run(capsys, "verify", "--input", str(GOLDEN / "undirected.edges"))
         checks = json.loads(out)["checks"]
         assert code == 2 and "mixing_formulas" not in checks
         assert checks["pessimal_formulas_0"]["limit"] == -1.0 and not checks["pessimal_formulas_0"]["ok"]
         assert re.fullmatch(r"FAIL pessimal_formulas_0: residual [0-9.e+-]+ exceeds -1\.000000e\+00\n", err)
 
-    def test_verify_skips_spectral_mixing_after_a_raised_mixing_check(self, capsys, monkeypatch):
+    def test_verify_skips_spectral_mixing_after_a_raised_mixing_check(self, capsys, lower_limit):
         # on an undirected graph the spectral routes need the mixing report: without one, only
         # their hitting-time and Green gaps are checked, and verify still prints its report
-        _lower_limit(monkeypatch, "trace_vs_hit")
+        lower_limit("trace_vs_hit")
         code, out, err = run(capsys, "verify", "--input", str(GOLDEN / "undirected.edges"))
         assert code == 0 and err == ""
         checks = json.loads(out)["checks"]

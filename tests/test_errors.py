@@ -1,8 +1,11 @@
 import math
+from pathlib import Path
 
 import pytest
 
-from greenwalk.errors import IntegrityError, NumericalError, describe, failed, require
+from greenwalk.errors import IntegrityError, NumericalError, describe, failed, recorded, require
+from greenwalk.graph import load_graph
+from greenwalk.pipeline import analyze
 
 
 class TestFailed:
@@ -36,3 +39,29 @@ class TestRequire:
     def test_error_type(self):
         with pytest.raises(NumericalError, match=r"^fundamental: residual 3\.000000e-08 exceeds 1\.000000e-08$"):
             require("fundamental", 3e-8, 1e-8, NumericalError)
+
+
+class TestRecorded:
+    def test_records_each_check_in_order_and_raises_none(self):
+        with recorded() as outer:
+            require("a", 1e-12, 1e-10)
+            with recorded() as inner:  # an inner ledger keeps its checks out of the outer one
+                require("b", 2.0, 1.0)
+            require("c", 2e-10, 1e-10, NumericalError)
+        assert outer == [("a", 1e-12, 1e-10), ("c", 2e-10, 1e-10)] and inner == [("b", 2.0, 1.0)]
+
+    def test_an_exception_ends_the_context(self):
+        with pytest.raises(KeyError), recorded():
+            raise KeyError
+        with pytest.raises(IntegrityError):
+            require("x", 2.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "graph, names",
+        [("directed", ["stationary", "fundamental", "first_step"]), ("undirected", ["fundamental", "first_step"])],
+    )
+    def test_hitting_records_its_builders_checks(self, graph, names):
+        # an undirected graph's pi is the closed form deg / vol, which no solve produces and no check confirms
+        with recorded() as ledger:
+            analyze(load_graph(str(Path(__file__).parent / "golden" / f"{graph}.edges"))).hitting
+        assert [name for name, _, _ in ledger] == names

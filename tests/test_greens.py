@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from greenwalk import families, pipeline, tolerance
 from greenwalk.errors import IntegrityError
 from greenwalk.generators import random_connected_graph, random_strongly_connected_digraph
-from greenwalk.graph import Distribution, stationary_distribution, transition_matrix
+from greenwalk.graph import Distribution
 from greenwalk.greens import (
     GreensMatrix,
     Rules,
@@ -16,11 +16,7 @@ from greenwalk.greens import (
     mixing_report,
     verify_green_constraints,
 )
-from greenwalk.hitting import hitting_times
-
-
-def analyze(g, beta=0.0):
-    return pipeline.analyze(g, beta)
+from greenwalk.pipeline import analyze
 
 
 class TestGreensFunction:

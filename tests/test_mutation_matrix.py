@@ -3,13 +3,14 @@
 Each mutation corrupts one input of a chain (H, pi or P) or one line of one
 builder. Every command then runs on a fresh chain of each golden graph, and
 every check the command makes counts: the ones its builders raise through
-``errors.require`` and the ones it returns. The raised ones are recorded, never
-raised, so no check hides the checks behind it. A check *catches* a mutation
-in a command when it fails there. A mutation counts only on a chain where it
-changes something a command prints other than a residual, and in a command
-only where it changes what that command prints: a fault in code that only a
-check reads reaches no output, so catching it guards nothing. ``verify`` prints
-checks alone; a mutation counts there on every chain where it counts at all.
+``errors.require`` and the ones it returns. The raised ones are recorded in an
+``errors.recorded()`` ledger, never raised, so no check hides the checks behind
+it. A check *catches* a mutation in a command when it fails there. A mutation
+counts only on a chain where it changes something a command prints other than
+a residual, and in a command only where it changes what that command prints: a
+fault in code that only a check reads reaches no output, so catching it guards
+nothing. ``verify`` prints checks alone; a mutation counts there on every chain
+where it counts at all.
 
 Every check name the commands make, or made before its deletion, is a
 candidate (``CANDIDATES``). A candidate stays when, in some command, it is the
@@ -352,11 +353,11 @@ RETIRED = [
 RETIRED_NAMES = CANDIDATES - set(KEPT) - set(RULES) - DEFERRED
 
 
-def _retired(recorder):
+def _retired():
     """Bindings that make each function of RETIRED also record the checks its probe gives.
 
-    A probe's own calls into the library record nothing: the checks they make
-    are not the library's.
+    A probe's own calls into the library record into a ledger of their own,
+    which is dropped: the checks they make are not the library's.
     """
     bindings = []
     for module, name, probe in RETIRED:
@@ -364,10 +365,10 @@ def _retired(recorder):
 
         def probing(*args, func=func, probe=probe):
             result = func(*args)
-            with recorder.muted():
+            with errors.recorded():
                 checks = probe(*args, result)
             for check in checks:
-                recorder(*check)
+                errors.require(*check)
             return result
 
         bindings += [(m, name, probing) for m in _modules() if vars(m).get(name) is func]
@@ -376,26 +377,6 @@ def _retired(recorder):
 
 # ---------------------------------------------------------------------------
 # the matrix
-
-
-class _Recorder:
-    """Stands in for ``errors.require``: records each check, and raises none."""
-
-    def __init__(self):
-        self.checks = []
-        self.recording = True
-
-    def __call__(self, name, residual, limit, *error):
-        if self.recording:
-            self.checks.append((name, float(residual), float(limit)))
-
-    @contextlib.contextmanager
-    def muted(self):
-        saved, self.recording = self.recording, False
-        try:
-            yield
-        finally:
-            self.recording = saved
 
 
 @dataclass(frozen=True)
@@ -424,51 +405,43 @@ def _commands(chain: str):
     return [argv for argv in COMMANDS if argv[0] != "spectral" or chain.startswith("undirected")]
 
 
-def _run(recorder: _Recorder, chain_name: str, argv: list[str], mutation: Mutation) -> tuple[str, list]:
-    """What the command prints, its residuals aside, and every check it makes.
+def _run(chain_name: str, argv: list[str], mutation: Mutation) -> tuple[str, list]:
+    """What the command prints, its residuals aside, and every check it makes, the raised ones first.
 
     A failure that is no check (a chain the mutation made invalid) counts as
     a failed check named after its exception.
     """
     name, beta = CHAINS[chain_name]
-    recorder.checks.clear()
-    try:
-        chain = mutation.chain(analyze(load_graph(str(GOLDEN / f"{name}.edges")), beta))
-        args = cli._build_parser().parse_args([argv[0], "--input", name, *argv[1:]])
-        output, checks = args.run(args, chain)
-        pieces: list[str] = []
-        cli.write_json(pieces.append, {key: value for key, value in output.items() if key != "residuals"})
-        printed = "".join(pieces)
-    except GreenWalkError as exc:
-        checks, printed = [(type(exc).__name__, np.inf, 0.0)], repr(exc)
-    return printed, recorder.checks + checks
+    with errors.recorded() as ledger:
+        try:
+            chain = mutation.chain(analyze(load_graph(str(GOLDEN / f"{name}.edges")), beta))
+            args = cli._build_parser().parse_args([argv[0], "--input", name, *argv[1:]])
+            output, checks = args.run(args, chain)
+            pieces: list[str] = []
+            cli.write_json(pieces.append, {key: value for key, value in output.items() if key != "residuals"})
+            printed = "".join(pieces)
+        except GreenWalkError as exc:
+            checks, printed = [(type(exc).__name__, np.inf, 0.0)], repr(exc)
+    return printed, ledger + checks
 
 
 def _names(checks) -> frozenset[str]:
     return frozenset(re.sub(r"_\d+$", "", check[0]) for check in checks)
 
 
-@contextlib.contextmanager
-def _recording():
-    recorder = _Recorder()
-    with _patched([(m, "require", recorder) for m in _modules() if vars(m).get("require") is errors.require]):
-        yield recorder
-
-
 @functools.cache
 def matrix() -> Matrix:
     fired, shown, base = {}, set(), {}
-    with _recording() as recorder:
-        for mutation in [NONE, *MUTATIONS]:
-            with _patched(_bindings(mutation)), _patched(_retired(recorder)):
-                for c in CHAINS:
-                    for argv in _commands(c):
-                        command = " ".join(argv)
-                        printed, checks = _run(recorder, c, argv, mutation)
-                        fired[c, mutation.name, command] = _names(filter(failed, checks))
-                        base.setdefault((c, command), printed)
-                        if argv[0] != "verify" and printed != base[c, command]:
-                            shown.add((c, mutation.name, command))
+    for mutation in [NONE, *MUTATIONS]:
+        with _patched(_bindings(mutation)), _patched(_retired()):
+            for c in CHAINS:
+                for argv in _commands(c):
+                    command = " ".join(argv)
+                    printed, checks = _run(c, argv, mutation)
+                    fired[c, mutation.name, command] = _names(filter(failed, checks))
+                    base.setdefault((c, command), printed)
+                    if argv[0] != "verify" and printed != base[c, command]:
+                        shown.add((c, mutation.name, command))
     return Matrix(fired, shown, {key[:2] for key in shown})
 
 
@@ -531,10 +504,9 @@ def test_unmutated_chains_pass_every_check():
 
 
 def test_library_makes_the_kept_candidates_and_no_retired_one():
-    with _recording() as recorder:
-        made = {name for c in CHAINS for argv in _commands(c) for name in _names(_run(recorder, c, argv, NONE)[1])}
-        with _patched(_retired(recorder)):
-            probed = {name for c in CHAINS for argv in _commands(c) for name in _names(_run(recorder, c, argv, NONE)[1])}
+    made = {name for c in CHAINS for argv in _commands(c) for name in _names(_run(c, argv, NONE)[1])}
+    with _patched(_retired()):
+        probed = {name for c in CHAINS for argv in _commands(c) for name in _names(_run(c, argv, NONE)[1])}
     assert made == CANDIDATES - RETIRED_NAMES
     assert probed - made == RETIRED_NAMES  # the probes make exactly the retired candidates
 

@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from greenwalk import greens
 from greenwalk.graph import load_graph
 from greenwalk.greens import mixing_report, trace_gap
 from greenwalk.pipeline import analyze, verify_checks
@@ -32,14 +31,9 @@ def test_verify_reports_the_builders_residuals(chain):
     assert checks["first_step"] is chain.hitting.first_step
 
 
-def test_verify_lists_each_check_once(chain, monkeypatch):
+def test_verify_lists_each_check_once(chain, lower_limit):
     # trace_vs_hit raised inside the mixing report is the check verify already lists
-    real = greens.require
-
-    def require(name, residual, limit, *error):
-        real(name, residual, -1.0 if name == "trace_vs_hit" else limit, *error)
-
-    monkeypatch.setattr(greens, "require", require)
+    lower_limit("trace_vs_hit")
     names = [name for name, _, _ in verify_checks(chain)]
     assert len(names) == len(set(names)) and "mixing_formulas" not in names
     assert "trace_vs_hit" in names

@@ -13,8 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import greenwalk.errors
-import greenwalk.hitting
 from greenwalk.cli import _CHUNK, main, write_csv, write_json
 from greenwalk.generators import random_strongly_connected_digraph
 from greenwalk.pipeline import analyze
@@ -332,13 +330,8 @@ class TestMainStreams:
         assert max(piece.count("\n") for piece in out.pieces) <= chunk_rows(self.N) + 1
 
     @pytest.mark.parametrize("command", ["hitting", "dual", "verify"])
-    def test_a_check_raised_before_output_writes_nothing(self, monkeypatch, capsys, graph_file, command):
-        real = greenwalk.errors.require
-
-        def require(name, residual, limit, *error):
-            real(name, residual, -1.0 if name == "first_step" else limit, *error)
-
-        monkeypatch.setattr(greenwalk.hitting, "require", require)
+    def test_a_check_raised_before_output_writes_nothing(self, monkeypatch, capsys, graph_file, command, lower_limit):
+        lower_limit("first_step")
         code, out = self.run(monkeypatch, [command, "--input", graph_file[0]])
         assert code == 2 and out.getvalue() == "" and "".join(out.pieces) == ""
         assert capsys.readouterr().err.startswith("FAIL first_step: residual ")

@@ -4,6 +4,7 @@ The scripts import library names (``hit_time``, ``ChainAnalysis.forget_rules``, 
 parser and commands), so a renamed or removed name shows here first.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -12,6 +13,14 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+# every check tolerance_sweep.py reports at n = 60; fundamental, column_* and oracle_* it sees only in its ledger
+SWEPT_CHECKS = set("""
+    column_first_step column_fundamental core_negative_mass core_routes cycle_poly_vs_trig dual_reverse_involution
+    exit_conservation exit_row_min exit_row_sums first_step forget_negative_mass fundamental greens_constraint
+    greens_row_sum laziness_scaling oracle_access_zero oracle_greens oracle_h_one_zero oracle_hitting oracle_t_hit
+    oracle_t_mix oracle_t_reset pessimal_formulas reverse_row_sum spectral_access spectral_greens spectral_hitting
+    spectral_t_hit spectral_t_mix spectral_t_reset stationary trace_vs_hit
+""".split())
 
 
 @pytest.mark.parametrize(
@@ -35,3 +44,5 @@ def test_script_exits_zero(argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+    if argv[0] == "tolerance_sweep.py":
+        assert set(json.loads(proc.stdout.splitlines()[-1])) == SWEPT_CHECKS
