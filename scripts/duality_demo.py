@@ -33,7 +33,7 @@ def main() -> None:
         t_forget_rev = float(sol.reverse.forget_rules.access.max())
         print(
             f"{seed:>6}{t_reset:>12.6f}{rep.t_forget:>12.6f}{t_forget_rev:>15.6f}"
-            f"{rep.residuals['reverse_involution']:>18.3e}"
+            f"{rep.reverse_involution:>18.3e}"
         )
     print("\nT_reset equals the reverse chain's forget time on every row.")
 

@@ -15,8 +15,8 @@ Every graph is drawn from ``numpy.random.default_rng(seed)`` and run with
 ``--lazy`` 0 and 0.5 through hitting, green, exitfreq, mixing, dual and
 verify. Each run prints one line: the shape, d, seed, laziness, command,
 exit status and the name of the first ``FAIL`` line on stderr ("-" when there
-is none). A table of exit-2 counts per shape, d and first failing check
-follows. The sweep reports failures and does not judge them: it exits 0.
+is none). Run counts per exit status and per first FAIL follow, then both as
+one JSON line. The sweep reports failures and does not judge them: it exits 0.
 
 Usage: python3 scripts/range_sweep.py [--n N] [--seeds K] [--holding-seeds K]
 """
@@ -24,6 +24,7 @@ Usage: python3 scripts/range_sweep.py [--n N] [--seeds K] [--holding-seeds K]
 import argparse
 import contextlib
 import io
+import json
 import sys
 import tempfile
 from collections import Counter
@@ -104,6 +105,8 @@ def main() -> int:
     print("\nfailed runs by command and first FAIL")
     for (shape, d, command, name), count in sorted(failures.items()):
         print(f"{shape:>8} d={d}  {command:>8}  {name}: {count}")
+    tables = {"exits": exits, "failures": failures}
+    print(json.dumps({name: [[*key, count] for key, count in sorted(table.items())] for name, table in tables.items()}))
     return 0
 
 

@@ -49,8 +49,8 @@ def kernel(H) -> str:
 
 def payloads(n: int) -> dict:
     chain = analyze(random_strongly_connected_digraph(n, 1, extra=0.02))
-    hitting, _ = _cmd_hitting(argparse.Namespace(format="json"), chain)
-    dual, _ = _cmd_dual(None, chain)
+    hitting = _cmd_hitting(argparse.Namespace(format="json"), chain)
+    dual = _cmd_dual(None, chain)
     return {"hitting": hitting, "dual": dual}
 
 

@@ -8,15 +8,15 @@ extra=0.02), each also at --lazy 0.5, and solves hitting_column on each of
 those chains at vertex 0 and at argmin pi, whose checks count as
 column_fundamental and column_first_step. Then it runs path_oracle(n),
 cycle_oracle(n), tree_oracle(random_tree(n, 1, weighted=True)),
-hypercube_oracle(10) and toric_oracle((32, 32)). Every
-check counts: the ones the library raises through ``errors.require``, which
-an ``errors.recorded()`` ledger records passing or not, and the ones commands
-return. For each check name it prints the worst residual/limit and where it
-occurred; ``pessimal_formulas_<vertex>`` counts as one name. The last line is
-the table as JSON. Inside the ledger no check raises: a failing one shows in
-the table with a ratio above 1, next to the checks made after it, and the
-``raised:`` lines list only errors that carry no check. Exits 1 when a ratio
-exceeds 1 or a command raises.
+hypercube_oracle(10) and toric_oracle((32, 32)). Every check the library
+makes through ``errors.require`` counts: an ``errors.recorded()`` ledger
+records it passing or not, and ``verify``, which keeps a ledger of its own,
+prints its checks. For each check name it prints the worst residual/limit
+and where it occurred; ``pessimal_formulas_<vertex>`` counts as one name.
+The last line is the table as JSON. Inside the ledger no check raises: a
+failing one shows in the table with a ratio above 1, next to the checks made
+after it, and the ``raised:`` lines list only errors that carry no check.
+Exits 1 when a ratio exceeds 1 or a command raises.
 
 At n = 2000 it takes about 1.5 minutes and 0.8 GB on one core of a Xeon
 with OpenBLAS on one thread.
@@ -73,11 +73,11 @@ def main() -> int:
                     where = f"{' '.join(argv)} {label}" + (" --lazy 0.5" if lazy else "")
                     args = commands.parse_args([argv[0], "--input", label, *argv[1:]])
                     try:
-                        checks = args.run(args, chain)[1]
+                        output = args.run(args, chain)
+                        note(where, [(name, c["residual"], c["limit"]) for name, c in output.get("checks", {}).items()])
                     except errors.GreenWalkError as exc:
-                        checks = []
                         raised.append(f"{where}: {exc}")
-                    note(where, ledger + checks)
+                    note(where, ledger)
                     ledger.clear()
                 for j in sorted({0, int(chain.stationary.probs.argmin())}):
                     where = f"hitting_column {j} {label}" + (" --lazy 0.5" if lazy else "")

@@ -1,15 +1,14 @@
 """Command-line front end: read a graph, run a command on its chain, print the result.
 
-A command returns its output and its checks, the (name, residual, limit)
-triples of the library functions it called. Exit status 0 means success,
-1 a validation or usage problem, and 2 an integrity failure. A failed
-check is reported on standard error as ``FAIL name: residual R exceeds L``:
-after the output when the command returned it, and with no output when the
-library raised it while computing. Every check is decided before the first
-byte is written; the output then goes to standard output as it is
-formatted, a chunk of matrix rows at a time, never as one string. Output
-formatting is fixed at 17 significant digits so identical invocations
-produce byte-identical output.
+A command returns only its output; the library decides every check as it
+computes. Exit status 0 means success, 1 a validation or usage problem, and
+2 an integrity failure. A failed check is reported on standard error as
+``FAIL name: residual R exceeds L``, and the library raises it before any
+output is written. ``verify`` alone records its checks instead of raising
+them and prints them: each failed one is reported after its output. The
+output goes to standard output as it is formatted, a chunk of matrix rows
+at a time, never as one string. Output formatting is fixed at 17
+significant digits so identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -25,10 +24,10 @@ from . import families
 from .duality import duality_checks
 from .errors import GreenWalkError, ParseError, ValidationError, describe, failed
 from .graph import Distribution, load_graph, read_text
-from .greens import GreensMatrix, Rules, exit_frequency_matrix, green_checks, greens_general
+from .greens import GreensMatrix, Rules, exit_frequency_matrix, greens_general, require_constraint
 from .hitting import hitting_column
 from .montecarlo import empirical_hitting, empirical_random_target
-from .pipeline import analyze, exit_checks, spectral_routes, verify_checks
+from .pipeline import analyze, spectral_routes, verify_checks
 from .spectral import decompose
 
 
@@ -274,11 +273,6 @@ def write_csv(write, rows) -> None:
         write(text)
 
 
-def _residuals(names, checks) -> dict[str, float]:
-    """The residuals of checks, under the names the output gives them."""
-    return {name: residual for name, (_, residual, _) in zip(names, checks, strict=True)}
-
-
 def _matrix(args, target, rows, residuals):
     if args.format == "csv":
         return functools.partial(write_csv, rows=rows)
@@ -362,33 +356,32 @@ def _target_rules(label: str, chain) -> Rules:
 
 
 # ---------------------------------------------------------------------------
-# commands: each maps (args, chain) to (output, checks), where output is text,
-# a JSON value, or a function that writes it, and checks are the (name,
-# residual, limit) triples that decide exit status 2
+# commands: each maps (args, chain) to its output: text, a JSON value, or a
+# function that writes it
 
 
 def _cmd_hitting(args, chain):
     t_hit, residual = chain.hit_time
     residuals = {"t_hit": t_hit, "random_target": residual}
-    return _matrix(args, chain.stationary.probs, chain.hitting.values, residuals), []
+    return _matrix(args, chain.stationary.probs, chain.hitting.values, residuals)
 
 
 def _cmd_green(args, chain):
     G = greens_general(_target_rules(args.target, chain))
-    checks = green_checks(chain, G)
-    return _matrix(args, G.target.probs, G.values, _residuals(("constraint", "row_sum"), checks)), checks
+    residuals = {"constraint": require_constraint(chain, G, "greens_constraint"), "row_sum": G.row_sum}
+    return _matrix(args, G.target.probs, G.values, residuals)
 
 
 def _cmd_exitfreq(args, chain):
     X = exit_frequency_matrix(_target_rules(args.target, chain))
-    checks = exit_checks(chain, X)
-    residuals = _residuals(("conservation", "row_min", "access_gap"), checks)
-    return _matrix(args, X.target.probs, X.values, residuals), checks
+    conservation = require_constraint(chain, X, "exit_conservation")
+    residuals = {"conservation": conservation, "row_min": X.row_min, "access_gap": X.access_gap}
+    return _matrix(args, X.target.probs, X.values, residuals)
 
 
 def _cmd_mixing(args, chain):
     rep = chain.mixing
-    payload = {
+    return {
         "n": chain.graph.n,
         "t_mix": rep.t_mix,
         "t_reset": rep.t_reset,
@@ -398,26 +391,24 @@ def _cmd_mixing(args, chain):
         "mixing_pessimal": [int(v) for v in rep.mixing_pessimal],
         "halting_states": [list(row) for row in rep.halting_states],
     }
-    return payload, []
 
 
 def _cmd_spectral(args, chain):
     dec = decompose(chain.graph)
-    (t_mix, t_reset, t_hit), checks = spectral_routes(chain, dec, chain.mixing)
-    payload = {
+    (t_mix, t_reset, t_hit), residuals = spectral_routes(chain, dec)
+    return {
         "n": chain.graph.n,
         "eigenvalues": dec.eigenvalues,
         "t_mix": t_mix,
         "t_reset": t_reset,
         "t_hit": t_hit,
-        "residuals": _residuals(("hitting_route", "greens_route", "access_route", "t_mix", "t_reset", "t_hit"), checks),
+        "residuals": residuals,
     }
-    return payload, checks
 
 
 def _cmd_dual(args, chain):
     rep = duality_checks(chain)
-    payload = {
+    return {
         "n": chain.graph.n,
         "t_forget": rep.t_forget,
         "forget": rep.forget.probs,
@@ -427,9 +418,8 @@ def _cmd_dual(args, chain):
         "reverse_rows": chain.reverse.transition.probs,
         "reverse_hitting_rows": chain.reverse.hitting.values,
         "core_exit_rows": rep.core_exit.values,
-        "residuals": rep.residuals,
+        "residuals": {"reverse_involution": rep.reverse_involution},
     }
-    return payload, rep.checks
 
 
 _MEASURE_ALIASES = {"h10": "honezero"}  # measure names compare in lower case with underscores dropped
@@ -478,8 +468,8 @@ def _cmd_family(args, _):
             raise ValidationError(
                 f"unknown measure {args.measure!r}; available: {', '.join(sorted(report.measures))}"
             )
-        return _fmt(report.measures[key]) + "\n", []
-    payload = {
+        return _fmt(report.measures[key]) + "\n"
+    return {
         "family": report.family,
         "params": [int(p) for p in report.params],
         "n": report.graph.n,
@@ -489,7 +479,6 @@ def _cmd_family(args, _):
         "hitting_rows": report.hitting,
         "greens_rows": report.greens,
     }
-    return payload, []
 
 
 def _cmd_simulate(args, chain):
@@ -502,7 +491,7 @@ def _cmd_simulate(args, chain):
         stats = empirical_random_target(chain.transition, chain.stationary, args.start, args.trials, args.seed)
         analytic = chain.hit_time[0]
         mode = "random-target"
-    payload = {
+    return {
         "mode": mode,
         "trials": stats.trials,
         "mean": stats.mean,
@@ -510,7 +499,6 @@ def _cmd_simulate(args, chain):
         "seed": stats.seed,
         "analytic": analytic,
     }
-    return payload, []
 
 
 def _read_green_file(path: str, n: int) -> GreensMatrix:
@@ -532,11 +520,9 @@ def _read_green_file(path: str, n: int) -> GreensMatrix:
 
 
 def _cmd_verify(args, chain):
-    checks = verify_checks(chain)
-    if args.green is not None:
-        M = _read_green_file(args.green, chain.graph.n)
-        checks += green_checks(chain, M, "file_greens")
-    payload = {
+    green = None if args.green is None else _read_green_file(args.green, chain.graph.n)
+    checks = verify_checks(chain, green)
+    return {
         "n": chain.graph.n,
         "checks": {
             name: {"residual": residual, "limit": limit, "ok": not failed((name, residual, limit))}
@@ -544,12 +530,11 @@ def _cmd_verify(args, chain):
         },
         "ok": not any(map(failed, checks)),
     }
-    return payload, checks
 
 
 def _computed(args):
-    """The command's (output, checks). The chain it reads goes out of scope on return, so only the
-    printed arrays stay alive while main writes them."""
+    """The command's output. The chain it reads goes out of scope on return, so only the printed
+    arrays stay alive while main writes them."""
     # only the commands that read a chain take --lazy
     chain = analyze(load_graph(args.input, args.input_format), args.lazy) if "lazy" in args else None
     return args.run(args, chain)
@@ -562,16 +547,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        output, checks = _computed(args)
+        output = _computed(args)
     except (ParseError, ValidationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except GreenWalkError as exc:
-        if exc.check is None:
-            sys.stderr.write(f"integrity error: {exc}\n")
-            return 2
-        # a check the library raised while computing ends the command before any output
-        output, checks = "", [exc.check]
+        # a failure the library raised while computing, a check's or another, ends the command before any output
+        sys.stderr.write(f"integrity error: {exc}\n" if exc.check is None else f"FAIL {describe(exc.check)}\n")
+        return 2
     # every check is decided by now: the output is written as it is formatted
     write = sys.stdout.write
     if isinstance(output, str):
@@ -581,10 +564,13 @@ def main(argv=None) -> int:
     else:
         write_json(write, output)
         write("\n")
-    failures = [check for check in checks if failed(check)]
-    for check in failures:
-        sys.stderr.write(f"FAIL {describe(check)}\n")
-    return 2 if failures else 0
+    if not isinstance(output, dict) or output.get("ok", True):
+        return 0
+    # verify prints its checks instead of raising them
+    for name, check in output["checks"].items():
+        if not check["ok"]:
+            sys.stderr.write(f"FAIL {describe((name, check['residual'], check['limit']))}\n")
+    return 2
 
 
 if __name__ == "__main__":

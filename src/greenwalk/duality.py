@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import tolerance
-from .errors import Check, require
+from .errors import require
 from .graph import Distribution, TransitionMatrix, walk_laplacian
 from .greens import ExitFrequencyMatrix, Rules
 
@@ -18,11 +18,7 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class DualityReport:
-    """Everything the reverse chain says about the forward one.
-
-    ``checks`` holds each returned check as a ``dual_<key>`` (name, residual,
-    limit) triple; ``residuals`` reads them by key.
-    """
+    """Everything the reverse chain says about the forward one."""
 
     forget: Distribution          # forget distribution of the forward chain
     reverse_forget: Distribution  # forget distribution of the reverse chain
@@ -30,11 +26,7 @@ class DualityReport:
     core: Distribution            # the pi-core
     core_exit: ExitFrequencyMatrix
     t_forget: float
-    checks: list[Check]
-
-    @property
-    def residuals(self) -> dict[str, float]:
-        return {name.removeprefix("dual_"): residual for name, residual, _ in self.checks}
+    reverse_involution: float     # the residual of dual_reverse_involution
 
 
 def reverse_chain(P: TransitionMatrix, pi: Distribution) -> TransitionMatrix:
@@ -102,18 +94,18 @@ def pi_core(chain: ChainAnalysis) -> tuple[Distribution, ExitFrequencyMatrix, np
 def duality_checks(chain: ChainAnalysis) -> DualityReport:
     """The reverse chain's report on the forward one: the forget distributions, the pi-core and its exit matrix.
 
-    Its one returned check is ``dual_reverse_involution``: reversing the
-    reverse chain gives back P, to ``tolerance.bound`` at size n on the
-    probability scale (1, RESIDUAL). The builders raise the rest: the core's
-    two routes (``core_routes``), the reverse chain's row sums and first-step
-    equations, and the nonnegative mass of each distribution. Nothing is
-    raised here; ``errors.failed`` decides the check.
+    Its own check is ``dual_reverse_involution``: reversing the reverse chain
+    gives back P, to ``tolerance.bound`` at size n on the probability scale
+    (1, RESIDUAL). The builders check the rest: the core's two routes
+    (``core_routes``), the reverse chain's row sums and first-step equations,
+    and the nonnegative mass of each distribution.
     """
     P, pi, rev = chain.transition, chain.stationary, chain.reverse
     mu, mu_hat = chain.forget, rev.forget
     t_forget = float(chain.forget_rules.access.max())
     core, core_exit, offsets = pi_core(chain)
     involution = tolerance.gap(reverse_chain(rev.transition, pi).probs, P.probs)
+    involution = require("dual_reverse_involution", involution, tolerance.bound(P.n, 1.0, tolerance.RESIDUAL))
     return DualityReport(
         forget=mu,
         reverse_forget=mu_hat,
@@ -121,5 +113,5 @@ def duality_checks(chain: ChainAnalysis) -> DualityReport:
         core=core,
         core_exit=core_exit,
         t_forget=t_forget,
-        checks=[("dual_reverse_involution", involution, tolerance.bound(P.n, 1.0, tolerance.RESIDUAL))],
+        reverse_involution=involution,
     )

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, the one predicate that decides a residual check, and its ledger."""
+"""Exception types shared across the toolkit, the one path every residual check takes, and its ledger."""
 
 from __future__ import annotations
 
@@ -61,11 +61,30 @@ def recorded():
         _ledger.reset(token)
 
 
-def require(name: str, residual, limit, error: type[GreenWalkError] = IntegrityError) -> None:
-    """Raise ``error`` carrying the check (name, residual, limit) when it fails; inside ``recorded()``, record it."""
+def require(name: str, residual, limit, error: type[GreenWalkError] = IntegrityError) -> float:
+    """Check that residual is at most limit, and return the residual as a float.
+
+    Outside ``recorded()`` a failed check raises ``error`` carrying (name,
+    residual, limit); inside, every check is recorded and none raises.
+    """
     check = (name, float(residual), float(limit))
     ledger = _ledger.get()
     if ledger is not None:
         ledger.append(check)
     elif failed(check):
         raise error(describe(check), check)
+    return check[1]
+
+
+def worst(ledger: list[Check]) -> list[Check]:
+    """One check per name, in first-recorded order: a failed one if any, else the one of largest residual/limit."""
+    kept: dict[str, Check] = {}
+    for check in ledger:
+        if check[0] not in kept or _rank(check) > _rank(kept[check[0]]):
+            kept[check[0]] = check
+    return list(kept.values())
+
+
+def _rank(check: Check) -> tuple[bool, float]:
+    _, residual, limit = check
+    return failed(check), residual / limit if limit > 0 else float("inf")

@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import tolerance
-from .errors import Check, require
+from .errors import require
 from .graph import Distribution, TransitionMatrix, walk_laplacian
 from .hitting import HittingTimeMatrix
 
@@ -163,13 +163,10 @@ def verify_green_constraints(M: GreensMatrix | ExitFrequencyMatrix, P: Transitio
     return float(np.abs(lhs, out=lhs).max())
 
 
-def green_checks(chain: ChainAnalysis, M: GreensMatrix, name: str = "greens") -> list[Check]:
-    """The checks ``name``_constraint and ``name``_row_sum of a Green matrix for the chain, at its entry scale."""
+def require_constraint(chain: ChainAnalysis, M: GreensMatrix | ExitFrequencyMatrix, name: str) -> float:
+    """The check ``name`` of M's defining constraint (``verify_green_constraints``) at the chain's entry scale."""
     limit = tolerance.bound(chain.transition.n, chain.entry_scale, tolerance.RESIDUAL)
-    return [
-        (f"{name}_constraint", verify_green_constraints(M, chain.transition), limit),
-        (f"{name}_row_sum", M.row_sum, limit),
-    ]
+    return require(name, verify_green_constraints(M, chain.transition), limit)
 
 
 def hitting_from_greens(M: GreensMatrix, pi: Distribution) -> HittingTimeMatrix:

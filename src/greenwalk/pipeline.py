@@ -1,7 +1,7 @@
 """One chain, solved once: hitting times, Green's function, X_pi, mixing and the reverse chain.
 
-The check functions here audit a chain: each returns (name, residual, limit)
-triples, and ``errors.failed`` decides which of them fail.
+Every check goes through ``errors.require`` where its residual is computed.
+``verify_checks`` audits a chain in a ledger, and returns its checks.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tolerance
 from .duality import duality_checks, forget_distribution, reverse_chain
-from .errors import Check, IntegrityError
+from .errors import Check, recorded, require, worst
 from .graph import (
     Distribution,
     TransitionMatrix,
@@ -28,12 +28,10 @@ from .greens import (
     MixingReport,
     Rules,
     exit_frequency_matrix,
-    green_checks,
     greens_general,
     hitting_from_greens,
     mixing_report,
-    trace_gap,
-    verify_green_constraints,
+    require_constraint,
 )
 from .hitting import HittingTimeMatrix, hit_time, hitting_times, reversed_hitting_times
 from .spectral import SpectralDecomposition, decompose, spectral_greens
@@ -49,8 +47,8 @@ class ChainAnalysis:
     reads the trace of G off the rules toward pi); ``pi_rules`` and
     ``forget_rules`` hold H(tau, .) and H(., tau) toward pi and the forget
     distribution. A residual a builder checks is kept on what it certifies
-    (``greens.row_sum``, ``exit_pi.row_min``), and the check lists read it
-    there. ``reverse`` is the time-reversed chain over the same pi; its
+    (``greens.row_sum``, ``exit_pi.row_min``), and the commands print it
+    from there. ``reverse`` is the time-reversed chain over the same pi; its
     ``hitting`` is read off this chain's with no second solve, and confirmed
     against the reverse chain's own rows. While this chain is alive, its
     ``reverse`` is this chain. ``forget``, the forget distribution, is read off
@@ -126,28 +124,19 @@ def analyze(g: WeightedDigraph, beta: float = 0.0) -> ChainAnalysis:
     return ChainAnalysis(P, stationary_distribution(P))
 
 
-def exit_checks(chain: ChainAnalysis, X: ExitFrequencyMatrix) -> list[Check]:
-    """An exit-frequency matrix of the chain: its conservation law, a zero in every row, and row sums H(i, tau)."""
-    entries = tolerance.bound(X.n, chain.entry_scale, tolerance.RESIDUAL)
-    return [
-        ("exit_conservation", verify_green_constraints(X, chain.transition), entries),
-        ("exit_row_min", X.row_min, entries),
-        ("exit_row_sums", X.access_gap, tolerance.bound(X.n, chain.hitting.time_scale, tolerance.RESIDUAL)),
-    ]
-
-
 def spectral_routes(
-    chain: ChainAnalysis, dec: SpectralDecomposition, rep: MixingReport | None
-) -> tuple[tuple[float, float, float] | None, list[Check]]:
+    chain: ChainAnalysis, dec: SpectralDecomposition
+) -> tuple[tuple[float, float, float], dict[str, float]]:
     """The spectral (T_mix, T_reset, T_hit) of a chain, and the gap of each spectral route to the solved one.
 
     Every spectral quantity but T_hit = sum_{k>=1} 1 / lambda_k is read off the
     spectral G with its pi: H(i, j) = (G(j, j) - G(i, j)) / pi_j, so
     H(pi, j) = G(j, j) / pi_j and H(i, pi) = H(i', i) - H(pi, i) = -G(i', i) / pi_i
-    for a pessimal vertex i' of i. The mixing measures need the chain's mixing
-    report ``rep`` for i'; without it they are None and go unchecked.
+    for a pessimal vertex i' of i, read off the chain's mixing report. Each gap
+    is the check ``spectral_<key>``; the residuals are keyed as ``spectral``
+    prints them.
     """
-    n, H = chain.transition.n, chain.hitting
+    n, H, rep = chain.transition.n, chain.hitting, chain.mixing
     factor = 1.0 / (1.0 - chain.transition.beta)  # laziness rescales every expected time
 
     def scaled(M):
@@ -158,50 +147,45 @@ def spectral_routes(
     G_spec = spectral_greens(dec)
     pi = G_spec.target.probs
     gap_h = tolerance.gap(scaled(hitting_from_greens(G_spec, G_spec.target).values), H.values)
+    residuals = {"hitting_route": require("spectral_hitting", gap_h, times)}
     # the chain's G is read once the spectral H is gone: the two are never held together
     gap_g = tolerance.gap(scaled(G_spec.values), chain.greens.values)
-    gap_a = tolerance.gap(np.diag(G_spec.values) / pi * factor, chain.pi_rules.from_target)
     entries = tolerance.bound(n, chain.entry_scale, tolerance.ROUTE)
-    checks = [("spectral_hitting", gap_h, times), ("spectral_greens", gap_g, entries)]
-    checks.append(("spectral_access", gap_a, times))
-    if rep is None:
-        return None, checks
+    residuals["greens_route"] = require("spectral_greens", gap_g, entries)
+    gap_a = tolerance.gap(np.diag(G_spec.values) / pi * factor, chain.pi_rules.from_target)
+    residuals["access_route"] = require("spectral_access", gap_a, times)
     mix = -G_spec.values[rep.pessimal, np.arange(n)] / pi  # H(i, pi) for every i
     t_hit = float((1.0 / dec.eigenvalues[1:]).sum())
     spectral = tuple(v * factor for v in (float(mix.max()), float(pi @ mix), t_hit))
     for key, value, solved in zip(("t_mix", "t_reset", "t_hit"), spectral, (rep.t_mix, rep.t_reset, rep.t_hit)):
-        checks.append((f"spectral_{key}", abs(value - solved), times))
-    return spectral, checks
+        residuals[key] = require(f"spectral_{key}", abs(value - solved), times)
+    return spectral, residuals
 
 
-def verify_checks(chain: ChainAnalysis) -> list[Check]:
-    """Every invariant suite on the chain of a graph."""
-    g, P, pi, H, G = chain.graph, chain.transition, chain.stationary, chain.hitting, chain.greens
-    n, T = P.n, H.time_scale
-    probs = tolerance.bound(n, 1.0, tolerance.RESIDUAL)
-    times = tolerance.bound(n, T, tolerance.RESIDUAL)
-    routes = tolerance.bound(n, T, tolerance.ROUTE)
-    checks = [
-        ("stationary", tolerance.gap(pi.probs @ P.probs, pi.probs), probs),
-        ("first_step", H.first_step, routes),
-        *green_checks(chain, G),
-        ("trace_vs_hit", trace_gap(chain), times),
-        *exit_checks(chain, chain.exit_pi),
-    ]
+def verify_checks(chain: ChainAnalysis, green: GreensMatrix | None = None) -> list[Check]:
+    """Every invariant suite on the chain of a graph, and on a Green matrix ``green`` read for it.
 
-    try:
-        mixing = chain.mixing
-    except IntegrityError as exc:
-        mixing = None
-        if exc.check[0] not in {name for name, _, _ in checks}:  # trace_vs_hit is listed above
-            checks.append(exc.check)
-
-    if P.beta == 0.0:
-        # laziness never moves pi, so the lazy chain reuses it; its hitting times are solved anew
-        lazy = ChainAnalysis(transition_matrix(g, 0.5), pi)
-        checks.append(("laziness_scaling", tolerance.gap(lazy.hitting.values * 0.5, H.values), routes))
-        del lazy  # its P and H go once the residual is read
-
-    if g.undirected:
-        checks += spectral_routes(chain, decompose(g), mixing)[1]
-    return checks + duality_checks(chain).checks
+    The builders run in an ``errors.recorded()`` ledger, so no check raises,
+    and each name keeps its worst record (``errors.worst``).
+    """
+    g, P, pi = chain.graph, chain.transition, chain.stationary
+    n = P.n
+    with recorded() as ledger:
+        require("stationary", tolerance.gap(pi.probs @ P.probs, pi.probs), tolerance.bound(n, 1.0, tolerance.RESIDUAL))
+        H = chain.hitting  # fundamental and first_step
+        require_constraint(chain, chain.greens, "greens_constraint")
+        require_constraint(chain, chain.exit_pi, "exit_conservation")
+        chain.mixing  # trace_vs_hit, and pessimal_formulas_<i> on an undirected graph
+        if P.beta == 0.0:
+            # laziness never moves pi, so the lazy chain reuses it; its hitting times are solved anew
+            lazy = ChainAnalysis(transition_matrix(g, 0.5), pi)
+            gap = tolerance.gap(lazy.hitting.values * 0.5, H.values)
+            require("laziness_scaling", gap, tolerance.bound(n, H.time_scale, tolerance.ROUTE))
+            del lazy  # its P and H go once the residual is read
+        if g.undirected:
+            spectral_routes(chain, decompose(g))
+        duality_checks(chain)
+        if green is not None:
+            require_constraint(chain, green, "file_greens_constraint")
+            require("file_greens_row_sum", green.row_sum, tolerance.bound(n, chain.entry_scale, tolerance.RESIDUAL))
+    return worst(ledger)

@@ -48,8 +48,8 @@ def decompose(g: WeightedDigraph) -> SpectralDecomposition:
 
     Exactly one eigenvalue may fall below the zero threshold; more than one
     means the graph is disconnected. The basis itself is checked where it is
-    used: every spectral value is compared with the solved chain's
-    (``pipeline.spectral_routes``).
+    used: ``pipeline.spectral_routes`` requires every spectral value to match
+    the solved chain's.
     """
     try:
         lam, phi = np.linalg.eigh(normalized_laplacian(g))

@@ -25,7 +25,7 @@ def lower_limit(monkeypatch):
 
     def lower(target):
         def require(name, residual, limit, *error):
-            real(name, residual, -1.0 if name == target else limit, *error)
+            return real(name, residual, -1.0 if name == target else limit, *error)
 
         for name, module in sys.modules.items():
             if name.startswith("greenwalk.") and vars(module).get("require") is real:

@@ -131,7 +131,7 @@ def test_06_spectral_equivalence():
         gap_h = float(np.abs(hitting_from_greens(G, G.target).values - sol.hitting.values).max())
         gap_g = float(np.abs(G.values - sol.greens.values).max())
         rep = mixing_report(sol)
-        (t_mix, t_reset, t_hit), _ = spectral_routes(sol, dec, rep)
+        (t_mix, t_reset, t_hit), _ = spectral_routes(sol, dec)
         by_trace = float(np.trace(sol.greens.values))
         by_pairs, _ = hit_time(sol.hitting, sol.stationary)
         gaps = [
@@ -220,7 +220,7 @@ def test_09_duality():
         mix_rev = Rules(hitting_times(rev, pid), pid, pid).access
         t_reset = float(pid.probs @ Rules(hitting_times(Pd, pid), pid, pid).access)
         gap = abs(t_reset - duality_checks(chain.reverse).t_forget)
-        worst = max(worst, gap / scale, max(rep.residuals.values()) / scale)
+        worst = max(worst, gap / scale, rep.reverse_involution / scale)
     report("09 duality identities", ok and worst <= 1e-8, f"worst rel {worst:.2e}")
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import json
 import os
@@ -211,11 +210,8 @@ def _zero_hitting_from_greens(M, pi):
 
 
 def _reverse_involution_is_one(real):
-    def fake(chain):
-        rep = real(chain)
-        checks = [(name, 1.0, limit) if name == "dual_reverse_involution" else (name, r, limit)
-                  for name, r, limit in rep.checks]
-        return dataclasses.replace(rep, checks=checks)
+    def fake(name, residual, limit, *error):
+        return real(name, 1.0 if name == "dual_reverse_involution" else residual, limit, *error)
 
     return fake
 
@@ -225,48 +221,46 @@ def _largest_hitting_time(case):
 
 
 class TestCheckFailures:
-    """A check over its limit exits 2: the output is printed in full, and
-    stderr names each failing check with its residual and limit."""
+    """A check over its limit on what a command prints exits 2 with no output,
+    and stderr names the failing check with its residual and limit."""
 
     @pytest.mark.parametrize(
-        "case, module, attr, fake, key, residual, check",
+        "command, graph, module, attr, fake, residual, check",
         [
             pytest.param(
-                "green-directed", greenwalk.greens, "verify_green_constraints", _first_constraint_is_one,
-                "constraint", 1.0, "greens_constraint", id="green",
+                "green", "directed", greenwalk.greens, "verify_green_constraints", _first_constraint_is_one,
+                1.0, "greens_constraint", id="green",
             ),
             pytest.param(
-                "green-directed", greenwalk.greens, "verify_green_constraints", _first_constraint_is_nan,
-                "constraint", float("nan"), "greens_constraint", id="green-nan",
+                "green", "directed", greenwalk.greens, "verify_green_constraints", _first_constraint_is_nan,
+                float("nan"), "greens_constraint", id="green-nan",
             ),
             pytest.param(
-                "exitfreq-directed", greenwalk.pipeline, "verify_green_constraints", _first_constraint_is_one,
-                "conservation", 1.0, "exit_conservation", id="exitfreq",
+                "exitfreq", "directed", greenwalk.greens, "verify_green_constraints", _first_constraint_is_one,
+                1.0, "exit_conservation", id="exitfreq",
             ),
             pytest.param(
-                "spectral-undirected", greenwalk.pipeline, "hitting_from_greens", lambda real: _zero_hitting_from_greens,
-                "hitting_route", _largest_hitting_time("hitting-undirected"), "spectral_hitting", id="spectral",
+                "spectral", "undirected", greenwalk.pipeline, "hitting_from_greens",
+                lambda real: _zero_hitting_from_greens,
+                _largest_hitting_time("hitting-undirected"), "spectral_hitting", id="spectral",
             ),
             pytest.param(
-                "dual-directed", greenwalk.cli, "duality_checks", _reverse_involution_is_one,
-                "reverse_involution", 1.0, "dual_reverse_involution", id="dual",
+                "dual", "directed", greenwalk.duality, "require", _reverse_involution_is_one,
+                1.0, "dual_reverse_involution", id="dual",
             ),
         ],
     )
-    def test_command_exits_two(self, capsys, monkeypatch, case, module, attr, fake, key, residual, check):
-        command, graph = case.split("-")
+    def test_command_exits_two(self, capsys, monkeypatch, command, graph, module, attr, fake, residual, check):
         monkeypatch.setattr(module, attr, fake(getattr(module, attr)))
         code, out, err = run(capsys, command, "--input", str(GOLDEN / f"{graph}.edges"))
-        golden = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
-        expected, count = re.subn(f'"{key}": [^,\n]+', f'"{key}": {residual:.17g}', golden)
-        assert code == 2
-        assert count == 1 and out == expected
+        assert code == 2 and out == ""
         assert re.fullmatch(re.escape(f"FAIL {check}: residual {residual:.6e} exceeds ") + r"[0-9.e+-]+\n", err)
 
 
 class TestRaisedChecks:
     """A check the library raises while computing exits 2 with no output, and
-    stderr names it as it names a returned check."""
+    stderr names it; verify, which records its checks, prints them and names
+    each failed one after its output."""
 
     @pytest.mark.parametrize(
         "check, argv",
@@ -302,17 +296,21 @@ class TestRaisedChecks:
         lower_limit(check)
         graphs = {"DIRECTED": str(GOLDEN / "directed.edges"), "UNDIRECTED": str(GOLDEN / "undirected.edges")}
         code, out, err = run(capsys, *[graphs.get(a, a) for a in argv])
-        assert code == 2 and out == ""
+        assert code == 2
+        if argv[0] == "verify":  # verify prints its checks, the failed one among them
+            assert not json.loads(out)["checks"][check]["ok"]
+        else:
+            assert out == ""
         assert re.fullmatch(re.escape(f"FAIL {check}: residual ") + r"[0-9.e+-]+ exceeds -1\.000000e\+00\n", err)
 
     def test_verify_reports_the_raised_mixing_residual(self, capsys, lower_limit):
-        # verify lists trace_vs_hit itself, at its own limit, so the raised copy is not listed again
+        # verify lists the mixing report's trace_vs_hit, which it no longer recomputes at its own limit
         lower_limit("trace_vs_hit")
         code, out, err = run(capsys, "verify", "--input", str(GOLDEN / "directed.edges"))
         checks = json.loads(out)["checks"]
-        assert code == 0 and err == ""
-        assert "mixing_formulas" not in checks
-        assert checks["trace_vs_hit"]["ok"] and checks["trace_vs_hit"]["limit"] > 0
+        assert code == 2 and "mixing_formulas" not in checks
+        assert not checks["trace_vs_hit"]["ok"] and checks["trace_vs_hit"]["limit"] == -1.0
+        assert re.fullmatch(r"FAIL trace_vs_hit: residual [0-9.e+-]+ exceeds -1\.000000e\+00\n", err)
 
     def test_verify_lists_a_raised_mixing_check_under_its_own_name(self, capsys, lower_limit):
         lower_limit("pessimal_formulas_0")
@@ -322,16 +320,17 @@ class TestRaisedChecks:
         assert checks["pessimal_formulas_0"]["limit"] == -1.0 and not checks["pessimal_formulas_0"]["ok"]
         assert re.fullmatch(r"FAIL pessimal_formulas_0: residual [0-9.e+-]+ exceeds -1\.000000e\+00\n", err)
 
-    def test_verify_skips_spectral_mixing_after_a_raised_mixing_check(self, capsys, lower_limit):
-        # on an undirected graph the spectral routes need the mixing report: without one, only
-        # their hitting-time and Green gaps are checked, and verify still prints its report
+    def test_verify_checks_spectral_mixing_after_a_failed_mixing_check(self, capsys, lower_limit):
+        # no check raises inside verify's ledger, so the mixing report is built and the spectral
+        # mixing measures are checked against it
         lower_limit("trace_vs_hit")
         code, out, err = run(capsys, "verify", "--input", str(GOLDEN / "undirected.edges"))
-        assert code == 0 and err == ""
+        assert code == 2
         checks = json.loads(out)["checks"]
-        assert "mixing_formulas" not in checks and checks["trace_vs_hit"]["ok"]
-        assert "spectral_hitting" in checks and "spectral_greens" in checks
-        assert not {"spectral_t_mix", "spectral_t_reset", "spectral_t_hit"} & set(checks)
+        assert "mixing_formulas" not in checks and not checks["trace_vs_hit"]["ok"]
+        routes = ("hitting", "greens", "access", "t_mix", "t_reset", "t_hit")
+        assert all(checks[f"spectral_{route}"]["ok"] for route in routes)
+        assert re.fullmatch(r"FAIL trace_vs_hit: residual [0-9.e+-]+ exceeds -1\.000000e\+00\n", err)
 
     def test_pi_off_stationary_is_two(self, capsys, monkeypatch):
         real = greenwalk.pipeline.stationary_distribution
@@ -394,6 +393,45 @@ class TestLinearAlgebraFailures:
         monkeypatch.setattr(np.linalg, "solve", _singular)
         argv = ["simulate", "--input", str(GOLDEN / "undirected.edges"), "--start", "0", "--stop", "2", "--trials", "5"]
         assert run(capsys, *argv) == (2, "", "integrity error: fundamental matrix solve failed: Singular matrix\n")
+
+
+# the check each printed residual of a command is recorded under
+RESIDUAL_CHECKS = {
+    "green": {"constraint": "greens_constraint", "row_sum": "greens_row_sum"},
+    "exitfreq": {"conservation": "exit_conservation", "row_min": "exit_row_min", "access_gap": "exit_row_sums"},
+    "spectral": {
+        "hitting_route": "spectral_hitting", "greens_route": "spectral_greens", "access_route": "spectral_access",
+        "t_mix": "spectral_t_mix", "t_reset": "spectral_t_reset", "t_hit": "spectral_t_hit",
+    },
+    "dual": {"reverse_involution": "dual_reverse_involution"},
+}
+
+
+class TestPrintedResiduals:
+    """Every residual a command prints is the residual of the one check the library recorded under its name."""
+
+    @pytest.mark.parametrize(
+        "graph, argv",
+        [
+            pytest.param(graph, argv, id="-".join([graph, *argv]).replace("---target", ""))
+            for graph in ("directed", "undirected")
+            for argv in [
+                *(["green", "--target", target] for target in ("pi", "uniform", "0")),
+                *(["exitfreq", "--target", target] for target in ("pi", "uniform", "0")),
+                ["spectral"],
+                ["dual"],
+            ]
+            if argv[0] != "spectral" or graph == "undirected"
+        ],
+    )
+    def test_printed_residual_is_the_recorded_one(self, capsys, graph, argv):
+        with greenwalk.errors.recorded() as ledger:
+            code, out, _ = run(capsys, argv[0], "--input", str(GOLDEN / f"{graph}.edges"), *argv[1:])
+        residuals, names = json.loads(out)["residuals"], RESIDUAL_CHECKS[argv[0]]
+        assert code == 0 and set(residuals) == set(names)
+        for key, printed in residuals.items():
+            # 17 significant digits read back to the very double
+            assert [residual for name, residual, _ in ledger if name == names[key]] == [printed], key
 
 
 class TestVerify:

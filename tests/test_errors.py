@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from greenwalk.errors import IntegrityError, NumericalError, describe, failed, recorded, require
+from greenwalk.errors import IntegrityError, NumericalError, describe, failed, recorded, require, worst
 from greenwalk.graph import load_graph
 from greenwalk.pipeline import analyze
 
@@ -27,7 +27,8 @@ class TestFailed:
 
 class TestRequire:
     def test_passing_check_returns(self):
-        assert require("x", 1e-12, 1e-10) is None
+        residual = require("x", 1e-12, 1e-10)
+        assert residual == 1e-12 and type(residual) is float
 
     @pytest.mark.parametrize("residual", [2e-10, math.nan])
     def test_failing_check_raises_and_carries_it(self, residual):
@@ -65,3 +66,15 @@ class TestRecorded:
         with recorded() as ledger:
             analyze(load_graph(str(Path(__file__).parent / "golden" / f"{graph}.edges"))).hitting
         assert [name for name, _, _ in ledger] == names
+
+
+class TestWorst:
+    def test_one_check_per_name_in_first_recorded_order(self):
+        ledger = [("a", 1.0, 4.0), ("b", 1.0, 1.0), ("a", 1.0, 2.0), ("a", 1.0, 3.0)]
+        assert worst(ledger) == [("a", 1.0, 2.0), ("b", 1.0, 1.0)]
+
+    def test_a_failed_check_wins(self):
+        # a lowered limit gives a negative ratio, and a NaN residual none
+        assert worst([("a", 0.9, 1.0), ("a", 0.5, -1.0), ("a", 0.99, 1.0)]) == [("a", 0.5, -1.0)]
+        (check,) = worst([("a", 0.9, 1.0), ("a", math.nan, 1.0)])
+        assert math.isnan(check[1])

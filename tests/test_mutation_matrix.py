@@ -2,9 +2,9 @@
 
 Each mutation corrupts one input of a chain (H, pi or P) or one line of one
 builder. Every command then runs on a fresh chain of each golden graph, and
-every check the command makes counts: the ones its builders raise through
-``errors.require`` and the ones it returns. The raised ones are recorded in an
-``errors.recorded()`` ledger, never raised, so no check hides the checks behind
+every check the command makes through ``errors.require`` counts. Each command
+runs in an ``errors.recorded()`` ledger, where no check raises, so no check
+hides the checks behind it; ``verify`` keeps a ledger of its own and prints
 it. A check *catches* a mutation in a command when it fails there. A mutation
 counts only on a chain where it changes something a command prints other than
 a residual, and in a command only where it changes what that command prints: a
@@ -313,7 +313,7 @@ def _dual_identities(chain, rep):
     ]
 
 
-def _verify_restatements(chain, _checks):
+def _verify_restatements(chain, *_):
     """Verify's checks of what G, X_pi and H(., pi) restate of one another, of G toward two more targets, and of P's
     row sums, which TransitionMatrix bounds as it is built; on an undirected chain, also reversibility: the pair
     identity H(pi, i) + H(i, j) = H(pi, j) + H(j, i), its triple form, and pi-weighted G symmetry."""
@@ -328,7 +328,11 @@ def _verify_restatements(chain, _checks):
         ("greens_from_exit", tolerance.gap(X.values - np.outer(X.access, pi.probs), G.values), entries),
     ]
     for tag, tau in (("uniform", Distribution.uniform(H.n)), ("vertex", Distribution.point_mass(H.n, 0))):
-        restated += greens.green_checks(chain, greens.greens_general(greens.Rules(H, pi, tau)), f"greens_{tag}")
+        M = greens.greens_general(greens.Rules(H, pi, tau))
+        restated += [
+            (f"greens_{tag}_constraint", greens.verify_green_constraints(M, chain.transition), entries),
+            (f"greens_{tag}_row_sum", M.row_sum, entries),
+        ]
     if chain.graph.undirected:
         # triple(i, j, k) = pair(i, j) + pair(j, k) + pair(k, i), and pi_i G(i, j) - pi_j G(j, i) = -pi_i pi_j pair(i, j)
         h_pi = chain.pi_rules.from_target
@@ -406,7 +410,7 @@ def _commands(chain: str):
 
 
 def _run(chain_name: str, argv: list[str], mutation: Mutation) -> tuple[str, list]:
-    """What the command prints, its residuals aside, and every check it makes, the raised ones first.
+    """What the command prints, its residuals aside, and every check it makes: its ledger, then the checks verify prints.
 
     A failure that is no check (a chain the mutation made invalid) counts as
     a failed check named after its exception.
@@ -416,7 +420,8 @@ def _run(chain_name: str, argv: list[str], mutation: Mutation) -> tuple[str, lis
         try:
             chain = mutation.chain(analyze(load_graph(str(GOLDEN / f"{name}.edges")), beta))
             args = cli._build_parser().parse_args([argv[0], "--input", name, *argv[1:]])
-            output, checks = args.run(args, chain)
+            output = args.run(args, chain)
+            checks = [(name, check["residual"], check["limit"]) for name, check in output.get("checks", {}).items()]
             pieces: list[str] = []
             cli.write_json(pieces.append, {key: value for key, value in output.items() if key != "residuals"})
             printed = "".join(pieces)

@@ -1,8 +1,9 @@
 """Each residual a builder checks is computed once and kept on the object it certifies.
 
-``verify_checks`` reports those residuals by reading them, so its figures are
-the very floats the builders compared with their limits. The arrays a chain
-keeps are read-only, so no caller can change what is derived from them later.
+``verify_checks`` runs the builders in a ledger and reports what it records,
+so its figures are the very floats the builders compared with their limits.
+The arrays a chain keeps are read-only, so no caller can change what is
+derived from them later.
 """
 
 from pathlib import Path
@@ -28,15 +29,17 @@ def test_verify_reports_the_builders_residuals(chain):
     assert checks["greens_row_sum"] is chain.greens.row_sum
     assert checks["exit_row_min"] is chain.exit_pi.row_min
     assert checks["exit_row_sums"] is chain.exit_pi.access_gap
-    assert checks["first_step"] is chain.hitting.first_step
+    # the chain, its reverse and the lazy chain each confirm their first-step equations; the reverse's is the worst here
+    assert checks["first_step"] == chain.reverse.hitting.first_step
 
 
 def test_verify_lists_each_check_once(chain, lower_limit):
-    # trace_vs_hit raised inside the mixing report is the check verify already lists
+    # the mixing report's trace_vs_hit is the one verify lists, failed, and it lists no copy of its own
     lower_limit("trace_vs_hit")
-    names = [name for name, _, _ in verify_checks(chain)]
+    checks = verify_checks(chain)
+    names = [name for name, _, _ in checks]
     assert len(names) == len(set(names)) and "mixing_formulas" not in names
-    assert "trace_vs_hit" in names
+    assert ("trace_vs_hit", trace_gap(chain), -1.0) in checks
 
 
 def test_mixing_report_reads_the_chains_hit_time(chain):

@@ -329,9 +329,14 @@ class TestMainStreams:
         assert out.getvalue() == reference_json(json.loads(out.getvalue())) + "\n"
         assert max(piece.count("\n") for piece in out.pieces) <= chunk_rows(self.N) + 1
 
-    @pytest.mark.parametrize("command", ["hitting", "dual", "verify"])
-    def test_a_check_raised_before_output_writes_nothing(self, monkeypatch, capsys, graph_file, command, lower_limit):
-        lower_limit("first_step")
+    # verify records its builders' checks and prints them; the stationary solve runs as the graph is read, before it
+    @pytest.mark.parametrize(
+        "command, check",
+        [("hitting", "first_step"), ("dual", "first_step"), ("verify", "stationary")],
+        ids=["hitting", "dual", "verify"],
+    )
+    def test_a_check_raised_before_output_writes_nothing(self, monkeypatch, capsys, graph_file, command, check, lower_limit):
+        lower_limit(check)
         code, out = self.run(monkeypatch, [command, "--input", graph_file[0]])
         assert code == 2 and out.getvalue() == "" and "".join(out.pieces) == ""
-        assert capsys.readouterr().err.startswith("FAIL first_step: residual ")
+        assert capsys.readouterr().err.startswith(f"FAIL {check}: residual ")

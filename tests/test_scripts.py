@@ -46,3 +46,9 @@ def test_script_exits_zero(argv):
     assert proc.stdout
     if argv[0] == "tolerance_sweep.py":
         assert set(json.loads(proc.stdout.splitlines()[-1])) == SWEPT_CHECKS
+    if argv[0] == "range_sweep.py":
+        # 5 graphs (3 cycle decades and 2 holding decades, one seed each) x 2 laziness x 6 commands
+        tables = json.loads(proc.stdout.splitlines()[-1])
+        assert sum(runs for *_, runs in tables["exits"]) == 60
+        failed = sum(runs for _, _, status, runs in tables["exits"] if status)
+        assert sum(runs for *_, runs in tables["failures"]) == failed
