@@ -163,10 +163,15 @@ def verify_green_constraints(M: GreensMatrix | ExitFrequencyMatrix, P: Transitio
     return float(np.abs(lhs, out=lhs).max())
 
 
-def require_constraint(chain: ChainAnalysis, M: GreensMatrix | ExitFrequencyMatrix, name: str) -> float:
-    """The check ``name`` of M's defining constraint (``verify_green_constraints``) at the chain's entry scale."""
+def require_constraint(
+    chain: ChainAnalysis, M: GreensMatrix | ExitFrequencyMatrix, name: str, row_sum: str | None = None
+) -> float:
+    """The check ``name`` of M's defining constraint (``verify_green_constraints``), and ``row_sum`` of its row sum."""
     limit = tolerance.bound(chain.transition.n, chain.entry_scale, tolerance.RESIDUAL)
-    return require(name, verify_green_constraints(M, chain.transition), limit)
+    residual = require(name, verify_green_constraints(M, chain.transition), limit)
+    if row_sum is not None:
+        require(row_sum, M.row_sum, limit)
+    return residual
 
 
 def hitting_from_greens(M: GreensMatrix, pi: Distribution) -> HittingTimeMatrix:

@@ -1,20 +1,20 @@
 """One chain, solved once: hitting times, Green's function, X_pi, mixing and the reverse chain.
 
 Every check goes through ``errors.require`` where its residual is computed.
-``verify_checks`` audits a chain in a ledger, and returns its checks.
+``verify_checks`` audits a fresh copy of a chain in a ledger, and returns its checks.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from . import tolerance
 from .duality import duality_checks, forget_distribution, reverse_chain
-from .errors import Check, recorded, require, worst
+from .errors import Check, GreenWalkError, IntegrityError, describe, failed, recorded, require, worst
 from .graph import (
     Distribution,
     TransitionMatrix,
@@ -165,27 +165,39 @@ def spectral_routes(
 def verify_checks(chain: ChainAnalysis, green: GreensMatrix | None = None) -> list[Check]:
     """Every invariant suite on the chain of a graph, and on a Green matrix ``green`` read for it.
 
-    The builders run in an ``errors.recorded()`` ledger, so no check raises,
-    and each name keeps its worst record (``errors.worst``).
+    The builders run on a fresh copy of the chain, so every check is made
+    whatever ``chain`` already holds, and in an ``errors.recorded()`` ledger,
+    so no check raises; each name keeps its worst record (``errors.worst``).
+    An error a later builder raises on what a failed check let through is
+    raised as the first failed check, an ``IntegrityError``.
     """
+    chain = replace(chain)  # a copy that holds nothing derived yet
     g, P, pi = chain.graph, chain.transition, chain.stationary
     n = P.n
-    with recorded() as ledger:
-        require("stationary", tolerance.gap(pi.probs @ P.probs, pi.probs), tolerance.bound(n, 1.0, tolerance.RESIDUAL))
-        H = chain.hitting  # fundamental and first_step
-        require_constraint(chain, chain.greens, "greens_constraint")
-        require_constraint(chain, chain.exit_pi, "exit_conservation")
-        chain.mixing  # trace_vs_hit, and pessimal_formulas_<i> on an undirected graph
-        if P.beta == 0.0:
-            # laziness never moves pi, so the lazy chain reuses it; its hitting times are solved anew
-            lazy = ChainAnalysis(transition_matrix(g, 0.5), pi)
-            gap = tolerance.gap(lazy.hitting.values * 0.5, H.values)
-            require("laziness_scaling", gap, tolerance.bound(n, H.time_scale, tolerance.ROUTE))
-            del lazy  # its P and H go once the residual is read
-        if g.undirected:
-            spectral_routes(chain, decompose(g))
-        duality_checks(chain)
-        if green is not None:
-            require_constraint(chain, green, "file_greens_constraint")
-            require("file_greens_row_sum", green.row_sum, tolerance.bound(n, chain.entry_scale, tolerance.RESIDUAL))
+    try:
+        with recorded() as ledger:
+            gap = tolerance.gap(pi.probs @ P.probs, pi.probs)
+            require("stationary", gap, tolerance.bound(n, 1.0, tolerance.RESIDUAL))
+            H = chain.hitting  # fundamental and first_step
+            require_constraint(chain, chain.greens, "greens_constraint")
+            require_constraint(chain, chain.exit_pi, "exit_conservation")
+            chain.mixing  # trace_vs_hit, and pessimal_formulas_<i> on an undirected graph
+            if P.beta == 0.0:
+                # laziness never moves pi, so the lazy chain reuses it; its hitting times are solved anew,
+                # and its own solve checks are dropped: laziness_scaling certifies them against H
+                with recorded():
+                    lazy = ChainAnalysis(transition_matrix(g, 0.5), pi).hitting
+                gap = tolerance.gap(lazy.values * 0.5, H.values)
+                require("laziness_scaling", gap, tolerance.bound(n, H.time_scale, tolerance.ROUTE))
+                del lazy  # its H goes once the residual is read
+            if g.undirected:
+                spectral_routes(chain, decompose(g))
+            duality_checks(chain)
+            if green is not None:
+                require_constraint(chain, green, "file_greens_constraint", "file_greens_row_sum")
+    except GreenWalkError as exc:
+        first = next(filter(failed, ledger), None)
+        if first is None:
+            raise
+        raise IntegrityError(describe(first), first) from exc
     return worst(ledger)

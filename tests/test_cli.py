@@ -332,6 +332,14 @@ class TestRaisedChecks:
         assert all(checks[f"spectral_{route}"]["ok"] for route in routes)
         assert re.fullmatch(r"FAIL trace_vs_hit: residual [0-9.e+-]+ exceeds -1\.000000e\+00\n", err)
 
+    def test_verify_raises_a_failed_check_a_later_builder_trips_on(self, capsys, monkeypatch):
+        # no LinAlgError: the failed fundamental check lets NaN hitting times through, which
+        # HittingTimeMatrix rejects as bad input; verify names the check, as every other command does
+        monkeypatch.setattr(np.linalg, "inv", lambda a: np.full_like(a, np.nan))
+        code, out, err = run(capsys, "verify", "--input", str(GOLDEN / "directed.edges"))
+        assert code == 2 and out == ""
+        assert re.fullmatch(r"FAIL fundamental: residual nan exceeds [0-9.e+-]+\n", err)
+
     def test_pi_off_stationary_is_two(self, capsys, monkeypatch):
         real = greenwalk.pipeline.stationary_distribution
 

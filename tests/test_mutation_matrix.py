@@ -99,13 +99,24 @@ class Mutation:
     source: tuple[object, str, str, str] | None = None
 
 
+@dataclass(frozen=True)
+class _Held(ChainAnalysis):
+    """A chain whose hitting times are ``held``, not solved; a copy of it (``dataclasses.replace``) holds them too."""
+
+    held: HittingTimeMatrix | None = None
+
+    @cached_property
+    def hitting(self) -> HittingTimeMatrix:
+        return self.held
+
+
 def _hitting(edit):
     """The readers get edit(H, T) in place of the H whose first-step residual the solve confirmed."""
 
     def mutate(chain):
         H = chain.hitting
-        chain.__dict__["hitting"] = HittingTimeMatrix(edit(H.values.copy(), H.time_scale), H.first_step)
-        return chain
+        edited = HittingTimeMatrix(edit(H.values.copy(), H.time_scale), H.first_step)
+        return _Held(chain.transition, chain.stationary, edited)
 
     return mutate
 
@@ -137,9 +148,7 @@ def _p_moved(chain):
     probs = P.probs.copy()
     probs[0, probs[0].argmax()] -= 1e-6
     probs[0, probs[0].argmin()] += 1e-6
-    moved = ChainAnalysis(TransitionMatrix(probs, P.beta, P.graph), chain.stationary)
-    moved.__dict__["hitting"] = H
-    return moved
+    return _Held(TransitionMatrix(probs, P.beta, P.graph), chain.stationary, H)
 
 
 _T = "self.hitting.time_scale"

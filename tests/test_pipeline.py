@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from greenwalk import errors, hitting
+from greenwalk.duality import duality_checks
 from greenwalk.graph import load_graph
 from greenwalk.greens import mixing_report, trace_gap
 from greenwalk.pipeline import analyze, verify_checks
@@ -25,12 +27,35 @@ def chain(request):
 
 
 def test_verify_reports_the_builders_residuals(chain):
+    # verify builds on a fresh copy of the chain, so its records equal, not are, this chain's figures
     checks = {name: residual for name, residual, _ in verify_checks(chain)}
-    assert checks["greens_row_sum"] is chain.greens.row_sum
-    assert checks["exit_row_min"] is chain.exit_pi.row_min
-    assert checks["exit_row_sums"] is chain.exit_pi.access_gap
-    # the chain, its reverse and the lazy chain each confirm their first-step equations; the reverse's is the worst here
+    assert checks["greens_row_sum"] == chain.greens.row_sum
+    assert checks["exit_row_min"] == chain.exit_pi.row_min
+    assert checks["exit_row_sums"] == chain.exit_pi.access_gap
+    # the chain and its reverse each confirm their first-step equations; the reverse's is the worst here
     assert checks["first_step"] == chain.reverse.hitting.first_step
+
+
+def test_verify_checks_do_not_depend_on_what_the_chain_holds(chain):
+    # the README's quickstart reads the chain's matrices and its duals before it calls verify_checks
+    fresh = verify_checks(chain)
+    chain.hitting, chain.greens, chain.exit_pi, chain.mixing, chain.forget
+    duality_checks(chain)
+    assert verify_checks(chain) == fresh
+    assert len(fresh) == (22 if chain.graph.undirected else 15)
+
+
+def test_verify_drops_the_lazy_chains_solve_checks(chain, monkeypatch):
+    # laziness_scaling certifies the lazy chain's H: a check of its solve is not one of this chain's
+    real = hitting.fundamental_matrix
+
+    def failing_when_lazy(P, pi):
+        if P.beta == 0.5:
+            errors.require("fundamental", 1.0, 0.0)
+        return real(P, pi)
+
+    monkeypatch.setattr(hitting, "fundamental_matrix", failing_when_lazy)
+    assert not any(map(errors.failed, verify_checks(chain)))
 
 
 def test_verify_lists_each_check_once(chain, lower_limit):
