@@ -28,6 +28,7 @@ import numpy as np
 
 from greenwalk.generators import random_strongly_connected_digraph
 from greenwalk.graph import _parse_edge_list_lines, load_graph, read_text, validate_out_degrees
+from sweep import write_edge_list
 
 
 def line_loop_load_graph(path: str):
@@ -54,14 +55,6 @@ def peak_traced_mb(load, path: str) -> float:
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-
-
-def write_dense_digraph(n: int, path: Path) -> int:
-    g = random_strongly_connected_digraph(n, 1, extra=0.5)
-    lines = [f"# random_strongly_connected_digraph({n}, 1, extra=0.5)"]
-    lines += [f"{i} {j} {w!r}" for i, j, w in g.arcs]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return len(g.w)
 
 
 def best_time(load, path: str, repeat: int):
@@ -91,7 +84,10 @@ def main() -> None:
         work.mkdir(parents=True, exist_ok=True)
         for n in args.sizes:
             path = work / f"dense-{n}.edges"
-            arcs = write_dense_digraph(n, path)
+            g = random_strongly_connected_digraph(n, 1, extra=0.5)
+            write_edge_list(g, path, comment=f"random_strongly_connected_digraph({n}, 1, extra=0.5)")
+            arcs = len(g.w)
+            del g
             old_s, old = best_time(line_loop_load_graph, str(path), args.repeat)
             new_s, new = best_time(load_graph, str(path), args.repeat)
             assert new.n == old.n and new.undirected == old.undirected, f"n = {n}: the graphs differ"

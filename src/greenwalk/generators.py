@@ -62,3 +62,35 @@ def random_connected_graph(
             if rng.random() < extra:
                 arcs.append((i, j, _weight(rng, weighted)))
     return WeightedDigraph(n, tuple(arcs), undirected=True)
+
+
+# wide-weight shapes: every weight 10^U(-decades, decades), so the weights span up to 10^(2 decades)
+
+
+def wide_cycle_digraph(n: int, seed: int, decades: float) -> WeightedDigraph:
+    """The directed cycle 0 -> 1 -> ... -> n-1 -> 0, then 3n arcs with uniform endpoints (self-loops and
+    parallel arcs kept as they fall); every arc weighted 10^U(-decades, decades)."""
+    rng = np.random.default_rng(seed)
+    ring = np.arange(n)
+    src = np.concatenate([ring, rng.integers(0, n, 3 * n)])
+    dst = np.concatenate([(ring + 1) % n, rng.integers(0, n, 3 * n)])
+    return WeightedDigraph.from_columns(n, src, dst, 10.0 ** rng.uniform(-decades, decades, 4 * n))
+
+
+def wide_holding_cycle(n: int, seed: int, decades: float) -> WeightedDigraph:
+    """At each vertex k in turn, an arc k -> k + 1 (mod n) of weight 1, then a self-loop of weight 10^U(-decades, decades)."""
+    loops = 10.0 ** np.random.default_rng(seed).uniform(-decades, decades, n)
+    ring = np.arange(n)
+    src = np.repeat(ring, 2)
+    dst = np.column_stack([(ring + 1) % n, ring]).ravel()
+    return WeightedDigraph.from_columns(n, src, dst, np.column_stack([np.ones(n), loops]).ravel())
+
+
+def wide_path_graph(n: int, seed: int, decades: float) -> WeightedDigraph:
+    """The undirected path 0 - 1 - ... - n-1, then 3n edges with uniform endpoints (self-loops and parallel
+    edges kept as they fall); every edge weighted 10^U(-decades, decades)."""
+    rng = np.random.default_rng(seed)
+    src = np.concatenate([np.arange(n - 1), rng.integers(0, n, 3 * n)])
+    dst = np.concatenate([np.arange(1, n), rng.integers(0, n, 3 * n)])
+    w = 10.0 ** rng.uniform(-decades, decades, n - 1 + 3 * n)
+    return WeightedDigraph.from_columns(n, src, dst, w, undirected=True)

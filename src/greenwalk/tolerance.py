@@ -8,7 +8,7 @@ for an identity evaluated on computed data, and ROUTE for a gap that also
 carries the conditioning of a solve or an eigenproblem: two independent
 routes to one quantity, or an identity only the exact solution meets
 (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 9).
-``scripts/tolerance_sweep.py`` measures both.
+The ``tolerance`` preset of ``scripts/sweep.py`` measures both.
 """
 
 from __future__ import annotations

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenwalk.errors import ParseError, ValidationError
-from greenwalk.generators import random_connected_graph, random_strongly_connected_digraph
+from greenwalk.generators import (
+    random_connected_graph,
+    random_strongly_connected_digraph,
+    wide_cycle_digraph,
+    wide_holding_cycle,
+    wide_path_graph,
+)
 from greenwalk.graph import (
     Distribution,
     TransitionMatrix,
@@ -406,3 +412,27 @@ class TestColumns:
     def test_first_bad_arc_reported(self, arcs, message):
         with pytest.raises(ValidationError, match=message):
             WeightedDigraph(3, arcs)
+
+
+
+class TestWideWeightShapes:
+    """Each wide-weight shape starts with its ring, keeps every weight within 10^(+-decades), is strongly
+    connected, and is fixed by its seed."""
+
+    RINGS = {
+        wide_cycle_digraph: [(k, (k + 1) % 8) for k in range(8)],
+        wide_holding_cycle: [arc for k in range(8) for arc in ((k, (k + 1) % 8), (k, k))],
+        wide_path_graph: [arc for k in range(7) for arc in ((k, k + 1), (k + 1, k))],
+    }
+
+    @pytest.mark.parametrize("decades", [0, 3, 6])
+    @pytest.mark.parametrize("shape", list(RINGS), ids=lambda shape: shape.__name__)
+    def test_shape(self, shape, decades):
+        g = shape(8, 5, decades)
+        ring = self.RINGS[shape]
+        assert list(zip(g.src.tolist(), g.dst.tolist()))[: len(ring)] == ring
+        assert g.undirected == (shape is wide_path_graph)
+        assert np.all((10.0**-decades <= g.w) & (g.w <= 10.0**decades)) and strongly_connected(g)
+        assert shape(8, 5, decades).arcs == g.arcs and shape(8, 5, 3).arcs != shape(8, 6, 3).arcs
+        if shape is wide_holding_cycle:
+            assert np.all(g.w[::2] == 1.0)

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_range_sweep import sweep_edges
 
 from greenwalk import families, pipeline, tolerance
 from greenwalk.duality import reverse_chain
 from greenwalk.errors import NumericalError, ValidationError
-from greenwalk.generators import random_connected_graph, random_strongly_connected_digraph
-from greenwalk.graph import Distribution, load_graph, parse_graph, stationary_distribution, transition_matrix
+from greenwalk.generators import random_connected_graph, random_strongly_connected_digraph, wide_path_graph
+from greenwalk.graph import Distribution, load_graph, stationary_distribution, transition_matrix
 from greenwalk.greens import Rules
 from greenwalk.hitting import (
     HittingTimeMatrix,
@@ -126,8 +125,8 @@ class TestHittingColumn:
         "golden-directed": lambda: load_graph(str(GOLDEN / "directed.edges")),
         "golden-undirected": lambda: load_graph(str(GOLDEN / "undirected.edges")),
         "digraph-150": lambda: random_strongly_connected_digraph(150, 1, extra=0.02),
-        # the range sweep's undirected shape at seed 3: at d = 6, Z A - I exceeds the fundamental limit, A Z - I does not
-        **{f"range-sweep-d{d}": (lambda d=d: parse_graph(sweep_edges(3, d))) for d in (0, 3, 6)},
+        # the undirected wide-weight shape at seed 3: at d = 6, Z A - I exceeds the fundamental limit, A Z - I does not
+        **{f"range-sweep-d{d}": (lambda d=d: wide_path_graph(40, 3, d)) for d in (0, 3, 6)},
     }
 
     @pytest.mark.parametrize("beta", [0.0, 0.5])

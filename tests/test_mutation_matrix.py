@@ -32,7 +32,6 @@ from __future__ import annotations
 import __future__
 import contextlib
 import functools
-import importlib.util
 import inspect
 import re
 import sys
@@ -47,6 +46,7 @@ import pytest
 
 from greenwalk import cli, duality, errors, graph, greens, hitting, pipeline, spectral, tolerance
 from greenwalk.errors import GreenWalkError, failed
+from greenwalk.generators import wide_cycle_digraph, wide_holding_cycle
 from greenwalk.graph import Distribution, TransitionMatrix, load_graph
 from greenwalk.hitting import HittingTimeMatrix
 from greenwalk.pipeline import ChainAnalysis, analyze
@@ -239,8 +239,11 @@ KEPT = {
 }
 
 ONLY_ROUTE = "the only independent route to a value that spectral prints"
+# the wide-weight shapes of ``scripts/sweep.py range``, at its n
+SWEEP_SHAPES = {"cycle": wide_cycle_digraph, "holding": wide_holding_cycle}
+SWEEP_N = 40
 # candidate -> why it stays whatever its row says: a reason, or the wide-weight
-# run of scripts/range_sweep.py (shape, d, seed, --lazy, command) whose first FAIL it is
+# run of ``scripts/sweep.py range`` (shape, d, seed, --lazy, command) whose first FAIL it is
 RULES = {
     **dict.fromkeys(
         ["spectral_hitting", "spectral_greens", "spectral_access", "spectral_t_mix", "spectral_t_reset", "spectral_t_hit"],
@@ -486,13 +489,6 @@ def table(m: Matrix, chain: str) -> str:
     return "\n".join(lines)
 
 
-def _sweep_module():
-    spec = importlib.util.spec_from_file_location("range_sweep", ROOT / "scripts" / "range_sweep.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def verdict(check: str) -> str:
     if check in KEPT:
         chain, mutation, command = KEPT[check]
@@ -502,7 +498,7 @@ def verdict(check: str) -> str:
         if isinstance(rule, str):
             return f"kept: {rule}"
         shape, d, seed, lazy, command = rule
-        return f"kept: the first FAIL of {command} --lazy {lazy} on range_sweep's {shape} shape, d = {d}, seed {seed}"
+        return f"kept: the first FAIL of {command} --lazy {lazy} on sweep.py range's {shape} shape, d = {d}, seed {seed}"
     if check in DEFERRED:
         return "deferred: never the only check that catches a mutation"
     return "retired: never the only check that catches a mutation"
@@ -534,13 +530,13 @@ def test_kept_candidate_alone_catches_its_mutation(check):
 
 
 @pytest.mark.parametrize("check", sorted(name for name, rule in RULES.items() if not isinstance(rule, str)))
-def test_rule_kept_check_fails_first_on_its_sweep_run(check, tmp_path):
+def test_rule_kept_check_fails_first_on_its_sweep_run(check, capsys, monkeypatch):
     """A fix that lets the run pass fails this test: the check then loses its rule and is scored like any other."""
-    sweep = _sweep_module()
     shape, d, seed, lazy, command = RULES[check]
-    path = tmp_path / "graph.edges"
-    path.write_text(sweep.SHAPES[shape](sweep.N, seed, d))
-    assert sweep.run([command, "--input", str(path), "--lazy", lazy]) == (2, check)
+    g = SWEEP_SHAPES[shape](SWEEP_N, seed, d)
+    monkeypatch.setattr(cli, "load_graph", lambda path, fmt: g)
+    code = cli.main([command, "--input", shape, "--lazy", lazy])
+    assert (code, capsys.readouterr().err.split(":", 1)[0]) == (2, f"FAIL {check}")
 
 
 @pytest.mark.parametrize("check", sorted(RETIRED_NAMES))

@@ -1,4 +1,4 @@
-"""Every script under scripts/ runs to exit 0 at a tiny size.
+"""Every script under scripts/ runs to exit 0 at a tiny size, and every sweep ends with a JSON line.
 
 The scripts import library names (``hit_time``, ``ChainAnalysis.forget_rules``, the CLI's
 parser and commands), so a renamed or removed name shows here first.
@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-# every check tolerance_sweep.py reports at n = 60; fundamental, column_* and oracle_* it sees only in its ledger
+# every check the tolerance preset reports at n = 60; fundamental, column_* and oracle_* it sees only in its ledger
 SWEPT_CHECKS = set("""
     column_first_step column_fundamental core_negative_mass core_routes cycle_poly_vs_trig dual_reverse_involution
     exit_conservation exit_row_min exit_row_sums first_step forget_negative_mass fundamental greens_constraint
@@ -21,20 +21,22 @@ SWEPT_CHECKS = set("""
     oracle_t_mix oracle_t_reset pessimal_formulas reverse_row_sum spectral_access spectral_greens spectral_hitting
     spectral_t_hit spectral_t_mix spectral_t_reset stationary trace_vs_hit
 """.split())
+# the fields of every run of the first n = 4000 scale sweep, which later sweeps must keep comparable
+BENCH_RUN_FIELDS = set().union(*json.loads((ROOT / "BENCH_pr28.json").read_text())["scale_n4000"]["runs"])
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["tolerance_sweep.py", "--n", "60"],
+        ["sweep.py", "scale", "--sizes", "30"],
+        ["sweep.py", "range", "--n", "8", "--seeds", "1"],
+        ["sweep.py", "tolerance", "--n", "60"],
         ["render_sweep.py", "--sizes", "50"],
         ["parse_sweep.py", "--sizes", "50"],
-        ["scale_sweep.py", "--sizes", "30"],
-        ["range_sweep.py", "--n", "8", "--seeds", "1", "--holding-seeds", "1"],
         ["duality_demo.py"],
         ["family_tour.py"],
     ],
-    ids=lambda argv: argv[0].removesuffix(".py"),
+    ids=lambda argv: f"sweep-{argv[1]}" if argv[0] == "sweep.py" else argv[0].removesuffix(".py"),
 )
 def test_script_exits_zero(argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
@@ -44,11 +46,18 @@ def test_script_exits_zero(argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
-    if argv[0] == "tolerance_sweep.py":
-        assert set(json.loads(proc.stdout.splitlines()[-1])) == SWEPT_CHECKS
-    if argv[0] == "range_sweep.py":
+    if "sweep" not in argv[0]:
+        return
+    last = json.loads(proc.stdout.splitlines()[-1])
+    if argv[1:2] == ["scale"]:
+        # 2 graphs x (6 chain commands and simulate, and spectral on the undirected one)
+        assert len(last["runs"]) == 15
+        assert all(run["exit"] == 0 for run in last["runs"]), last["runs"]
+        assert all(BENCH_RUN_FIELDS | {"n"} <= set(run) for run in last["runs"])
+    if argv[1:2] == ["tolerance"]:
+        assert set(last) == SWEPT_CHECKS
+    if argv[1:2] == ["range"]:
         # 5 graphs (3 cycle decades and 2 holding decades, one seed each) x 2 laziness x 6 commands
-        tables = json.loads(proc.stdout.splitlines()[-1])
-        assert sum(runs for *_, runs in tables["exits"]) == 60
-        failed = sum(runs for _, _, status, runs in tables["exits"] if status)
-        assert sum(runs for *_, runs in tables["failures"]) == failed
+        assert sum(runs for *_, runs in last["exits"]) == 60
+        failed = sum(runs for _, _, status, runs in last["exits"] if status)
+        assert sum(runs for *_, runs in last["failures"]) == failed
