@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Run greenwalk commands over named graph families; print a table, then the sweep as one JSON line.
+"""Measure greenwalk over named graph families; print a table, then the sweep as one JSON line.
 
-A run records its exit status, the check of its first ``FAIL`` line, its
-wall time and its stdout's size and sha256. The preset fixes the graphs,
-the default n and how each run is made:
+A command run records its exit status, the check of its first ``FAIL``
+line, its wall time and its stdout's size and sha256. The preset fixes the
+graphs, the default n and what is measured:
 
 - ``scale`` (n = 250 500 1000 2000): every chain command on the
   ``directed`` and ``undirected`` families, each run in a fresh interpreter
@@ -17,8 +17,18 @@ the default n and how each run is made:
   where no check raises, and over the oracles. Exits 1 when a ratio
   exceeds 1 or a command raises. At n = 2000 it takes about 1.5 minutes
   and 0.8 GB on one core of a Xeon with one OpenBLAS thread.
+- ``parse`` (n = 250 500 1000 2000): loads the ``dense`` family's edge list
+  with ``graph.load_graph``, with the line loop it falls back on to locate
+  errors and with ``np.loadtxt`` alone, asserts that the first two give
+  bitwise the same graph, and reports the best of 3 times and the peaks
+  tracemalloc sees in ``load_graph``, block-wise and with one split.
+- ``render`` (n = 250 500 1000 2000): times ``cli._row_chunks`` against a
+  ``"%.17g"`` join per row on the ``directed`` family's hitting times,
+  asserting the same text, then ``cli.write_json`` of the ``hitting`` and
+  ``dual`` payloads into a sink that drops the text and into an
+  ``io.StringIO`` that keeps it (the size, best of 3 time and traced peaks).
 
-Usage: python3 scripts/sweep.py {scale,range,tolerance} [--n N ...] [--seeds K]
+Usage: python3 scripts/sweep.py {scale,range,tolerance,parse,render} [--n N ...] [--seeds K]
 """
 
 import argparse
@@ -33,17 +43,20 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
-from greenwalk import cli, errors, families, generators, hitting
+from greenwalk import cli, errors, families, generators, graph, hitting
 
 # name -> (n, seed, decades) -> a graph; the *_oracle families run a closed-form oracle instead, for its checks
 FAMILIES = {
     "directed": lambda n, seed, d: generators.random_strongly_connected_digraph(n, seed, extra=0.02),
     "undirected": lambda n, seed, d: generators.random_connected_graph(n, seed, extra=0.02),
+    "dense": lambda n, seed, d: generators.random_strongly_connected_digraph(n, seed, extra=0.5),
     "cycle": generators.wide_cycle_digraph,
     "holding": generators.wide_holding_cycle,
     "path": lambda n, seed, d: families.path_graph(n),
@@ -57,6 +70,7 @@ FAMILIES = {
 CHAIN_COMMANDS = ["hitting", "green", "exitfreq", "mixing", "dual", "verify"]
 LAZY = ["0", "0.5"]
 SIMULATE_TRIALS = 100  # each walk takes about n steps in a Python loop; the default 10000 would take 100 times as long
+REPEAT = 3  # parse and render report the best of this many timed calls
 
 
 def write_edge_list(g, path: Path, comment: str | None = None) -> None:
@@ -244,22 +258,147 @@ def tolerance(sizes: list[int], folder: Path, seeds) -> tuple[int, dict]:
     return code, {name: ratio for name, (ratio, _) in sorted(worst.items())}
 
 
+def best_of(fn, *args) -> tuple[float, object]:
+    """The least wall time of REPEAT calls of fn(*args), and the last call's result."""
+    best, result = float("inf"), None
+    for _ in range(REPEAT):
+        result = None  # free the previous result before timing the next call
+        start = time.perf_counter()
+        result = fn(*args)
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def peak_traced_mb(fn, *args) -> float:
+    """The peak memory tracemalloc sees in one call of fn(*args), in MiB."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def line_loop(path: str):
+    """load_graph through the line loop that locates parse errors, without the C reader."""
+    g = graph._parse_edge_list_lines(graph.read_text(path))
+    graph.validate_out_degrees(g)
+    return g
+
+
+def loadtxt_only(path: str):
+    dtype = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
+    return np.loadtxt(path, dtype=dtype, comments="#", ndmin=1)
+
+
+def load_graph_one_split(path: str):
+    with mock.patch("greenwalk.graph._lines", str.splitlines):
+        return graph.load_graph(path)
+
+
+def parse(sizes: list[int], folder: Path, seeds) -> tuple[int, list]:
+    columns = [">6", ">10", ">8", ">14", ">12", ">11", ">10", ">9"]
+    print(row(columns, "n", "arcs", "MB in", "line loop s", "columnar s", "loadtxt s", "speed-up", "peak MB", "one split"))
+    table = []
+    for n in sizes:
+        path = folder / f"dense-{n}.edges"
+        write_edge_list(FAMILIES["dense"](n, 1, 0), path, comment=f"random_strongly_connected_digraph({n}, 1, extra=0.5)")
+        old_s, old = best_of(line_loop, str(path))
+        new_s, new = best_of(graph.load_graph, str(path))
+        assert new.n == old.n and new.undirected == old.undirected, f"n = {n}: the graphs differ"
+        assert np.array_equal(new.src, old.src) and np.array_equal(new.dst, old.dst), f"n = {n}: the arcs differ"
+        assert new.w.tobytes() == old.w.tobytes() and new.degrees.tobytes() == old.degrees.tobytes()
+        arcs = len(new.w)
+        del old, new
+        r = {"n": n, "arcs": arcs, "input_mb": path.stat().st_size / 2**20, "line_loop_s": old_s, "columnar_s": new_s}
+        r |= {"loadtxt_s": best_of(loadtxt_only, str(path))[0], "speedup": old_s / new_s}
+        r |= {"peak_traced_mb": peak_traced_mb(graph.load_graph, str(path))}
+        r |= {"one_split_peak_traced_mb": peak_traced_mb(load_graph_one_split, str(path))}
+        table.append(r)
+        times = [f"{r[key]:.3f}" for key in ("line_loop_s", "columnar_s", "loadtxt_s")]
+        cells = [f"{r['input_mb']:.1f}", *times, f"{r['speedup']:.2f}", f"{r['peak_traced_mb']:.1f}"]
+        print(row(columns, n, arcs, *cells, f"{r['one_split_peak_traced_mb']:.1f}"))
+        path.unlink()
+    return 0, table
+
+
+class Discard(io.TextIOBase):
+    """A stdout that counts and drops what it is given, so only the writer's own memory is traced."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+
+def row_join(H) -> str:
+    return "".join(", ".join(["%.17g"] * len(r)) % tuple(r) + "\n" for r in (H + 0.0).tolist())
+
+
+def kernel(H) -> str:
+    return "".join(cli._row_chunks(H, ", "))
+
+
+def write_into(sink):
+    """write_json of a payload into a fresh sink(), which lives until the payload is written."""
+    return lambda payload: cli.write_json(sink().write, payload)
+
+
+def render(sizes: list[int], folder: Path, seeds) -> tuple[int, list]:
+    columns = [">6", ">9", ">9", ">15", ">13", ">9", ">9"]
+    print(row(columns, "n", "payload", "MB out", "row_join ns/f", "kernel ns/f", "write s", "peak MB", "held MB"))
+    parser = cli._build_parser()
+    table = []
+    for n in sizes:
+        chain = cli.analyze(FAMILIES["directed"](n, 1, 0))
+        argvs = {command: parser.parse_args([command, "--input", f"directed({n})"]) for command in ("hitting", "dual")}
+        payloads = {command: args.run(args, chain) for command, args in argvs.items()}
+        del chain
+        for name, payload in payloads.items():
+            r = {"n": n, "payload": name}
+            if name == "hitting":
+                H = payload["rows"]
+                assert kernel(H) == row_join(H), f"n = {n}: the formatters disagree"
+                for label, fmt in [("row_join", row_join), ("kernel", kernel)]:
+                    r[f"{label}_ns_per_float"] = best_of(fmt, H)[0] / (n * n) * 1e9
+            sink = Discard()
+            cli.write_json(sink.write, payload)
+            r |= {"output_mb": sink.size / 2**20, "write_s": best_of(write_into(Discard), payload)[0]}
+            r |= {"write_peak_traced_mb": peak_traced_mb(write_into(Discard), payload)}
+            r |= {"held_peak_traced_mb": peak_traced_mb(write_into(io.StringIO), payload)}
+            table.append(r)
+            ns = [f"{r[key]:.1f}" if key in r else "" for key in ("row_join_ns_per_float", "kernel_ns_per_float")]
+            cells = [f"{r['output_mb']:.2f}", *ns, f"{r['write_s']:.3f}", f"{r['write_peak_traced_mb']:.2f}"]
+            print(row(columns, n, name, *cells, f"{r['held_peak_traced_mb']:.2f}"))
+    return 0, table
+
+
 # preset -> its sweep, and the vertex counts it runs by default
-PRESETS = {"scale": (scale, [250, 500, 1000, 2000]), "range": (range_, [40]), "tolerance": (tolerance, [2000])}
+SIZES = [250, 500, 1000, 2000]
+PRESETS = {
+    "scale": (scale, SIZES), "range": (range_, [40]), "tolerance": (tolerance, [2000]),
+    "parse": (parse, SIZES), "render": (render, SIZES),
+}
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("preset", choices=PRESETS)
-    parser.add_argument("--n", "--sizes", type=int, nargs="+", help="vertex counts; range and tolerance take one")
+    parser.add_argument("--n", "--sizes", type=int, nargs="+", help="vertex counts, 3 or more; range and tolerance take one")
     parser.add_argument("--seeds", type=int, help="range: the first K seeds of each shape (default: 20 cycle, 10 holding)")
     args = parser.parse_args()
     sweep, sizes = PRESETS[args.preset]
     sizes = args.n or sizes
-    if args.preset != "scale" and len(sizes) > 1:
+    if args.preset in ("range", "tolerance") and len(sizes) > 1:
         parser.error(f"{args.preset} takes one --n")
+    if min(sizes) < 3:  # the cycle families need 3 vertices, and every family builds at 3
+        parser.error("--n takes vertex counts of 3 or more")
     if args.seeds is not None and args.preset != "range":
         parser.error("only range takes --seeds")
+    if args.seeds is not None and args.seeds < 1:
+        parser.error("--seeds takes 1 or more")
     with tempfile.TemporaryDirectory() as folder:
         code, document = sweep(sizes, Path(folder), args.seeds)
     print(json.dumps(document))

@@ -293,8 +293,8 @@ def _read_arc_columns(text: str):
 
 # Characters of arc text split into lines at a time. Splitting all of it at
 # once holds a list of every line: on a 53 MB file of 2.0 million arcs,
-# load_graph's traced peak is 320 MB that way and 163 MB block-wise, in the
-# same time (scripts/parse_sweep.py, n = 2000).
+# load_graph's traced peak is 267 MB that way and 159 MB block-wise, in about
+# the same time (scripts/sweep.py parse, n = 2000).
 _LINE_BLOCK = 1 << 20
 
 

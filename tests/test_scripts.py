@@ -6,6 +6,7 @@ parser and commands), so a renamed or removed name shows here first.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,27 +24,54 @@ SWEPT_CHECKS = set("""
 """.split())
 # the fields of every run of the first n = 4000 scale sweep, which later sweeps must keep comparable
 BENCH_RUN_FIELDS = set().union(*json.loads((ROOT / "BENCH_pr28.json").read_text())["scale_n4000"]["runs"])
+# the keys of every row of the parse and render presets; render's hitting rows also time the two formatters
+PARSE_KEYS = set("""
+    n arcs input_mb line_loop_s columnar_s loadtxt_s speedup peak_traced_mb one_split_peak_traced_mb
+""".split())
+RENDER_KEYS = {"n", "payload", "output_mb", "write_s", "write_peak_traced_mb", "held_peak_traced_mb"}
+FORMATTER_KEYS = {"row_join_ns_per_float", "kernel_ns_per_float"}
+SCRIPTS = [
+    ["sweep.py", "scale", "--sizes", "30"],
+    ["sweep.py", "range", "--n", "8", "--seeds", "1"],
+    ["sweep.py", "tolerance", "--n", "60"],
+    ["sweep.py", "parse", "--n", "50"],
+    ["sweep.py", "render", "--n", "50"],
+    ["duality_demo.py"],
+    ["family_tour.py"],
+]
+
+
+def run_script(argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+    )
+
+
+def test_every_preset_is_run():
+    proc = run_script(["sweep.py", "--help"])
+    assert proc.returncode == 0, proc.stderr
+    choices = re.search(r"\{([a-z,]+)\}", proc.stdout).group(1).split(",")
+    assert sorted(choices) == sorted(argv[1] for argv in SCRIPTS if argv[0] == "sweep.py")
 
 
 @pytest.mark.parametrize(
     "argv",
-    [
-        ["sweep.py", "scale", "--sizes", "30"],
-        ["sweep.py", "range", "--n", "8", "--seeds", "1"],
-        ["sweep.py", "tolerance", "--n", "60"],
-        ["render_sweep.py", "--sizes", "50"],
-        ["parse_sweep.py", "--sizes", "50"],
-        ["duality_demo.py"],
-        ["family_tour.py"],
-    ],
-    ids=lambda argv: f"sweep-{argv[1]}" if argv[0] == "sweep.py" else argv[0].removesuffix(".py"),
+    [["scale", "--sizes", "0"], ["tolerance", "--n", "2"], ["range", "--n", "8", "--seeds", "0"]],
+    ids=["scale-n0", "tolerance-n2", "range-seeds0"],
+)
+def test_sweep_rejects_sizes_no_family_builds(argv):
+    proc = run_script(["sweep.py", *argv])
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv", SCRIPTS, ids=lambda argv: f"sweep-{argv[1]}" if argv[0] == "sweep.py" else argv[0].removesuffix(".py")
 )
 def test_script_exits_zero(argv):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
-    )
+    proc = run_script(argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
     if "sweep" not in argv[0]:
@@ -61,3 +89,8 @@ def test_script_exits_zero(argv):
         assert sum(runs for *_, runs in last["exits"]) == 60
         failed = sum(runs for _, _, status, runs in last["exits"] if status)
         assert sum(runs for *_, runs in last["failures"]) == failed
+    if argv[1:2] == ["parse"]:
+        assert [set(r) for r in last] == [PARSE_KEYS]
+    if argv[1:2] == ["render"]:
+        assert [r["payload"] for r in last] == ["hitting", "dual"]
+        assert [set(r) for r in last] == [RENDER_KEYS | FORMATTER_KEYS, RENDER_KEYS]
