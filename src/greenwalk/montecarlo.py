@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -14,6 +15,8 @@ from .graph import Distribution, TransitionMatrix
 STEP_CAP = 10**9  # a walk still short of its stop after this many steps raises RunawayError
 _MASK64 = (1 << 64) - 1
 _BUFFER = 128
+_TABLE_ENTRIES = 2**20  # step-table cells over all vertices: 8 MB of list slots
+_CELLS_PER_ARC = 8
 
 
 @dataclass(frozen=True)
@@ -47,37 +50,85 @@ class _TrialStreams:
         return self._gen
 
 
-def _cumulative_rows(P: TransitionMatrix) -> list[tuple[list[float], list[int]]]:
-    """Per vertex, the running sums of its row at its arcs, and the arcs' targets.
+class _StepTable(NamedTuple):
+    """Every vertex's step, looked up by the cell of [0, 1) that its uniform falls in.
 
-    The sums are the floats of the dense row's cumsum at the arc columns
-    (a zero entry adds nothing), with the last arc's set to exactly 1: a
-    running sum that rounds short of 1 would otherwise let a uniform step
-    past the last arc.
+    ``rows[v][c]`` is v's entry for the cell ``[c, c + 1) / cells``, and
+    ``cells`` is a power of two, so a uniform u lies in cell
+    ``int(u * cells)`` exactly. An entry ``w >= 0`` is the target that
+    ``bisect_right`` on v's running sums picks for every uniform in the
+    cell. An entry ``~a`` marks a cell that a running sum falls strictly
+    inside: ``a`` is the arc the cell starts in, and u's target is
+    ``targets[k]`` for the first ``k >= a`` with ``cum[k] > u``, one of the
+    cell's own arcs. ``cum`` and ``targets`` hold every row's running sums
+    and arc targets, row after row.
     """
+
+    cells: int
+    rows: list[list[int]]
+    cum: list[float]
+    targets: list[int]
+
+
+def _cell_count(n: int, degrees: np.ndarray) -> int:
+    """Cells per vertex: a power of two at least _CELLS_PER_ARC times the mean out-degree and at least the
+    largest, so that few cells hold a running sum and none holds many, within _TABLE_ENTRIES over all vertices."""
+    want = max(math.ceil(_CELLS_PER_ARC * degrees.mean()), int(degrees.max()))
+    return min(1 << (want - 1).bit_length(), 1 << ((_TABLE_ENTRIES // n).bit_length() - 1))
+
+
+def _cumulative_rows(P: TransitionMatrix) -> _StepTable:
+    """The step table of P's rows (see _StepTable).
+
+    The running sums are the floats of the dense row's cumsum at the arc
+    columns (a zero entry adds nothing), with the last arc's set to exactly
+    1: a running sum that rounds short of 1 would otherwise let a uniform
+    step past the last arc.
+    """
+    n = P.n
     rows, cols = np.nonzero(P.probs > 0)  # row-major: each row's arcs in column order
     cum = np.cumsum(P.probs, axis=1)[rows, cols]
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=P.n))])
-    cum[bounds[1:] - 1] = 1.0
-    cum, cols, bounds = cum.tolist(), cols.tolist(), bounds.tolist()
-    return [(cum[a:b], cols[a:b]) for a, b in zip(bounds, bounds[1:])]
+    degrees = np.bincount(rows, minlength=n)
+    ends = np.cumsum(degrees)  # one past each row's last arc
+    cum[ends - 1] = 1.0
+    cells = _cell_count(n, degrees)
+    # Arc k holds the uniforms [cum[k - 1], cum[k]), so it starts the cells
+    # ceil(cum[k - 1] * cells) to ceil(cum[k] * cells) - 1; scaling by a
+    # power of two is exact. A sum that rounds above 1 before the last arc
+    # is cut to 1, which changes no step: no uniform reaches it.
+    scaled = np.minimum(cum, 1.0) * cells
+    edge = np.ceil(scaled).astype(np.intp)
+    before = np.concatenate([[0], edge[:-1]])
+    before[ends[:-1]] = 0
+    first = np.repeat(np.arange(rows.size), edge - before)  # per cell, row after row: the arc it starts in
+    inside = (rows * cells + edge - 1)[scaled < edge]  # the cells a sum falls strictly inside
+    vertex = np.array(range(n), dtype=object)  # one int object per vertex keeps the table small in memory
+    table = vertex[cols[first]].reshape(n, cells)
+    table.flat[inside] = ~first[inside]
+    return _StepTable(cells, table.tolist(), cum.tolist(), vertex[cols].tolist())
 
 
-def _walk(rows, start: int, stop: int, rng: np.random.Generator, max_steps: int) -> int:
+def _walk(steps: _StepTable, start: int, stop: int, rng: np.random.Generator, max_steps: int) -> int:
     if start == stop:
         return 0
+    cells, table, cum, targets = steps
     v = start
     left = max_steps  # steps the walk may still take
     while True:
         # one block of uniforms at a time, as the per-step draws would consume them;
         # the block in which the cap falls ends at the cap
-        block = rng.random(_BUFFER).tolist()
+        block = rng.random(_BUFFER)
         if left < _BUFFER:
-            del block[left:]
+            block = block[:left]
         k = 0
-        for u in block:
-            cum, targets = rows[v]
-            v = targets[bisect_right(cum, u)]
+        for c in (block * cells).astype(np.intp).tolist():
+            v = table[v][c]
+            if v < 0:  # a running sum falls inside the cell: step along the cell's own arcs with the exact uniform
+                a = ~v
+                u = block.item(k)
+                while cum[a] <= u:
+                    a += 1
+                v = targets[a]
             k += 1
             if v == stop:
                 return max_steps - left + k

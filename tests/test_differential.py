@@ -293,6 +293,12 @@ WALK_GRAPHS = {
     "parallel-and-zero-arcs": WeightedDigraph(
         4, ((0, 1, 0.3), (0, 1, 0.4), (0, 3, 0.0), (1, 2, 1.0), (2, 3, 2.0), (2, 0, 0.1), (3, 0, 1.0), (3, 2, 0.0))
     ),
+    # the step table: a row with as many arcs as cells, sums on cell edges, and an arc far inside one cell
+    "complete-40": families.complete_graph(40),
+    "power-of-two-row": WeightedDigraph(
+        5, ((0, 1, 4.0), (0, 2, 2.0), (0, 3, 1.0), (0, 4, 1.0), (1, 0, 1.0), (2, 0, 1.0), (3, 0, 1.0), (4, 0, 1.0))
+    ),
+    "narrow-arc": WeightedDigraph(3, ((0, 1, 1.0), (0, 2, 1e-12), (1, 0, 1.0), (1, 2, 1.0), (2, 0, 1.0))),
 }
 
 

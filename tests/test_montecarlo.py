@@ -1,7 +1,10 @@
 from bisect import bisect_right
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from greenwalk import families, montecarlo
 from greenwalk.errors import RunawayError, ValidationError
@@ -58,19 +61,74 @@ class TestSimulateWalk:
             one_walk(P, 0, 9, seed=0)
 
 
+class ScriptedUniforms:
+    """Stands in for a Generator whose every uniform is u."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self, size: int) -> np.ndarray:
+        return np.full(size, self.u)
+
+
+def table_steps_to(steps, v: int, w: int, u: float) -> bool:
+    """Whether one step of the walk, on the step table and the uniform u, goes from v to w (v != w)."""
+    try:
+        return montecarlo._walk(steps, v, w, ScriptedUniforms(u), 1) == 1
+    except RunawayError:  # the step went elsewhere
+        return False
+
+
+def weighted_row(weights):
+    """A chain whose vertex 0 has an arc of each weight to 1, 2, ..., and every other vertex one arc back to 0."""
+    d = len(weights)
+    arcs = [(0, k + 1, w) for k, w in enumerate(weights)] + [(k + 1, 0, 1.0) for k in range(d)]
+    return transition_matrix(WeightedDigraph(d + 1, tuple(arcs)))
+
+
 class TestCumulativeRows:
     def test_top_uniforms_step_along_arcs(self):
         top = float(np.nextafter(1.0, 0.0))  # the largest uniform a generator returns
         for seed in range(50):
             P = transition_matrix(random_strongly_connected_digraph(60, seed, extra=0.25))
             running = np.cumsum(P.probs, axis=1)
-            for v, (cum, targets) in enumerate(_cumulative_rows(P)):
+            steps = _cumulative_rows(P)
+            end = 0
+            for v in range(P.n):
+                start, end = end, end + np.count_nonzero(P.probs[v])
+                cum, targets = steps.cum[start:end], steps.targets[start:end]
                 assert targets == np.flatnonzero(P.probs[v]).tolist()
                 # the dense cumsum's floats at the arc columns, the last arc's set to 1
                 assert cum[:-1] == running[v, targets[:-1]].tolist() and cum[-1] == 1.0
-                last_arc = targets[-1]
-                for u in (top, min(top, float(running[v, last_arc]))):
-                    assert P.probs[v, targets[bisect_right(cum, u)]] > 0, (seed, v, u)
+                # the top uniform and each running sum, through the table, step along a positive-probability arc
+                for u in (top, *(min(top, c) for c in cum)):
+                    w = targets[bisect_right(cum, u)]
+                    assert P.probs[v, w] > 0 and table_steps_to(steps, v, w, u), (seed, v, u)
+            assert end == len(steps.cum) == len(steps.targets)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(
+            st.one_of(st.floats(1e-12, 1e3), st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0])),
+            min_size=1, max_size=40,
+        ).filter(lambda ws: any(w > 0 for w in ws)),
+        entries=st.sampled_from([montecarlo._TABLE_ENTRIES, 256, 64]),
+    )
+    # a running sum before the last arc's that rounds above 1
+    @example(weights=[0.15947424705166727, 0.8571855516511449, 0.16002100789039128, 1e-17], entries=2**20)
+    def test_table_step_is_the_dense_bisection(self, weights, entries):
+        # power-of-two weights put running sums on cell edges; a small budget puts many sums in one cell
+        with mock.patch.object(montecarlo, "_TABLE_ENTRIES", entries):
+            P = weighted_row(weights)
+            steps = _cumulative_rows(P)
+        cum = np.cumsum(P.probs[0])
+        cum[np.flatnonzero(P.probs[0])[-1]:] = 1.0
+        uniforms = {float(np.nextafter(1.0, 0.0))}
+        for c in cum:
+            uniforms |= {float(c), float(np.nextafter(c, 0.0)), float(np.nextafter(c, 2.0))}
+        for u in sorted(x for x in uniforms if 0.0 <= x < 1.0):
+            w = bisect_right(cum.tolist(), u)
+            assert P.probs[0, w] > 0 and table_steps_to(steps, 0, w, u), (steps.cells, u)
 
 
 class TestEmpiricalHitting:

@@ -41,12 +41,24 @@ SCRIPTS = [
 ]
 
 
-def run_script(argv):
+# sweep.py render at n = 20 with its reference row join made to disagree: a space at the end of every row
+DISAGREEING_RENDER = """
+import runpy, sys
+main = runpy.run_path(sys.argv[1])["main"]
+join = main.__globals__["row_join"]
+main.__globals__["row_join"] = lambda H: join(H).replace("\\n", " \\n")
+sys.argv[1:] = ["render", "--n", "20"]
+sys.exit(main())
+"""
+
+
+def run_python(*args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
+
+
+def run_script(argv):
+    return run_python(str(ROOT / "scripts" / argv[0]), *argv[1:])
 
 
 def test_every_preset_is_run():
@@ -65,6 +77,13 @@ def test_sweep_rejects_sizes_no_family_builds(argv):
     proc = run_script(["sweep.py", *argv])
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_render_checks_its_formatters_under_optimize():
+    # python -O strips assert statements, and the check must still stop the run
+    proc = run_python("-O", "-c", DISAGREEING_RENDER, str(ROOT / "scripts" / "sweep.py"))
+    assert proc.returncode != 0, proc.stdout
+    assert "n = 20: the formatters disagree" in proc.stderr
 
 
 @pytest.mark.parametrize(
