@@ -15,8 +15,8 @@ from .graph import Distribution, TransitionMatrix
 STEP_CAP = 10**9  # a walk still short of its stop after this many steps raises RunawayError
 _MASK64 = (1 << 64) - 1
 _BUFFER = 128
-_TABLE_ENTRIES = 2**20  # step-table cells over all vertices: 8 MB of list slots
-_CELLS_PER_ARC = 8
+_TABLE_ENTRIES = 2**19  # step-table cells over all vertices: 4 MB of list slots
+_CELLS_PER_ARC = 8  # 4 or 16 made walk-sim's 150-vertex passes slower: more scans, or a longer table build
 
 
 @dataclass(frozen=True)
@@ -70,13 +70,6 @@ class _StepTable(NamedTuple):
     targets: list[int]
 
 
-def _cell_count(n: int, degrees: np.ndarray) -> int:
-    """Cells per vertex: a power of two at least _CELLS_PER_ARC times the mean out-degree and at least the
-    largest, so that few cells hold a running sum and none holds many, within _TABLE_ENTRIES over all vertices."""
-    want = max(math.ceil(_CELLS_PER_ARC * degrees.mean()), int(degrees.max()))
-    return min(1 << (want - 1).bit_length(), 1 << ((_TABLE_ENTRIES // n).bit_length() - 1))
-
-
 def _cumulative_rows(P: TransitionMatrix) -> _StepTable:
     """The step table of P's rows (see _StepTable).
 
@@ -91,7 +84,11 @@ def _cumulative_rows(P: TransitionMatrix) -> _StepTable:
     degrees = np.bincount(rows, minlength=n)
     ends = np.cumsum(degrees)  # one past each row's last arc
     cum[ends - 1] = 1.0
-    cells = _cell_count(n, degrees)
+    # Cells per vertex: a power of two at least _CELLS_PER_ARC times the mean
+    # out-degree and at least the largest, so that few cells hold a running
+    # sum and none holds many, within _TABLE_ENTRIES cells in all.
+    want = max(math.ceil(_CELLS_PER_ARC * degrees.mean()), int(degrees.max()))
+    cells = min(1 << (want - 1).bit_length(), 1 << ((_TABLE_ENTRIES // n).bit_length() - 1))
     # Arc k holds the uniforms [cum[k - 1], cum[k]), so it starts the cells
     # ceil(cum[k - 1] * cells) to ceil(cum[k] * cells) - 1; scaling by a
     # power of two is exact. A sum that rounds above 1 before the last arc
@@ -100,11 +97,15 @@ def _cumulative_rows(P: TransitionMatrix) -> _StepTable:
     edge = np.ceil(scaled).astype(np.intp)
     before = np.concatenate([[0], edge[:-1]])
     before[ends[:-1]] = 0
-    first = np.repeat(np.arange(rows.size), edge - before)  # per cell, row after row: the arc it starts in
-    inside = (rows * cells + edge - 1)[scaled < edge]  # the cells a sum falls strictly inside
     vertex = np.array(range(n), dtype=object)  # one int object per vertex keeps the table small in memory
-    table = vertex[cols[first]].reshape(n, cells)
-    table.flat[inside] = ~first[inside]
+    table = np.repeat(vertex[cols], edge - before).reshape(n, cells)
+    # A sum strictly inside a cell (scaled < edge) falls in cell edge - 1 of
+    # its row, which starts in the first arc of its row with the same edge.
+    key = rows * cells + edge  # one past the sum's cell, numbering the cells row after row
+    runs = np.flatnonzero(np.diff(key, prepend=-1))
+    first = np.repeat(runs, np.diff(runs, append=key.size))
+    inside = scaled < edge
+    table.flat[key[inside] - 1] = ~first[inside]
     return _StepTable(cells, table.tolist(), cum.tolist(), vertex[cols].tolist())
 
 
