@@ -293,7 +293,7 @@ WALK_GRAPHS = {
     "parallel-and-zero-arcs": WeightedDigraph(
         4, ((0, 1, 0.3), (0, 1, 0.4), (0, 3, 0.0), (1, 2, 1.0), (2, 3, 2.0), (2, 0, 0.1), (3, 0, 1.0), (3, 2, 0.0))
     ),
-    # the step table: a row with as many arcs as cells, sums on cell edges, and an arc far inside one cell
+    # the step table: a dense chain, running sums on cell edges, and an arc far narrower than a cell
     "complete-40": families.complete_graph(40),
     "power-of-two-row": WeightedDigraph(
         5, ((0, 1, 4.0), (0, 2, 2.0), (0, 3, 1.0), (0, 4, 1.0), (1, 0, 1.0), (2, 0, 1.0), (3, 0, 1.0), (4, 0, 1.0))
