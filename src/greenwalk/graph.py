@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from . import tolerance
-from .errors import NumericalError, ParseError, ValidationError, require
+from .errors import GreenWalkError, IntegrityError, NumericalError, ParseError, ValidationError, require
 
 
 def _index_column(values) -> np.ndarray:
@@ -502,5 +502,10 @@ def stationary_distribution(P: TransitionMatrix) -> Distribution:
     if x.min() <= 0:
         raise NumericalError("solved stationary vector is not strictly positive")
     x = x / x.sum()
-    require("stationary", tolerance.gap(x @ P.probs, x), tolerance.bound(n, 1.0, tolerance.RESIDUAL), NumericalError)
+    require_stationary(P, x, NumericalError)
     return Distribution(x)
+
+
+def require_stationary(P: TransitionMatrix, x: np.ndarray, error: type[GreenWalkError] = IntegrityError) -> float:
+    """The check ``stationary``: max |x P - x|, the residual of x as the left fixed vector of P."""
+    return require("stationary", tolerance.gap(x @ P.probs, x), tolerance.bound(P.n, 1.0, tolerance.RESIDUAL), error)

@@ -11,7 +11,7 @@ import numpy as np
 from . import tolerance
 from .errors import require
 from .graph import Distribution, TransitionMatrix, walk_laplacian
-from .hitting import HittingTimeMatrix
+from .hitting import HittingTimeMatrix, read_hitting
 
 if TYPE_CHECKING:
     from .pipeline import ChainAnalysis
@@ -176,8 +176,7 @@ def require_constraint(
 
 def hitting_from_greens(M: GreensMatrix, pi: Distribution) -> HittingTimeMatrix:
     """Recover hitting times as (G(j,j) - G(i,j)) / pi_j from a classical Green's function."""
-    values = np.diag(M.values)[None, :] - M.values
-    values /= pi.probs
+    values = read_hitting(M.values, pi)
     return HittingTimeMatrix(values)
 
 

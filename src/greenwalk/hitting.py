@@ -1,15 +1,14 @@
 """Hitting times via the fundamental matrix, and their classical identities.
 
-``hitting_times`` derives every H(i, j) = (Z_jj - Z_ij) / pi_j from the whole
-Z = (I - P + 1 pi^T)^{-1}. ``hitting_column`` solves for column j of Z alone,
-which is all ``simulate --stop j`` prints, so that command never builds
-``ChainAnalysis.hitting``.
+``read_hitting`` reads every H(i, j) = (Z_jj - Z_ij) / pi_j, and the checks of
+a solve and of its H are made in one place each, for the whole
+Z = (I - P + 1 pi^T)^{-1} or for column j alone (``hitting_column``, all that
+``simulate --stop j`` prints, so that command never builds ``ChainAnalysis.hitting``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -25,15 +24,13 @@ if TYPE_CHECKING:
 class HittingTimeMatrix:
     """All pairwise expected first-arrival times, zero on the diagonal.
 
-    ``first_step`` is the residual of the first-step equations when
-    ``hitting_times`` or ``reversed_hitting_times`` built the matrix, and
-    None otherwise. A writable ``values`` that passes the checks is taken
-    over, not copied: its diagonal is zeroed in place and it is made
-    read-only. A read-only one is copied, and a rejected one is left as it was.
+    A writable ``values`` that passes the checks is taken over, not copied:
+    its diagonal is zeroed in place and it is made read-only. A read-only one
+    is copied, and a rejected one is left as it was.
     """
 
     values: np.ndarray
-    first_step: float | None = None
+    time_scale: float = field(init=False, repr=False, compare=False)  # T = max(1, max |H|), the expected-step scale
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -51,71 +48,77 @@ class HittingTimeMatrix:
         np.fill_diagonal(values, 0.0)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        self.__dict__["time_scale"] = scale
+        object.__setattr__(self, "time_scale", scale)
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
 
-    @cached_property
-    def time_scale(self) -> float:
-        """T, the largest hitting time (at least 1): the scale of every expected-step limit."""
-        return tolerance.time_scale(self.values)
-
     def __getitem__(self, idx) -> float:
         return float(self.values[idx])
 
 
-def _solve_fundamental(
-    P: TransitionMatrix, pi: Distribution, rhs: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(A, A^{-1} rhs) with A = I - P + 1 pi^T, the system every fundamental-matrix route solves.
+def _targets(Y: np.ndarray, j: int | None) -> slice | int:
+    """Where Y.flat holds each target: the diagonal of a whole matrix (j None), or entry j of the column for target j."""
+    return slice(None, None, len(Y) + 1) if j is None else j
 
-    With no rhs it is (A, A^{-1}): ``inv`` runs LAPACK's solve against an
-    identity it builds itself, so the result is bit for bit
-    ``solve(A, eye(n))`` with one n x n array fewer held.
+
+def read_hitting(Y: np.ndarray, pi: Distribution, j: int | None = None) -> np.ndarray:
+    """H(i, j) = (Y_jj - Y_ij) / pi_j, read off the whole of Y (j None) or its column j, in Y's place if it is writable.
+
+    Y is any (I - P + 1 u^T)^{-1}, or a Green's function of P: any two differ by a constant in each column, which cancels.
+    """
+    H = np.subtract(Y.flat[_targets(Y, j)], Y, out=Y if Y.flags.writeable else None)  # Y.flat[...] is a copy
+    H /= pi.probs if j is None else pi.probs[j]
+    return H
+
+
+def _solve_fundamental(P: TransitionMatrix, pi: Distribution, j: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(A, A^{-1}), or (A, A^{-1} e_j) for column j alone, with A = I - P + 1 pi^T: every fundamental-matrix solve.
+
+    ``inv`` solves against an identity it builds itself: bit for bit ``solve(A, eye(n))``, one n x n array fewer held.
     """
     A = walk_laplacian(P)
     A += pi.probs  # the rank-one term 1 pi^T, by broadcast
     try:
-        return A, np.linalg.inv(A) if rhs is None else np.linalg.solve(A, rhs)
+        return A, np.linalg.inv(A) if j is None else np.linalg.solve(A, np.eye(1, P.n, j)[0])  # e_j, row 0 of eye
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"fundamental matrix solve failed: {exc}") from None
 
 
+def _require_fundamental(A: np.ndarray, X: np.ndarray, j: int | None = None) -> None:
+    """The check ``fundamental``: the residual A X - I of the solve for X, or A X - e_j for its column j alone."""
+    limit = tolerance.bound(len(X), np.abs(X).max(), tolerance.RESIDUAL)
+    # the solve controls the residual A Z - I; Z A - I can exceed it by up to cond(A) (Higham, ch. 14)
+    R = A @ X
+    R.flat[_targets(R, j)] -= 1.0
+    require("fundamental", np.abs(R, out=R).max(), limit, NumericalError)
+
+
+def _require_first_step(H: np.ndarray, P: TransitionMatrix, scale: float, j: int | None = None) -> None:
+    """The check ``first_step``: H(i, j) = 1 + sum_k P(i, k) H(k, j) for i != j, on H or on its column j alone."""
+    R = H - 1.0
+    R -= P.probs @ H
+    R.flat[_targets(R, j)] = 0.0
+    require("first_step", np.abs(R, out=R).max(), tolerance.bound(P.n, scale, tolerance.ROUTE), NumericalError)
+
+
 def fundamental_matrix(P: TransitionMatrix, pi: Distribution) -> np.ndarray:
     """Z = (I - P + 1 pi^T)^{-1}, confirmed to working accuracy: one solve serves every hitting time."""
-    n = P.n
     A, Z = _solve_fundamental(P, pi)
-    limit = tolerance.bound(n, np.abs(Z).max(), tolerance.RESIDUAL)
-    # the solve controls the residual A Z - I; Z A - I can exceed it by up to cond(A) (Higham, ch. 14)
-    R = A @ Z
-    R.flat[:: n + 1] -= 1.0
-    require("fundamental", np.abs(R, out=R).max(), limit, NumericalError)
+    _require_fundamental(A, Z)
     return Z
 
 
 def hitting_column(P: TransitionMatrix, pi: Distribution, j: int) -> np.ndarray:
     """H(., j), the expected steps from each vertex to first reach j, from column j of Z alone.
 
-    One right-hand side: A z = e_j gives z = Z e_j, and H(i, j) = (z_j - z_i) / pi_j
-    with H(j, j) = 0. The column passes the checks ``hitting_times`` makes on
-    the whole matrix, under the same names and limits: ``fundamental``, the
-    residual A z - e_j, and ``first_step``, the first-step equations into j.
+    Read and checked as ``hitting_times`` reads and checks the whole Z, with matrix-vector products.
     """
-    n = P.n
-    e = np.zeros(n)
-    e[j] = 1.0
-    A, z = _solve_fundamental(P, pi, e)
-    residual = A @ z
-    residual[j] -= 1.0
-    limit = tolerance.bound(n, np.abs(z).max(), tolerance.RESIDUAL)
-    require("fundamental", np.abs(residual).max(), limit, NumericalError)
-    h = (z[j] - z) / pi.probs[j]
-    h[j] = 0.0
-    R = h - 1.0 - P.probs @ h
-    R[j] = 0.0
-    require("first_step", np.abs(R).max(), tolerance.bound(n, tolerance.time_scale(h), tolerance.ROUTE), NumericalError)
+    A, z = _solve_fundamental(P, pi, j)
+    _require_fundamental(A, z, j)
+    h = read_hitting(z, pi, j)
+    _require_first_step(h, P, tolerance.time_scale(h), j)
     return h
 
 
@@ -132,14 +135,13 @@ def hitting_times(P: TransitionMatrix, pi: Distribution) -> HittingTimeMatrix:
     Returns
     -------
     HittingTimeMatrix
-        Extracted from the fundamental matrix Z as (Z_jj - Z_ij) / pi_j
-        and validated against the first-step equations
+        Read off the fundamental matrix Z as (Z_jj - Z_ij) / pi_j, in Z's
+        place, and validated against the first-step equations
         H(i, j) = 1 + sum_k P(i, k) H(k, j) for i != j.
     """
-    Z = fundamental_matrix(P, pi)
-    H = np.subtract(Z.diagonal().copy(), Z, out=Z)  # Z_jj - Z_ij, in Z's place
-    H /= pi.probs
-    return _confirmed(H, P)
+    hits = HittingTimeMatrix(read_hitting(fundamental_matrix(P, pi), pi))
+    _require_first_step(hits.values, P, hits.time_scale)
+    return hits
 
 
 def reversed_hitting_times(rules: Rules, P_rev: TransitionMatrix) -> HittingTimeMatrix:
@@ -153,16 +155,8 @@ def reversed_hitting_times(rules: Rules, P_rev: TransitionMatrix) -> HittingTime
     h_pi = rules.from_target
     H = rules.hitting.values.T + h_pi
     H -= h_pi[:, None]
-    return _confirmed(H, P_rev)
-
-
-def _confirmed(H: np.ndarray, P: TransitionMatrix) -> HittingTimeMatrix:
-    """H as a HittingTimeMatrix of P, once the first-step equations hold to working accuracy."""
-    R = H - 1.0
-    R -= P.probs @ H
-    np.fill_diagonal(R, 0.0)
-    hits = HittingTimeMatrix(H, float(np.abs(R, out=R).max()))
-    require("first_step", hits.first_step, tolerance.bound(P.n, hits.time_scale, tolerance.ROUTE), NumericalError)
+    hits = HittingTimeMatrix(H)
+    _require_first_step(hits.values, P_rev, hits.time_scale)
     return hits
 
 

@@ -19,6 +19,7 @@ from .graph import (
     Distribution,
     TransitionMatrix,
     WeightedDigraph,
+    require_stationary,
     stationary_distribution,
     transition_matrix,
 )
@@ -33,7 +34,7 @@ from .greens import (
     mixing_report,
     require_constraint,
 )
-from .hitting import HittingTimeMatrix, hit_time, hitting_times, reversed_hitting_times
+from .hitting import HittingTimeMatrix, _solve_fundamental, hit_time, hitting_times, read_hitting, reversed_hitting_times
 from .spectral import SpectralDecomposition, decompose, spectral_greens
 
 
@@ -52,9 +53,9 @@ class ChainAnalysis:
     ``hitting`` is read off this chain's with no second solve, and confirmed
     against the reverse chain's own rows. While this chain is alive, its
     ``reverse`` is this chain. ``forget``, the forget distribution, is read off
-    the reverse chain's hitting times. ``simulate --stop`` prints one hitting
-    time, solved as a column by ``hitting.hitting_column``, and never builds
-    ``hitting``.
+    the reverse chain's hitting times. ``simulate --stop`` solves one column
+    (``hitting.hitting_column``), and ``verify``'s beta = 0.5 chain is one
+    inverse read by ``hitting.read_hitting``: neither builds a chain.
     """
 
     transition: TransitionMatrix
@@ -173,23 +174,21 @@ def verify_checks(chain: ChainAnalysis, green: GreensMatrix | None = None) -> li
     """
     chain = replace(chain)  # a copy that holds nothing derived yet
     g, P, pi = chain.graph, chain.transition, chain.stationary
-    n = P.n
     try:
         with recorded() as ledger:
-            gap = tolerance.gap(pi.probs @ P.probs, pi.probs)
-            require("stationary", gap, tolerance.bound(n, 1.0, tolerance.RESIDUAL))
+            require_stationary(P, pi.probs)
             H = chain.hitting  # fundamental and first_step
             require_constraint(chain, chain.greens, "greens_constraint")
             require_constraint(chain, chain.exit_pi, "exit_conservation")
             chain.mixing  # trace_vs_hit, and pessimal_formulas_<i> on an undirected graph
             if P.beta == 0.0:
-                # laziness never moves pi, so the lazy chain reuses it; its hitting times are solved anew,
-                # and its own solve checks are dropped: laziness_scaling certifies them against H
-                with recorded():
-                    lazy = ChainAnalysis(transition_matrix(g, 0.5), pi).hitting
-                gap = tolerance.gap(lazy.values * 0.5, H.values)
-                require("laziness_scaling", gap, tolerance.bound(n, H.time_scale, tolerance.ROUTE))
+                # laziness never moves pi, so the lazy chain reuses it; its hitting times are read off an
+                # inverse of its own, with no check of their own: laziness_scaling certifies them against H
+                lazy = read_hitting(_solve_fundamental(transition_matrix(g, 0.5), pi)[1], pi)  # A goes at once
+                lazy *= 0.5
+                gap = tolerance.gap(lazy, H.values)
                 del lazy  # its H goes once the residual is read
+                require("laziness_scaling", gap, tolerance.bound(P.n, H.time_scale, tolerance.ROUTE))
             if g.undirected:
                 spectral_routes(chain, decompose(g))
             duality_checks(chain)

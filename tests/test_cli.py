@@ -606,17 +606,28 @@ class TestOtherCommands:
         assert json.loads(out)["n"] == 3
 
 
+def _counting_solves(monkeypatch, record):
+    """Wrap hitting._solve_fundamental in both modules that call it, so that each call first goes to record."""
+    real = greenwalk.hitting._solve_fundamental
+
+    def counting(P, pi, j=None):
+        record(P, j)
+        return real(P, pi, j)
+
+    for module in (greenwalk.hitting, greenwalk.pipeline):
+        monkeypatch.setattr(module, "_solve_fundamental", counting)
+
+
 @pytest.fixture
 def solves(monkeypatch):
-    """The order of every fundamental-matrix solve, in call order."""
+    """(n, beta) of the chain of every whole-matrix solve, checked or not, in call order."""
     calls = []
-    solve = greenwalk.hitting.fundamental_matrix
 
-    def counting(P, pi):
-        calls.append(P.n)
-        return solve(P, pi)
+    def record(P, j):
+        if j is None:
+            calls.append((P.n, P.beta))
 
-    monkeypatch.setattr(greenwalk.hitting, "fundamental_matrix", counting)
+    _counting_solves(monkeypatch, record)
     return calls
 
 
@@ -624,22 +635,22 @@ def solves(monkeypatch):
 def columns(monkeypatch):
     """The target of every one-column solve simulate makes, in call order."""
     calls = []
-    solve = greenwalk.cli.hitting_column
 
-    def counting(P, pi, j):
-        calls.append(j)
-        return solve(P, pi, j)
+    def record(P, j):
+        if j is not None:
+            calls.append(j)
 
-    monkeypatch.setattr(greenwalk.cli, "hitting_column", counting)
+    _counting_solves(monkeypatch, record)
     return calls
 
 
 class TestSolveCounts:
-    """Each command solves the forward chain once, and verify adds its
-    independent beta = 0.5 re-solve; the reverse chain of the duality report
-    reads its hitting times off the forward chain's with no solve. simulate
-    in hitting mode prints one hitting time and solves for its column of Z
-    alone."""
+    """Solves are counted where they run, so a solve no check follows is
+    counted too. Each command solves the forward chain once, and verify adds
+    the independent beta = 0.5 inverse that laziness_scaling reads; the
+    reverse chain of the duality report reads its hitting times off the
+    forward chain's with no solve. simulate in hitting mode prints one
+    hitting time and solves for its column of Z alone."""
 
     @pytest.mark.parametrize(
         "argv, count",
@@ -675,6 +686,12 @@ class TestSolveCounts:
         assert code == 0
         assert (len(solves), columns) == (count, targets)
 
+    @pytest.mark.parametrize("argv, chains", [([], [(3, 0.0), (3, 0.5)]), (["--lazy", "0.3"], [(3, 0.3)])])
+    def test_verify_solves_the_lazy_chain_once(self, capsys, solves, k3_file, argv, chains):
+        code, _, _ = run(capsys, "verify", "--input", k3_file, *argv)
+        assert code == 0
+        assert solves == chains
+
     def test_simulate_bad_stop_solves_nothing(self, capsys, solves, columns, k3_file):
         code, out, err = run(capsys, "simulate", "--input", k3_file, "--start", "0", "--stop", "3", "--trials", "5")
         assert (code, out, err) == (1, "", "error: start and stop must be vertices\n")
@@ -690,7 +707,7 @@ class TestSolveCounts:
     def test_family(self, capsys, solves):
         code, _, _ = run(capsys, "family", "toric", "3", "4")
         assert code == 0
-        assert solves == [12]
+        assert solves == [(12, 0.0)]
 
 
 class TestDualityCallCounts:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenwalk import families, pipeline, tolerance
+from greenwalk import errors, families, pipeline, tolerance
 from greenwalk.duality import reverse_chain
 from greenwalk.errors import NumericalError, ValidationError
 from greenwalk.generators import random_connected_graph, random_strongly_connected_digraph, wide_path_graph
@@ -173,11 +173,14 @@ class TestReversedHittingTimes:
     def test_matches_solved_reverse(self, g, beta):
         P, pi = chain(g, beta)
         P_rev = reverse_chain(P, pi)
-        derived = reversed_hitting_times(Rules(hitting_times(P, pi), pi, pi), P_rev)
+        rules = Rules(hitting_times(P, pi), pi, pi)
+        with errors.recorded() as ledger:
+            derived = reversed_hitting_times(rules, P_rev)
         solved = hitting_times(P_rev, pi)
         limit = tolerance.bound(P.n, solved.time_scale, tolerance.ROUTE)
         assert np.abs(derived.values - solved.values).max() <= limit
-        assert derived.first_step <= limit
+        ((name, first_step, _),) = ledger
+        assert name == "first_step" and first_step <= limit
 
     def test_directed_triangle_runs_backwards(self, directed_triangle):
         rev = directed_triangle.reverse
@@ -192,11 +195,12 @@ class TestReversedHittingTimes:
 
     def test_reverse_chain_keeps_its_first_step(self):
         sol = pipeline.analyze(random_strongly_connected_digraph(10, seed=7))
-        H = sol.reverse.hitting
-        assert H.first_step is not None
+        sol.pi_rules.from_target  # the forward solve and its checks, outside the ledger
+        with errors.recorded() as ledger:
+            H = sol.reverse.hitting
         R = H.values - 1.0 - sol.reverse.transition.probs @ H.values
         np.fill_diagonal(R, 0.0)
-        assert H.first_step == float(np.abs(R).max())
+        assert [residual for name, residual, _ in ledger if name == "first_step"] == [float(np.abs(R).max())]
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(2, 25), seed=st.integers(0, 10**6), beta=st.sampled_from([0.0, 0.4]))

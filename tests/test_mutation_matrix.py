@@ -115,7 +115,7 @@ def _hitting(edit):
 
     def mutate(chain):
         H = chain.hitting
-        edited = HittingTimeMatrix(edit(H.values.copy(), H.time_scale), H.first_step)
+        edited = HittingTimeMatrix(edit(H.values.copy(), H.time_scale))
         return _Held(chain.transition, chain.stationary, edited)
 
     return mutate

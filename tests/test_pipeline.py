@@ -33,7 +33,10 @@ def test_verify_reports_the_builders_residuals(chain):
     assert checks["exit_row_min"] == chain.exit_pi.row_min
     assert checks["exit_row_sums"] == chain.exit_pi.access_gap
     # the chain and its reverse each confirm their first-step equations; the reverse's is the worst here
-    assert checks["first_step"] == chain.reverse.hitting.first_step
+    chain.pi_rules.from_target  # the forward solve, outside the ledger
+    with errors.recorded() as ledger:
+        chain.reverse
+    assert [residual for name, residual, _ in ledger if name == "first_step"] == [checks["first_step"]]
 
 
 def test_verify_checks_do_not_depend_on_what_the_chain_holds(chain):
@@ -45,17 +48,17 @@ def test_verify_checks_do_not_depend_on_what_the_chain_holds(chain):
     assert len(fresh) == (22 if chain.graph.undirected else 15)
 
 
-def test_verify_drops_the_lazy_chains_solve_checks(chain, monkeypatch):
-    # laziness_scaling certifies the lazy chain's H: a check of its solve is not one of this chain's
-    real = hitting.fundamental_matrix
+def test_verify_checks_each_solve_once(chain, monkeypatch):
+    # the chain and its reverse confirm their H; laziness_scaling alone certifies the beta = 0.5 inverse
+    made = []
 
-    def failing_when_lazy(P, pi):
-        if P.beta == 0.5:
-            errors.require("fundamental", 1.0, 0.0)
-        return real(P, pi)
+    def recording(name, *args):
+        made.append(name)
+        return errors.require(name, *args)
 
-    monkeypatch.setattr(hitting, "fundamental_matrix", failing_when_lazy)
-    assert not any(map(errors.failed, verify_checks(chain)))
+    monkeypatch.setattr(hitting, "require", recording)
+    verify_checks(chain)
+    assert (made.count("fundamental"), made.count("first_step")) == (1, 2)
 
 
 def test_verify_lists_each_check_once(chain, lower_limit):
