@@ -11,6 +11,7 @@ import argparse
 
 from greenwalk.duality import duality_checks
 from greenwalk.generators import random_strongly_connected_digraph
+from greenwalk.greens import Rules
 from greenwalk.pipeline import analyze
 
 
@@ -30,7 +31,7 @@ def main() -> None:
         sol = analyze(g)
         rep = duality_checks(sol)
         t_reset = sol.mixing.t_reset
-        t_forget_rev = float(sol.reverse.forget_rules.access.max())
+        t_forget_rev = float(Rules(rep.reverse_hitting, sol.stationary, rep.reverse_forget).access.max())
         print(
             f"{seed:>6}{t_reset:>12.6f}{rep.t_forget:>12.6f}{t_forget_rev:>15.6f}"
             f"{rep.reverse_involution:>18.3e}"

@@ -1,6 +1,6 @@
 """Green's functions, hitting times, exit frequencies, and exact mixing measures for random walks on weighted digraphs."""
 
-from .duality import DualityReport, duality_checks, forget_distribution, pi_core, reverse_chain
+from .duality import DualityReport, duality_checks, pi_core, reverse_chain
 from .errors import (
     GreenWalkError,
     IntegrityError,

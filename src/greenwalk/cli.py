@@ -415,8 +415,8 @@ def _cmd_dual(args, chain):
         "reverse_forget": rep.reverse_forget.probs,
         "offsets": rep.offsets,
         "core": rep.core.probs,
-        "reverse_rows": chain.reverse.transition.probs,
-        "reverse_hitting_rows": chain.reverse.hitting.values,
+        "reverse_rows": rep.reverse.probs,
+        "reverse_hitting_rows": rep.reverse_hitting.values,
         "core_exit_rows": rep.core_exit.values,
         "residuals": {"reverse_involution": rep.reverse_involution},
     }

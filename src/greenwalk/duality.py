@@ -1,4 +1,8 @@
-"""Time reversal, forget distributions and the stationary core, with the reverse chain's involution check."""
+"""Time reversal, forget distributions and the stationary core, with the reverse chain's involution check.
+
+``duality_checks`` builds the reverse chain over the same pi as a value, with
+hitting times read off the forward chain's, and returns it in its report.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +15,7 @@ from . import tolerance
 from .errors import require
 from .graph import Distribution, TransitionMatrix, walk_laplacian
 from .greens import ExitFrequencyMatrix, Rules
+from .hitting import HittingTimeMatrix, reversed_hitting_times
 
 if TYPE_CHECKING:
     from .pipeline import ChainAnalysis
@@ -18,7 +23,7 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class DualityReport:
-    """Everything the reverse chain says about the forward one."""
+    """Everything the reverse chain says about the forward one, and the reverse chain itself."""
 
     forget: Distribution          # forget distribution of the forward chain
     reverse_forget: Distribution  # forget distribution of the reverse chain
@@ -27,6 +32,8 @@ class DualityReport:
     core_exit: ExitFrequencyMatrix
     t_forget: float
     reverse_involution: float     # the residual of dual_reverse_involution
+    reverse: TransitionMatrix     # the reverse chain
+    reverse_hitting: HittingTimeMatrix  # its hitting times, read off the forward chain's
 
 
 def reverse_chain(P: TransitionMatrix, pi: Distribution) -> TransitionMatrix:
@@ -48,8 +55,8 @@ def reverse_chain(P: TransitionMatrix, pi: Distribution) -> TransitionMatrix:
     return TransitionMatrix(probs, beta=P.beta, graph=graph)
 
 
-def _forget_weights(chain: ChainAnalysis, rules: Rules) -> np.ndarray:
-    return rules.stationary.probs * (1.0 + chain.transition.probs @ rules.access - rules.access)
+def _forget_weights(P: TransitionMatrix, rules: Rules) -> np.ndarray:
+    return rules.stationary.probs * (1.0 + P.probs @ rules.access - rules.access)
 
 
 def _as_distribution(weights: np.ndarray, name: str, scale: float) -> Distribution:
@@ -58,25 +65,21 @@ def _as_distribution(weights: np.ndarray, name: str, scale: float) -> Distributi
     return Distribution(w / w.sum())
 
 
-def forget_distribution(chain: ChainAnalysis) -> Distribution:
-    """The unique target achieving the forget time of the chain.
-
-    The weight formula pi_i (1 + sum_j p_ij H(j, pi) - H(i, pi)) evaluated
-    with forward quantities yields the reverse chain's forget distribution,
-    so this applies it to the reverse chain instead.
-    """
-    rev = chain.reverse
-    return _as_distribution(_forget_weights(rev, rev.pi_rules), "forget_negative_mass", rev.entry_scale)
+def _forget(P: TransitionMatrix, rules: Rules) -> Distribution:
+    """The forget distribution of P's reverse: the weight formula on P toward pi."""
+    return _as_distribution(_forget_weights(P, rules), "forget_negative_mass", rules.entry_scale)
 
 
-def pi_core(chain: ChainAnalysis) -> tuple[Distribution, ExitFrequencyMatrix, np.ndarray]:
+def pi_core(
+    chain: ChainAnalysis, reverse: TransitionMatrix, reverse_rules: Rules
+) -> tuple[Distribution, ExitFrequencyMatrix, np.ndarray]:
     """The distribution whose exit matrix is X_pi shifted down by its column minima.
 
     The core is recovered algebraically from conservation,
-    core^T = pi^T + b^T (I - P) with b the column minima of X_pi; the
-    reverse-chain weight formula is evaluated as an independent route and
-    the two must agree. Returns the core, the shifted matrix X_pi - 1 b^T
-    as its exit matrix, and b.
+    core^T = pi^T + b^T (I - P) with b the column minima of X_pi; the weight
+    formula on the ``reverse`` chain toward its forget distribution
+    (``reverse_rules``) is an independent route, and the two must agree.
+    Returns the core, the shifted matrix X_pi - 1 b^T as its exit matrix, and b.
     """
     P, pi, X = chain.transition, chain.stationary, chain.exit_pi
     b = X.values.min(axis=0)
@@ -85,26 +88,32 @@ def pi_core(chain: ChainAnalysis) -> tuple[Distribution, ExitFrequencyMatrix, np
     shifted = X.values - b[None, :]
     core_exit = ExitFrequencyMatrix(shifted, target=core, access=shifted.sum(axis=1))
 
-    formula = _forget_weights(chain.reverse, chain.reverse.forget_rules)
+    formula = _forget_weights(reverse, reverse_rules)
     limit = tolerance.bound(P.n, chain.entry_scale, tolerance.ROUTE)
     require("core_routes", tolerance.gap(formula, core_weights), limit)
     return core, core_exit, b
 
 
 def duality_checks(chain: ChainAnalysis) -> DualityReport:
-    """The reverse chain's report on the forward one: the forget distributions, the pi-core and its exit matrix.
+    """The reverse chain and its report on the forward one: the forget distributions, the pi-core and its exit matrix.
 
-    Its own check is ``dual_reverse_involution``: reversing the reverse chain
-    gives back P, to ``tolerance.bound`` at size n on the probability scale
-    (1, RESIDUAL). The builders check the rest: the core's two routes
-    (``core_routes``), the reverse chain's row sums and first-step equations,
-    and the nonnegative mass of each distribution.
+    The reverse chain makes no solve: its hitting times are read off the
+    forward chain's (``reversed_hitting_times``). The weight formula
+    pi_i (1 + sum_j p_ij H(j, pi) - H(i, pi)) on one chain gives the other
+    chain's forget distribution. The report's own check is
+    ``dual_reverse_involution``: reversing the reverse chain gives back P, to
+    ``tolerance.bound`` at size n on the probability scale (1, RESIDUAL). The
+    builders check the rest: the core's two routes (``core_routes``), the
+    reverse chain's row sums and first-step equations, and the nonnegative
+    mass of each distribution.
     """
-    P, pi, rev = chain.transition, chain.stationary, chain.reverse
-    mu, mu_hat = chain.forget, rev.forget
-    t_forget = float(chain.forget_rules.access.max())
-    core, core_exit, offsets = pi_core(chain)
-    involution = tolerance.gap(reverse_chain(rev.transition, pi).probs, P.probs)
+    P, pi = chain.transition, chain.stationary
+    P_rev = reverse_chain(P, pi)
+    H_rev = reversed_hitting_times(chain.pi_rules, P_rev)
+    mu, mu_hat = _forget(P_rev, Rules(H_rev, pi, pi)), _forget(P, chain.pi_rules)
+    t_forget = float(Rules(chain.hitting, pi, mu).access.max())
+    core, core_exit, offsets = pi_core(chain, P_rev, Rules(H_rev, pi, mu_hat))
+    involution = tolerance.gap(reverse_chain(P_rev, pi).probs, P.probs)
     involution = require("dual_reverse_involution", involution, tolerance.bound(P.n, 1.0, tolerance.RESIDUAL))
     return DualityReport(
         forget=mu,
@@ -114,4 +123,6 @@ def duality_checks(chain: ChainAnalysis) -> DualityReport:
         core_exit=core_exit,
         t_forget=t_forget,
         reverse_involution=involution,
+        reverse=P_rev,
+        reverse_hitting=H_rev,
     )

@@ -1,4 +1,4 @@
-"""One chain, solved once: hitting times, Green's function, X_pi, mixing and the reverse chain.
+"""One chain, solved once: hitting times, Green's function, X_pi and mixing.
 
 Every check goes through ``errors.require`` where its residual is computed.
 ``verify_checks`` audits a fresh copy of a chain in a ledger, and returns its checks.
@@ -6,14 +6,13 @@ Every check goes through ``errors.require`` where its residual is computed.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from . import tolerance
-from .duality import duality_checks, forget_distribution, reverse_chain
+from .duality import duality_checks
 from .errors import Check, GreenWalkError, IntegrityError, describe, failed, recorded, require, worst
 from .graph import (
     Distribution,
@@ -34,7 +33,7 @@ from .greens import (
     mixing_report,
     require_constraint,
 )
-from .hitting import HittingTimeMatrix, _solve_fundamental, hit_time, hitting_times, read_hitting, reversed_hitting_times
+from .hitting import HittingTimeMatrix, _solve_fundamental, hit_time, hitting_times, read_hitting
 from .spectral import SpectralDecomposition, decompose, spectral_greens
 
 
@@ -45,15 +44,12 @@ class ChainAnalysis:
     Each derived quantity is built on first use and kept: ``hitting`` is the
     chain's one fundamental-matrix solve, and ``greens``, ``exit_pi`` (X_pi),
     ``hit_time`` and ``mixing`` are read off it (``mixing`` builds no G: it
-    reads the trace of G off the rules toward pi); ``pi_rules`` and
-    ``forget_rules`` hold H(tau, .) and H(., tau) toward pi and the forget
-    distribution. A residual a builder checks is kept on what it certifies
-    (``greens.row_sum``, ``exit_pi.row_min``), and the commands print it
-    from there. ``reverse`` is the time-reversed chain over the same pi; its
-    ``hitting`` is read off this chain's with no second solve, and confirmed
-    against the reverse chain's own rows. While this chain is alive, its
-    ``reverse`` is this chain. ``forget``, the forget distribution, is read off
-    the reverse chain's hitting times. ``simulate --stop`` solves one column
+    reads the trace of G off the rules toward pi); ``pi_rules`` holds
+    H(pi, .) and H(., pi). A residual a builder checks is kept on what it
+    certifies (``greens.row_sum``, ``exit_pi.row_min``), and the commands
+    print it from there. The time-reversed chain is no chain of its own:
+    ``duality.duality_checks`` builds it, reads its hitting times off this
+    chain's, and returns it in its report. ``simulate --stop`` solves one column
     (``hitting.hitting_column``), and ``verify``'s beta = 0.5 chain is one
     inverse read by ``hitting.read_hitting``: neither builds a chain.
     """
@@ -79,10 +75,6 @@ class ChainAnalysis:
         return Rules(self.hitting, self.stationary, self.stationary)
 
     @cached_property
-    def forget_rules(self) -> Rules:
-        return Rules(self.hitting, self.stationary, self.forget)
-
-    @cached_property
     def greens(self) -> GreensMatrix:
         return greens_general(self.pi_rules)
 
@@ -96,27 +88,8 @@ class ChainAnalysis:
         return hit_time(self.hitting, self.stationary)
 
     @cached_property
-    def forget(self) -> Distribution:
-        return forget_distribution(self)
-
-    @cached_property
     def mixing(self) -> MixingReport:
         return mixing_report(self)
-
-    @property
-    def reverse(self) -> ChainAnalysis:
-        # The chain that builds its reverse holds it, and the reverse links back
-        # weakly: the pair forms no reference cycle, so reference counting frees
-        # both chains' matrices as soon as the forward chain goes.
-        rev = self.__dict__.get("_reverse")
-        if isinstance(rev, weakref.ref):
-            rev = rev()
-        if rev is None:
-            rev = ChainAnalysis(reverse_chain(self.transition, self.stationary), self.stationary)
-            rev.__dict__["hitting"] = reversed_hitting_times(self.pi_rules, rev.transition)
-            self.__dict__["_reverse"] = rev
-            rev.__dict__["_reverse"] = weakref.ref(self)
-        return rev
 
 
 def analyze(g: WeightedDigraph, beta: float = 0.0) -> ChainAnalysis:

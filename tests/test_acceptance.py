@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from greenwalk import families, pipeline
-from greenwalk.duality import duality_checks, pi_core, reverse_chain
+from greenwalk.duality import duality_checks, reverse_chain
 from greenwalk.generators import (
     random_connected_graph,
     random_strongly_connected_digraph,
@@ -194,9 +194,9 @@ def test_09_duality():
     pi = stationary_distribution(P)
     H = hitting_times(P, pi)
     X = exit_frequency_matrix(Rules(H, pi, pi))
-    core, _, offsets = pi_core(ChainAnalysis(P, pi))
+    rep = duality_checks(ChainAnalysis(P, pi))
+    core, offsets, mu = rep.core, rep.offsets, rep.forget
     b = X.values.min(axis=0)
-    mu = duality_checks(ChainAnalysis(P, pi)).forget
     ok = (
         np.allclose(b, [0.0, 0.5, 0.0], atol=1e-12)
         and np.array_equal(offsets, b)
@@ -215,11 +215,11 @@ def test_09_duality():
         pid = stationary_distribution(Pd)
         chain = ChainAnalysis(Pd, pid)
         rep = duality_checks(chain)
-        scale = max(1.0, float(np.abs(chain.reverse.hitting.values).max()))
+        scale = max(1.0, float(np.abs(rep.reverse_hitting.values).max()))
         rev = reverse_chain(Pd, pid)
         mix_rev = Rules(hitting_times(rev, pid), pid, pid).access
         t_reset = float(pid.probs @ Rules(hitting_times(Pd, pid), pid, pid).access)
-        gap = abs(t_reset - duality_checks(chain.reverse).t_forget)
+        gap = abs(t_reset - duality_checks(ChainAnalysis(rev, pid)).t_forget)
         worst = max(worst, gap / scale, rep.reverse_involution / scale)
     report("09 duality identities", ok and worst <= 1e-8, f"worst rel {worst:.2e}")
 

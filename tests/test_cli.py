@@ -712,11 +712,11 @@ class TestSolveCounts:
 
 class TestDualityCallCounts:
     """One dual or verify run computes each forward/reverse quantity once: the
-    forget distribution of each chain, the pi-core, the reverse chain and its
-    involution check, and for each (chain, target) pair the row H(tau, .) and
+    pi-core, the reverse chain and its involution check, the reverse chain's
+    hitting times, and for each (chain, target) pair the row H(tau, .) and
     the access vector H(., tau)."""
 
-    NAMES = ("forget_distribution", "pi_core", "reverse_chain", "reversed_hitting_times")
+    NAMES = ("pi_core", "reverse_chain", "reversed_hitting_times")
     # (H(tau, .) row products, H(., tau) reductions): the pairs are each chain
     # toward pi and toward its forget distribution; verify builds no G toward
     # any other target
@@ -764,7 +764,6 @@ class TestDualityCallCounts:
         # no other H(tau, .) row product is made: the reverse chain's hitting times read the
         # forward chain's cached H(pi, .)
         assert calls["reversed_hitting_times"] == 1
-        assert calls["forget_distribution"] == 2
         assert calls["pi_core"] == 1
         assert calls["reverse_chain"] == 2
 

@@ -7,12 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenwalk import families, pipeline, tolerance
-from greenwalk.duality import (
-    duality_checks,
-    forget_distribution,
-    pi_core,
-    reverse_chain,
-)
+from greenwalk.duality import duality_checks, reverse_chain
 from greenwalk.generators import random_connected_graph, random_strongly_connected_digraph
 from greenwalk.errors import IntegrityError
 from greenwalk.graph import Distribution, WeightedDigraph, stationary_distribution, transition_matrix
@@ -69,20 +64,15 @@ class TestReverseChain:
 
 
 class TestChainReverse:
-    def test_reverse_of_reverse_is_the_chain(self):
+    def test_chain_and_report_freed_without_cyclic_gc(self):
         sol = ChainAnalysis(*digraph_chain(9, seed=3))
-        assert sol.reverse is sol.reverse
-        assert sol.reverse.reverse is sol
-
-    def test_chains_freed_without_cyclic_gc(self):
-        sol = ChainAnalysis(*digraph_chain(9, seed=3))
-        duality_checks(sol)
-        forward, backward = weakref.ref(sol), weakref.ref(sol.reverse)
+        rep = duality_checks(sol)
+        chain_ref, report_ref = weakref.ref(sol), weakref.ref(rep)
         gc.disable()
         try:
-            del sol
-            assert forward() is None
-            assert backward() is None
+            del sol, rep
+            assert chain_ref() is None
+            assert report_ref() is None
         finally:
             gc.enable()
 
@@ -90,16 +80,16 @@ class TestChainReverse:
 class TestForgetDistribution:
     def test_path_concentrates_on_center(self):
         P, pi = chain(families.path_graph(3))
-        mu = forget_distribution(ChainAnalysis(P, pi))
+        mu = duality_checks(ChainAnalysis(P, pi)).forget
         assert np.allclose(mu.probs, [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_cycle_collapses_to_stationary(self):
         P, pi = chain(families.cycle_graph(4))
-        mu = forget_distribution(ChainAnalysis(P, pi))
+        mu = duality_checks(ChainAnalysis(P, pi)).forget
         assert np.abs(mu.probs - pi.probs).max() <= 1e-12
 
     def test_directed_cycle_uniform(self, directed_triangle):
-        mu = forget_distribution(directed_triangle)
+        mu = duality_checks(directed_triangle).forget
         assert np.allclose(mu.probs, 1.0 / 3.0, atol=1e-12)
 
 
@@ -127,7 +117,8 @@ class TestPiCore:
     def test_path_hand_values(self):
         P, pi = chain(families.path_graph(3))
         X = exit_frequency_matrix(Rules(hitting_times(P, pi), pi, pi))
-        core, core_exit, offsets = pi_core(ChainAnalysis(P, pi))
+        rep = duality_checks(ChainAnalysis(P, pi))
+        core, core_exit, offsets = rep.core, rep.core_exit, rep.offsets
         assert np.allclose(X.values.min(axis=0), [0.0, 0.5, 0.0], atol=1e-12)
         assert np.array_equal(offsets, X.values.min(axis=0))
         assert np.allclose(core.probs, [0.0, 1.0, 0.0], atol=1e-12)
@@ -136,17 +127,18 @@ class TestPiCore:
     def test_transitive_core_is_stationary(self):
         P, pi = chain(families.cycle_graph(4))
         X = exit_frequency_matrix(Rules(hitting_times(P, pi), pi, pi))
-        core, _, _ = pi_core(ChainAnalysis(P, pi))
+        core = duality_checks(ChainAnalysis(P, pi)).core
         assert np.abs(core.probs - pi.probs).max() <= 1e-12
 
     @settings(max_examples=10, deadline=None)
     @given(n=st.integers(2, 12), seed=st.integers(0, 10**6))
     def test_both_routes_agree(self, n, seed):
-        # pi_core raises IntegrityError internally when the conservation and
+        # duality_checks raises IntegrityError internally when the conservation and
         # reverse-chain routes drift apart
         P, pi = digraph_chain(n, seed)
         X = exit_frequency_matrix(Rules(hitting_times(P, pi), pi, pi))
-        core, core_exit, _ = pi_core(ChainAnalysis(P, pi))
+        rep = duality_checks(ChainAnalysis(P, pi))
+        core, core_exit = rep.core, rep.core_exit
         assert abs(core.probs.sum() - 1.0) <= 1e-12
         conservation = core_exit.values @ (np.eye(n) - P.probs) - (
             np.eye(n) - np.outer(np.ones(n), core.probs)
@@ -166,7 +158,7 @@ class TestPiCore:
         # construction would change nothing
         P, pi = digraph_chain(10, seed=30)
         X = exit_frequency_matrix(Rules(hitting_times(P, pi), pi, pi))
-        _, core_exit, _ = pi_core(ChainAnalysis(P, pi))
+        core_exit = duality_checks(ChainAnalysis(P, pi)).core_exit
         assert np.abs(core_exit.values.min(axis=0)).max() <= 1e-12
 
     def test_path_core_coincides_with_forget(self):
@@ -174,8 +166,8 @@ class TestPiCore:
         # and the forget distribution happen to be the same point mass
         P, pi = chain(families.path_graph(3))
         X = exit_frequency_matrix(Rules(hitting_times(P, pi), pi, pi))
-        core, _, _ = pi_core(ChainAnalysis(P, pi))
-        mu = forget_distribution(ChainAnalysis(P, pi))
+        rep = duality_checks(ChainAnalysis(P, pi))
+        core, mu = rep.core, rep.forget
         assert np.abs(core.probs - mu.probs).max() <= 1e-12
 
 
@@ -203,7 +195,7 @@ class TestDualityChecks:
         P, pi = digraph_chain(n, seed)
         sol = ChainAnalysis(P, pi)
         rep = duality_checks(sol)
-        scale = max(1.0, float(np.abs(sol.reverse.hitting.values).max()))
+        scale = max(1.0, float(np.abs(rep.reverse_hitting.values).max()))
         assert rep.reverse_involution <= 1e-8 * scale
 
     def test_dual_image_has_halting_rows(self):

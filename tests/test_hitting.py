@@ -183,8 +183,9 @@ class TestReversedHittingTimes:
         assert name == "first_step" and first_step <= limit
 
     def test_directed_triangle_runs_backwards(self, directed_triangle):
-        rev = directed_triangle.reverse
-        assert np.allclose(rev.hitting.values, directed_triangle.hitting.values.T, atol=1e-12)
+        P_rev = reverse_chain(directed_triangle.transition, directed_triangle.stationary)
+        H_rev = reversed_hitting_times(directed_triangle.pi_rules, P_rev)
+        assert np.allclose(H_rev.values, directed_triangle.hitting.values.T, atol=1e-12)
 
     def test_first_step_checked_against_the_given_rows(self):
         # the forward rows of a directed chain do not fit the reverse hitting times
@@ -195,10 +196,11 @@ class TestReversedHittingTimes:
 
     def test_reverse_chain_keeps_its_first_step(self):
         sol = pipeline.analyze(random_strongly_connected_digraph(10, seed=7))
+        P_rev = reverse_chain(sol.transition, sol.stationary)
         sol.pi_rules.from_target  # the forward solve and its checks, outside the ledger
         with errors.recorded() as ledger:
-            H = sol.reverse.hitting
-        R = H.values - 1.0 - sol.reverse.transition.probs @ H.values
+            H = reversed_hitting_times(sol.pi_rules, P_rev)
+        R = H.values - 1.0 - P_rev.probs @ H.values
         np.fill_diagonal(R, 0.0)
         assert [residual for name, residual, _ in ledger if name == "first_step"] == [float(np.abs(R).max())]
 
@@ -295,7 +297,7 @@ class TestCachedStationaryRow:
 
     def test_reverse_hitting_times_move_by_the_shift(self):
         sol = pipeline.analyze(random_strongly_connected_digraph(10, seed=7))
-        P_rev = sol.reverse.transition
+        P_rev = reverse_chain(sol.transition, sol.stationary)
         base = reversed_hitting_times(sol.pi_rules, P_rev).values
         shift = 1e-12 * np.arange(10)  # small enough for the reverse chain's first-step check
         moved = reversed_hitting_times(self.shifted(sol, shift), P_rev).values

@@ -21,9 +21,9 @@ from greenwalk.generators import random_connected_graph, random_strongly_connect
 from greenwalk.spectral import decompose
 
 N = 300
-# measured: 4.2, 5.1, 8.9, 7.9 and 6.86
+# measured: 4.19, 5.10, 8.88, 7.85 and 6.86
 DISCARDED = {"hitting": 5.0, "green": 5.6, "verify": 9.4, "dual": 8.4, "spectral": 7.3}
-# measured: 4.5, 5.1 and 9.75
+# measured: 4.47, 5.10 and 9.75
 HELD = {"hitting": 5.0, "green": 5.6, "dual": 10.2}
 # measured: 2.01 (L and the eigenvectors; spectral's own peak, 6.86, is in spectral_routes)
 DECOMPOSE = 2.5

@@ -154,6 +154,7 @@ def _p_moved(chain):
 _T = "self.hitting.time_scale"
 _SOLVED = "A, Z = _solve_fundamental(P, pi)"
 _EIGH = "lam, phi = np.linalg.eigh(normalized_laplacian(g))"
+_MU, _MU_HAT = "_forget(P_rev, Rules(H_rev, pi, pi))", "_forget(P, chain.pi_rules)"
 MUTATIONS = [
     Mutation("H entry +1e-6T", _hitting(lambda H, T: _plus(H, np.s_[0, -1], 1e-6 * T))),
     Mutation("H column +1e-3T", _hitting(lambda H, T: _plus(H, np.s_[:, 1], 1e-3 * T))),
@@ -178,7 +179,8 @@ MUTATIONS = [
     Mutation("Z + 1c^T, c = -diag Z", source=(hitting, "fundamental_matrix", _SOLVED, f"{_SOLVED}; Z -= Z.diagonal().copy()")),
     Mutation("eigenvector entry +1e-6", source=(spectral, "decompose", _EIGH, f"{_EIGH}; phi[0, 1] += 1e-6")),
     Mutation("reverse drift kept", source=(duality, "reverse_chain", "probs /= sums[:, None]", "pass")),
-    Mutation("forget weights forward", source=(duality, "forget_distribution", "rev = chain.reverse", "rev = chain")),
+    # each chain's forget distribution from its own weights, the forward chain's first
+    Mutation("forget weights forward", source=(duality, "duality_checks", f"{_MU}, {_MU_HAT}", f"{_MU_HAT}, {_MU}")),
 ]
 
 
@@ -296,30 +298,32 @@ def _dual_identities(chain, rep):
     """The reverse-chain identities dual returned besides the involution: the reverse chain's stationarity, the
     reset/forget exchange both ways, the exit conjugation and its image's conservation and row minima, both Green's
     function duals, and the core decomposition H(., pi) = H(., core) + H(core, pi)."""
-    P, pi, rev, H = chain.transition, chain.stationary, chain.reverse, chain.hitting
+    P, pi, P_rev, H = chain.transition, chain.stationary, rep.reverse, chain.hitting
+    rev_pi_rules = greens.Rules(rep.reverse_hitting, pi, pi)
+    rev_forget_rules = greens.Rules(rep.reverse_hitting, pi, rep.reverse_forget)
     n, p = P.n, pi.probs
     probs = tolerance.bound(n, 1.0, tolerance.RESIDUAL)
     times = tolerance.bound(n, H.time_scale, tolerance.ROUTE)
     entries = tolerance.bound(n, chain.entry_scale, tolerance.ROUTE)
     mix = chain.pi_rules.access
     t_reset = float(p @ mix)
-    X_rev_mu = greens.exit_frequency_matrix(rev.forget_rules)
+    X_rev_mu = greens.exit_frequency_matrix(rev_forget_rules)
     acc_rev_mu = X_rev_mu.access  # Hrev(i, mu_hat)
     image = _conjugated(rep.core_exit.values, p)
     core_rules = greens.Rules(H, pi, rep.core)
     core_shift = acc_rev_mu - float(p @ acc_rev_mu)
     forget_dual = _conjugated(chain.greens.values, p) + p * (mix - t_reset)
-    core_dual = _conjugated(rev.greens.values, p) + p * core_shift
+    core_dual = _conjugated(greens.greens_general(rev_pi_rules).values, p) + p * core_shift
     core_mix = core_rules.access + float((core_rules.from_target - chain.pi_rules.from_target).max())
     return [
-        ("dual_reverse_stationary", tolerance.gap(p @ rev.transition.probs, p), probs),
+        ("dual_reverse_stationary", tolerance.gap(p @ P_rev.probs, p), probs),
         ("dual_reset_equals_reverse_forget", abs(t_reset - float(acc_rev_mu.max())), times),
-        ("dual_forget_equals_reverse_reset", abs(rep.t_forget - float(p @ rev.pi_rules.access)), times),
+        ("dual_forget_equals_reverse_reset", abs(rep.t_forget - float(p @ rev_pi_rules.access)), times),
         ("dual_exit_conjugation", tolerance.gap(X_rev_mu.values, image), entries),
         ("dual_dual_image_conservation",
-         greens.verify_green_constraints(greens.GreensMatrix(image, rep.reverse_forget), rev.transition), entries),
+         greens.verify_green_constraints(greens.GreensMatrix(image, rep.reverse_forget), P_rev), entries),
         ("dual_dual_image_row_min", image.min(axis=1).max(), entries),
-        ("dual_greens_forget_dual", tolerance.gap(greens.greens_general(rev.forget_rules).values, forget_dual), entries),
+        ("dual_greens_forget_dual", tolerance.gap(greens.greens_general(rev_forget_rules).values, forget_dual), entries),
         ("dual_greens_core_dual", tolerance.gap(greens.greens_general(core_rules).values, core_dual), entries),
         ("dual_core_decomposition", tolerance.gap(mix, core_mix), times),
     ]

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from greenwalk import errors, hitting
-from greenwalk.duality import duality_checks
+from greenwalk.duality import duality_checks, reverse_chain
 from greenwalk.graph import load_graph
 from greenwalk.greens import mixing_report, trace_gap
+from greenwalk.hitting import reversed_hitting_times
 from greenwalk.pipeline import analyze, verify_checks
 from greenwalk.spectral import decompose
 
@@ -33,16 +34,18 @@ def test_verify_reports_the_builders_residuals(chain):
     assert checks["exit_row_min"] == chain.exit_pi.row_min
     assert checks["exit_row_sums"] == chain.exit_pi.access_gap
     # the chain and its reverse each confirm their first-step equations; the reverse's is the worst here
+    P_rev = reverse_chain(chain.transition, chain.stationary)
     chain.pi_rules.from_target  # the forward solve, outside the ledger
     with errors.recorded() as ledger:
-        chain.reverse
+        reversed_hitting_times(chain.pi_rules, P_rev)
     assert [residual for name, residual, _ in ledger if name == "first_step"] == [checks["first_step"]]
 
 
 def test_verify_checks_do_not_depend_on_what_the_chain_holds(chain):
     # the README's quickstart reads the chain's matrices and its duals before it calls verify_checks
     fresh = verify_checks(chain)
-    chain.hitting, chain.greens, chain.exit_pi, chain.mixing, chain.forget
+    chain.hitting, chain.greens, chain.exit_pi, chain.mixing
+    reversed_hitting_times(chain.pi_rules, reverse_chain(chain.transition, chain.stationary))
     duality_checks(chain)
     assert verify_checks(chain) == fresh
     assert len(fresh) == (22 if chain.graph.undirected else 15)

@@ -1,6 +1,6 @@
 """Every script under scripts/ runs to exit 0 at a tiny size, and every sweep ends with a JSON line.
 
-The scripts import library names (``hit_time``, ``ChainAnalysis.forget_rules``, the CLI's
+The scripts import library names (``hit_time``, ``DualityReport.reverse_hitting``, the CLI's
 parser and commands), so a renamed or removed name shows here first.
 """
 
